@@ -70,7 +70,7 @@ def cached_run(config: SimulationConfig) -> SimulationResult:
     """Run (or reuse) the simulation for ``config``.
 
     Keyed by the run-spec content hash, which covers *every* config field
-    (minus the result-irrelevant kernel) — a hand-maintained field tuple
+    (minus the result-irrelevant engine) — a hand-maintained field tuple
     here silently collided when new knobs were added.
     """
     key = config_hash(config)

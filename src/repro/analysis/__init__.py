@@ -16,7 +16,6 @@ from repro.analysis.stats import (
     windowed_mean,
 )
 from repro.analysis.plots import ascii_chart, render_table, write_csv
-from repro.analysis.replication import ReplicatedResult, replicate
 from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.fluid import FluidTrajectory, fluid_capacity_model
 from repro.analysis import report
@@ -29,8 +28,6 @@ __all__ = [
     "ascii_chart",
     "render_table",
     "write_csv",
-    "replicate",
-    "ReplicatedResult",
     "EXPERIMENTS",
     "run_experiment",
     "FluidTrajectory",

@@ -35,11 +35,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.capacity import max_capacity_sessions
 from repro.errors import ConfigurationError
 from repro.simulation.arrivals import make_pattern
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.probes import SeriesPoint
 
 __all__ = ["FluidTrajectory", "fluid_capacity_model", "mean_offer_sessions"]
 

@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.probes import SeriesPoint
 
 __all__ = ["ascii_chart", "render_table", "write_csv", "sparkline"]
 

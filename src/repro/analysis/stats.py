@@ -1,6 +1,6 @@
 """Statistics helpers for simulation output series.
 
-All series are lists of :class:`~repro.simulation.metrics.SeriesPoint`
+All series are lists of :class:`~repro.simulation.probes.SeriesPoint`
 (hour, value).  Helpers here never assume uniform sampling — different
 classes' series can start at different hours (a class has no suppliers
 until its first promotion), so alignment is by hour, not by index.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.probes import SeriesPoint
 
 __all__ = [
     "value_at_hour",

@@ -21,7 +21,7 @@ supplier class present) and repeat verbatim for the rest of the media file.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import segments as seg
 from repro.core.model import ClassLadder, SupplierOffer, sort_offers_descending

@@ -15,7 +15,7 @@ peers at every sample.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.model import ClassLadder

@@ -18,7 +18,7 @@ only happens at reporting boundaries.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ClassLadderError, ConfigurationError
 

@@ -96,7 +96,8 @@ class StoreMergeError(P2PStreamError):
     """Two result stores disagree on a record they both hold.
 
     Same spec hash but differing payload fingerprints means a
-    determinism violation somewhere; merging refuses to pick a side.
+    determinism violation somewhere, or records written by two
+    releases; merging refuses to pick a side.
     """
 
 

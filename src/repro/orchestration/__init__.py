@@ -21,10 +21,8 @@
   :func:`merge_stores` (fold per-host stores, verifying agreement on
   overlap) and :func:`store_status` (claimed/done/orphaned census).
 
-The legacy helpers — :func:`~repro.simulation.runner.compare_protocols`,
-:func:`~repro.simulation.runner.sweep_parameter` and
-:func:`~repro.analysis.replication.replicate` — are thin shims over
-:class:`Study` and remain supported.
+Protocol comparisons, parameter sweeps and seed replications are all
+:class:`Study` axes; there is no separate helper for each.
 """
 
 from repro.orchestration.batch import run_batch

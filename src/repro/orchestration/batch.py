@@ -16,13 +16,13 @@ that one primitive:
 Fault tolerance: a dead worker (OOM kill, SIGKILL, interpreter abort)
 used to surface as a bare ``BrokenProcessPool`` that lost the whole
 batch and named no culprit.  Now the surviving chunks' results are
-kept, the broken pool is replaced, and the unfinished configs are
-requeued as singleton chunks; a config that still kills its worker
-after ``retries`` fresh pools raises
-:class:`~repro.errors.BatchWorkerError` naming the config's index and
-label.  Deterministic in-simulation exceptions are wrapped the same way
-(chained to the original), so every failure mode identifies its grid
-point.
+kept and every unfinished config reruns alone in its own single-worker
+pool; a config that breaks ``retries`` pools in which it ran alone
+raises :class:`~repro.errors.BatchWorkerError` naming the config's
+index and label.  A bystander never shares such a pool with the
+culprit, so it is never blamed.  Deterministic in-simulation exceptions
+are wrapped the same way (chained to the original), so every failure
+mode identifies its grid point.
 
 Determinism guarantees, both modes:
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 
 from repro.errors import BatchWorkerError
 from repro.simulation.config import SimulationConfig
@@ -48,6 +49,9 @@ __all__ = ["run_batch"]
 
 #: fresh pools a config may break before it is declared the culprit
 DEFAULT_RETRIES = 2
+
+#: configs tagged with their batch index, run by one worker call
+Chunk = list[tuple[int, SimulationConfig]]
 
 
 class _WorkerFailure(Exception):
@@ -63,9 +67,7 @@ class _WorkerFailure(Exception):
         self.reason = reason
 
 
-def _run_chunk(
-    chunk: Sequence[tuple[int, SimulationConfig]],
-) -> list[tuple[int, SimulationResult]]:
+def _run_chunk(chunk: Chunk) -> list[tuple[int, SimulationResult]]:
     """Worker body: run one chunk, tagging results (and failures) by index.
 
     ``run_simulation`` is resolved as a module global at call time, in
@@ -128,7 +130,16 @@ def _run_pooled(
     labels: Sequence[str] | None,
     retries: int,
 ) -> list[SimulationResult]:
-    """Chunked pool execution surviving worker death by requeuing chunks."""
+    """Pool execution that survives worker death and names the culprit.
+
+    The first round runs contiguous chunks in one shared pool.  When a
+    worker dies there the whole pool breaks, and nothing tells which
+    config killed it, so nobody is charged: every config without a
+    result becomes a suspect.  Retry rounds run each suspect alone in
+    its own single-worker pool, ``workers`` pools at a time.  A pool
+    that breaks there was broken by its one config, which is charged an
+    attempt; the config charged ``retries`` times is the culprit.
+    """
     workers = min(jobs, len(config_list))
     # Batch tasks so a large grid (hundreds of specs) does not pay one
     # round of pickling/IPC per run; results carry their index, so any
@@ -140,46 +151,69 @@ def _run_pooled(
         for start in range(0, len(indexed), chunksize)
     ]
     slots: list[SimulationResult | None] = [None] * len(config_list)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        tasks = [(pool, chunk) for chunk in chunks]
+        broken = _drain(tasks, slots, labels, config_list)
+    suspects = [item for chunk in broken for item in chunk]
     attempts = [0] * len(config_list)
-    while chunks:
-        requeue: list[list[tuple[int, SimulationConfig]]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_chunk, chunk): chunk
-                for chunk in chunks
-            }
-            # Collect eagerly: a broken pool fails every outstanding
-            # future, but chunks that already finished keep their results.
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in done:
-                    chunk = futures[future]
-                    try:
-                        for index, result in future.result():
-                            slots[index] = result
-                    except _WorkerFailure as failure:
-                        index = failure.index
-                        raise BatchWorkerError(
-                            index,
-                            _label_for(index, labels, config_list[index]),
-                            failure.reason,
-                        ) from failure
-                    except BrokenProcessPool as broken:
-                        for index, config in chunk:
-                            if slots[index] is not None:
-                                continue
-                            attempts[index] += 1
-                            if attempts[index] >= retries:
-                                raise BatchWorkerError(
-                                    index,
-                                    _label_for(index, labels, config),
-                                    "worker process died repeatedly "
-                                    f"({attempts[index]} pools broken); "
-                                    "this config is the likely culprit",
-                                ) from broken
-                            requeue.append([(index, config)])
-        # Retry rounds run each survivor alone in a fresh pool, so a
-        # second death unambiguously identifies the culprit config.
-        chunks = requeue
-    return [result for result in slots if result is not None]
+    while suspects:
+        wave, suspects = suspects[:workers], suspects[workers:]
+        with ExitStack() as stack:
+            tasks = [
+                (stack.enter_context(ProcessPoolExecutor(max_workers=1)), [item])
+                for item in wave
+            ]
+            broken = _drain(tasks, slots, labels, config_list)
+        for [(index, config)] in broken:
+            attempts[index] += 1
+            if attempts[index] >= retries:
+                raise BatchWorkerError(
+                    index,
+                    _label_for(index, labels, config),
+                    f"worker process died in {attempts[index]} pools in "
+                    "which this config ran alone; it is the culprit",
+                )
+            suspects.append((index, config))
+    return slots  # type: ignore[return-value]  # every slot is filled
+
+
+def _drain(
+    tasks: Sequence[tuple[ProcessPoolExecutor, Chunk]],
+    slots: list[SimulationResult | None],
+    labels: Sequence[str] | None,
+    config_list: Sequence[SimulationConfig],
+) -> list[Chunk]:
+    """Run each ``(pool, chunk)`` task, filling ``slots`` with results.
+
+    Returns the chunks that did not finish because their pool broke,
+    whether it broke before the chunk was submitted or while it ran, in
+    config order.  An exception inside a simulation is raised as
+    :class:`~repro.errors.BatchWorkerError` naming its config.
+    """
+    futures = {}
+    broken: list[Chunk] = []
+    for pool, chunk in tasks:
+        try:
+            futures[pool.submit(_run_chunk, chunk)] = chunk
+        except BrokenProcessPool:
+            broken.append(chunk)
+    # Collect eagerly: a broken pool fails every outstanding future, but
+    # chunks that already finished keep their results.
+    pending = set(futures)
+    while pending:
+        done, pending = wait(pending, return_when=FIRST_EXCEPTION)
+        for future in done:
+            try:
+                for index, result in future.result():
+                    slots[index] = result
+            except _WorkerFailure as failure:
+                index = failure.index
+                raise BatchWorkerError(
+                    index,
+                    _label_for(index, labels, config_list[index]),
+                    failure.reason,
+                ) from failure
+            except BrokenProcessPool:
+                broken.append(futures[future])
+    broken.sort(key=lambda chunk: chunk[0][0])
+    return broken

@@ -43,11 +43,6 @@ _CLASS_KEYED_FIELDS = ("seed_suppliers", "requesting_peers")
 #: (an entry without a pop, a pop without an entry, a stale field name, or
 #: an empty rationale).
 HASH_EXCLUDED_FIELDS: dict[str, str] = {
-    "kernel": (
-        "event kernels are dispatch-order-identical by contract (see "
-        "repro.simulation.kernel), so runs differing only in kernel "
-        "produce the same measurements and share one cache entry"
-    ),
     "engine": (
         "the array engine is parity-pinned against the object engine "
         "(see repro.simulation.arrayengine), so runs differing only in "
@@ -78,12 +73,11 @@ def config_hash(config: SimulationConfig) -> str:
     The fields listed in :data:`HASH_EXCLUDED_FIELDS` are excluded (see
     the per-field rationales there): runs differing only in those fields
     produce the same measurements and deliberately share one cache
-    entry.  The pops below stay literal — not a loop over the constant —
+    entry.  The pop below stays literal — not a loop over the constant —
     so the exclusion set is auditable at a glance; the detlint
-    ``config-hash-drift`` rule keeps them and the allowlist in sync.
+    ``config-hash-drift`` rule keeps it and the allowlist in sync.
     """
     data = config_to_dict(config)
-    data.pop("kernel", None)
     data.pop("engine", None)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

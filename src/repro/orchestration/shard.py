@@ -501,9 +501,11 @@ def merge_stores(
 
     On overlap the records must agree: equal spec hash (they are filed
     under it) *and* equal payload fingerprint — the digest of everything
-    except wall time.  Disagreement raises :class:`StoreMergeError`,
-    because two differing records under one spec hash mean a determinism
-    violation, not a merge policy question.  Among agreeing duplicates
+    except wall time.  Disagreement raises :class:`StoreMergeError`: two
+    differing records under one spec hash written by one version mean a
+    determinism violation, not a merge policy question; written by two
+    versions, they mean the stores come from different releases, and the
+    error names both versions.  Among agreeing duplicates
     the record with the smaller ``wall_seconds`` wins (ties keep the
     incumbent), which makes the fold order-independent: any merge order
     of any partition of the sources produces byte-identical destination
@@ -525,6 +527,15 @@ def merge_stores(
                 copied += 1
                 continue
             if incumbent.fingerprint() != record.fingerprint():
+                if incumbent.version != record.version:
+                    raise StoreMergeError(
+                        f"stores disagree on spec {spec_hash[:12]}…: "
+                        f"{source.root} holds a record written by version "
+                        f"{record.version} and {destination.root} one "
+                        f"written by version {incumbent.version}; records "
+                        "of different releases do not merge, so recompute "
+                        "one side under a single version"
+                    )
                 raise StoreMergeError(
                     f"stores disagree on spec {spec_hash[:12]}…: "
                     f"{source.root} and {destination.root} hold records "

@@ -23,7 +23,7 @@ Records carry full provenance (the exact configuration, the package
 version, wall time) plus every scalar and series the paper's reports
 consume.  :attr:`RunRecord.metrics` exposes the serialized metrics with
 the same accessors as a live
-:class:`~repro.simulation.metrics.MetricsCollector`, so the report
+:class:`~repro.simulation.probes.MetricsPipeline`, so the report
 renderers in :mod:`repro.analysis.report` work identically on a record
 loaded from cache and on a freshly computed result.
 """
@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError
 from repro.orchestration.batch import run_batch
 from repro.orchestration.runspec import RunSpec, config_from_dict, config_to_dict
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.probes import SeriesPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.orchestration.store import ResultStore
@@ -111,7 +111,7 @@ class RecordMetrics:
     """Read-only view over a record's serialized metrics payload.
 
     Mirrors the accessors of a live
-    :class:`~repro.simulation.metrics.MetricsCollector` (series of
+    :class:`~repro.simulation.probes.MetricsPipeline` (series of
     :class:`SeriesPoint`, per-class counter dicts, derived-scalar
     methods), so report renderers and downstream analysis accept a
     :class:`RunRecord` anywhere they accept a simulation result.
@@ -410,7 +410,7 @@ class ResultSet:
 
     Supports tabular flattening (:meth:`to_rows`), JSON/CSV export,
     axis-based :meth:`filter`, and seed-collapsing :meth:`aggregate`
-    (subsuming the older ``ReplicatedResult`` mean ± CI summaries).
+    (mean ± CI of any scalar across seeds).
     """
 
     records: tuple[RunRecord, ...]

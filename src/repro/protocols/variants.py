@@ -17,8 +17,6 @@ protocol, so benchmark comparisons attribute performance to that mechanism:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.admission import AdmissionVector, SupplierAdmissionState
 from repro.core.model import ClassLadder
 from repro.protocols.base import AdmissionPolicy, register_policy

@@ -17,8 +17,8 @@ simulated system over 144 hours.  This package is that simulator:
 * :mod:`repro.simulation.samplers` — the periodic metric samplers;
 * :mod:`repro.simulation.system` — the facade wiring the three
   subsystems over the shared substrates;
-* :mod:`repro.simulation.metrics` — every collector behind Figures 4–9 and
-  Table 1;
+* :mod:`repro.simulation.probes` — the metric probes behind Figures 4–9
+  and Table 1;
 * :mod:`repro.simulation.runner` — one-call experiment execution;
 * :mod:`repro.simulation.trace` — optional structured event traces.
 """
@@ -27,12 +27,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.registry import SupplierRegistry
 from repro.simulation.requestpath import RequestPath
-from repro.simulation.runner import (
-    SimulationResult,
-    compare_protocols,
-    run_simulation,
-    sweep_parameter,
-)
+from repro.simulation.runner import SimulationResult, run_simulation
 from repro.simulation.samplers import Samplers
 from repro.simulation.system import StreamingSystem
 
@@ -45,6 +40,4 @@ __all__ = [
     "Samplers",
     "SimulationResult",
     "run_simulation",
-    "compare_protocols",
-    "sweep_parameter",
 ]

@@ -35,10 +35,9 @@ not approximating:
   numpy sweep.
 
 The parity pins live in ``tests/simulation/test_arrayengine.py`` and run
-in CI next to the kernel-parity step; because results are identical by
-contract, ``engine`` is excluded from spec hashes (see
-:func:`~repro.orchestration.runspec.config_hash`) and the ``kernel``
-field is ignored — the engine has its own dispatch core.
+in CI next to the golden-fingerprint step; because results are identical
+by contract, ``engine`` is excluded from spec hashes (see
+:func:`~repro.orchestration.runspec.config_hash`).
 
 Representable policies
 ----------------------
@@ -51,7 +50,7 @@ leaving the power-of-two lattice, so this engine refuses it
 (:class:`~repro.errors.ConfigurationError`); use the object engine there.
 
 Everything that is *not* per-peer or per-event hot state is reused from
-the object engine unchanged: :class:`MetricsCollector`,
+the object engine unchanged: :class:`MetricsPipeline`,
 :class:`CapacityLedger`, :class:`Transport`, the lookup substrates, the
 lifecycle models, ``plan_session`` and the backoff/reminder math.
 """
@@ -78,7 +77,7 @@ from repro.simulation.arraystate import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import make_lifecycle
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.probes import MetricsPipeline
 from repro.simulation.probes import DEFAULT_PROBES
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.trace import TraceRecorder
@@ -119,7 +118,7 @@ class ArrayEngine:
     Construction mirrors ``StreamingSystem.__init__`` step for step —
     the wiring order fixes RNG draws and initial sequence numbers, and is
     therefore part of the parity contract.  :meth:`run` executes the
-    event loop and returns the shared :class:`MetricsCollector`.
+    event loop and returns the shared :class:`MetricsPipeline`.
 
     ``__slots__`` because every event handler reads several engine
     attributes: slot access skips the instance-dict probe, which is
@@ -220,7 +219,7 @@ class ArrayEngine:
         probes = config.probes
         if config.lifecycle != "none" and probes is None:
             probes = DEFAULT_PROBES + ("continuity",)
-        self.metrics = MetricsCollector(ladder, probes=probes)
+        self.metrics = MetricsPipeline(ladder, probes=probes)
         self.ledger = CapacityLedger(ladder)
         self.transport = Transport() if config.track_messages else None
 
@@ -383,7 +382,7 @@ class ArrayEngine:
     # ------------------------------------------------------------------
     # the run loop
     # ------------------------------------------------------------------
-    def run(self) -> MetricsCollector:
+    def run(self) -> MetricsPipeline:
         """Dispatch every event through the horizon; returns the metrics."""
         heap = self._heap
         times = self._arrival_times

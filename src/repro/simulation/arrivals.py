@@ -26,7 +26,6 @@ Both modes produce exactly ``n`` arrivals inside the window.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass

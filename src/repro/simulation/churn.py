@@ -97,7 +97,7 @@ class OnOffChurn:
         the end of the interval containing ``now``.  This is what lets
         :class:`~repro.simulation.lifecycle.OnOffLifecycle` turn the same
         timeline that :meth:`is_down` samples at probe time into
-        kernel-scheduled departure/return events.  Extending the timeline
+        scheduled departure/return events.  Extending the timeline
         consumes exactly the draws :meth:`is_down` would, so mixing the
         two access patterns never perturbs a peer's timeline.
         """

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.core.model import ClassLadder
 from repro.errors import ConfigurationError
-from repro.simulation.kernel import KERNEL_NAMES
 from repro.simulation.lifecycle import LIFECYCLE_NAMES, RECOVERY_MODES
 from repro.simulation.probes import validate_probes
 from repro.streaming.media import MediaFile
@@ -100,7 +99,7 @@ class SimulationConfig:
     suppliers_rejoin: bool = True
 
     # ----- session lifecycle (extension; "none" = the paper's model) ------
-    #: lifecycle model scheduling mid-stream supplier departures as kernel
+    #: lifecycle model scheduling mid-stream supplier departures as queued
     #: events ("none", "onoff", "sessions", "diurnal", "flash"); see
     #: :mod:`repro.simulation.lifecycle`
     lifecycle: str = "none"
@@ -132,16 +131,10 @@ class SimulationConfig:
     probes: tuple[str, ...] | None = None
 
     # ----- execution -------------------------------------------------------
-    #: event-queue kernel ("heap", "calendar" or "calendar-auto");
-    #: never changes results — kernels are dispatch-order-identical
-    #: (see repro.simulation.kernel) — so it is excluded from
-    #: result-cache hashes
-    kernel: str = "heap"
     #: execution engine ("object" or "array"); never changes results —
     #: the array engine is parity-pinned against the object engine (see
     #: repro.simulation.arrayengine) — so it is excluded from
-    #: result-cache hashes like ``kernel``.  The array engine dispatches
-    #: through its own lane-based event core and ignores ``kernel``.
+    #: result-cache hashes
     engine: str = "object"
 
     # ----- reproducibility -------------------------------------------------
@@ -224,11 +217,6 @@ class SimulationConfig:
                     "lifecycle_flash_fraction must be in [0, 1], got "
                     f"{self.lifecycle_flash_fraction}"
                 )
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown event kernel {self.kernel!r}; "
-                f"known: {', '.join(KERNEL_NAMES)}"
-            )
         if self.engine not in ENGINE_NAMES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; "

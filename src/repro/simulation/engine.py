@@ -3,25 +3,26 @@
 Nothing here is specific to streaming: a clock, monotone sequence numbers
 for deterministic FIFO tie-breaking of simultaneous events (a strict
 requirement for reproducible runs — Python's heap is not stable on its
-own), and a dispatch loop.  The pending-event set itself lives behind the
-pluggable :class:`~repro.simulation.kernel.EventKernel` seam, chosen per
-configuration (``SimulationConfig.kernel``): the classic binary
-:class:`~repro.simulation.kernel.HeapKernel` or the bucketed
-:class:`~repro.simulation.kernel.CalendarKernel`.  Both honour the same
-``(time, sequence)`` dispatch contract, so runs are bit-identical across
-kernels (see :mod:`repro.simulation.kernel` for the contract).
+own), one binary heap of pending events, and a dispatch loop.
 
 Design notes
 ------------
-* Events are ``(time, sequence, handle, callback, argument)`` tuples;
-  comparing the monotonically increasing sequence number breaks time ties
-  and never falls through to comparing callbacks (which would raise).
+* Events are ``(time, sequence, handle, callback, argument)`` tuples and
+  dispatch in strictly increasing ``(time, sequence)`` order: events at
+  distinct times fire in time order, events at the same time in
+  scheduling (FIFO) order.  Sequence numbers are unique, so tuple
+  comparison never falls through to comparing callbacks (which would
+  raise).
 * Cancellation is *logical*: :meth:`Simulator.cancel` marks a handle dead
-  and the kernel skips dead entries when they surface, compacting its
-  storage when dead entries outnumber live ones.
-  :attr:`Simulator.pending` is a live-count integer the kernels maintain
-  incrementally — it is read in hot loops (runner progress accounting)
-  and never recounts the queue.  The streaming system instead mostly uses
+  and the loop skips dead entries when they surface, so cancelling never
+  perturbs the order of the surviving events.  So that
+  cancellation-heavy workloads don't drag a growing graveyard through
+  every heap operation, the heap is compacted (live entries
+  re-heapified) whenever dead entries outnumber live ones and the heap
+  holds at least :attr:`Simulator.COMPACT_MIN_SIZE` entries.
+  :attr:`Simulator.pending` is a live count maintained incrementally —
+  it is read in hot loops (runner progress accounting) and never
+  recounts the heap.  The streaming system instead mostly uses
   generation counters on its own state, which is cheaper than allocating
   handles for the (very hot) idle-timer path.
 * Time is float seconds.  All durations in this reproduction are sums of
@@ -31,16 +32,32 @@ Design notes
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.simulation.kernel import EventHandle, EventKernel, HeapKernel, make_kernel
 
 __all__ = ["Simulator", "EventHandle"]
 
 
+@dataclass(slots=True)
+class EventHandle:
+    """Cancellable reference to a scheduled event."""
+
+    time: float
+    sequence: int
+    cancelled: bool = False
+    #: True once the event has left the queue (fired or skipped)
+    done: bool = False
+
+
+#: one queued event: (time, sequence, handle, callback, argument)
+Entry = tuple[float, int, EventHandle, Callable, object]
+
+
 class Simulator:
-    """Clock + sequence numbers + dispatch over a pluggable event kernel.
+    """Clock + sequence numbers + dispatch over a binary heap of events.
 
     Examples
     --------
@@ -55,25 +72,20 @@ class Simulator:
     5.0
     """
 
-    __slots__ = ("now", "kernel", "_sequence", "events_processed")
+    __slots__ = ("now", "_queue", "_sequence", "_dead", "_live", "events_processed")
 
-    #: back-compat alias for the heap kernel's compaction threshold
-    COMPACT_MIN_SIZE = HeapKernel.COMPACT_MIN_SIZE
+    #: don't bother compacting queues smaller than this
+    COMPACT_MIN_SIZE = 64
 
-    def __init__(
-        self, start_time: float = 0.0, kernel: str | EventKernel = "heap"
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self.now = start_time
-        self.kernel: EventKernel = (
-            make_kernel(kernel) if isinstance(kernel, str) else kernel
-        )
+        self._queue: list[Entry] = []
         self._sequence = 0
+        #: cancelled entries still in the heap
+        self._dead = 0
+        #: live (not fired, not cancelled) entries in the heap
+        self._live = 0
         self.events_processed = 0
-
-    @property
-    def _queue(self) -> list:
-        """The heap kernel's raw entry list (tests and debugging only)."""
-        return self.kernel._queue  # type: ignore[attr-defined]
 
     def schedule_at(
         self, time: float, callback: Callable, argument: object = None
@@ -85,7 +97,10 @@ class Simulator:
             )
         self._sequence += 1
         handle = EventHandle(time=time, sequence=self._sequence)
-        self.kernel.push((time, self._sequence, handle, callback, argument))
+        heapq.heappush(
+            self._queue, (time, self._sequence, handle, callback, argument)
+        )
+        self._live += 1
         return handle
 
     def schedule_in(
@@ -99,21 +114,50 @@ class Simulator:
     def cancel(self, handle: EventHandle) -> None:
         """Mark an event dead; it is skipped when it reaches the queue head.
 
-        When more than half the kernel's stored entries are dead, the
-        kernel rebuilds its storage from the live entries so
-        cancellation-heavy workloads don't keep paying queue costs for
-        events that will never fire.
+        Idempotent.  When more than half the heap's entries are dead, the
+        heap is rebuilt from the live entries so cancellation-heavy
+        workloads don't keep paying queue costs for events that will
+        never fire.
         """
-        self.kernel.cancel(handle)
+        if handle.cancelled or handle.done:
+            return
+        handle.cancelled = True
+        self._dead += 1
+        self._live -= 1
+        if (
+            len(self._queue) >= self.COMPACT_MIN_SIZE
+            and self._dead * 2 > len(self._queue)
+        ):
+            self._queue = [entry for entry in self._queue if not entry[2].cancelled]
+            heapq.heapify(self._queue)
+            self._dead = 0
 
     @property
     def pending(self) -> int:
         """Number of live (not fired, not cancelled) events in the queue.
 
-        A counter the kernel maintains incrementally — O(1), safe to read
-        in hot progress-accounting loops.
+        A counter maintained incrementally — O(1), safe to read in hot
+        progress-accounting loops.
         """
-        return self.kernel.live
+        return self._live
+
+    def _pop_due(self, until: float | None) -> Entry | None:
+        """Remove and return the earliest live entry at or before ``until``;
+        ``None`` when the queue is empty or that entry is later."""
+        queue = self._queue
+        while queue:
+            entry = queue[0]
+            if until is not None and entry[0] > until:
+                return None
+            heapq.heappop(queue)
+            handle = entry[2]
+            handle.done = True
+            if handle.cancelled:
+                self._dead -= 1
+                continue
+            self._live -= 1
+            return entry
+        return None
 
     def run(self, until: float | None = None) -> None:
         """Process events in time order until the queue drains or ``until``.
@@ -121,7 +165,7 @@ class Simulator:
         With ``until`` set, events at exactly ``until`` are still processed;
         later ones stay queued and the clock is advanced to ``until``.
         """
-        pop_due = self.kernel.pop_due
+        pop_due = self._pop_due
         while True:
             entry = pop_due(until)
             if entry is None:
@@ -135,7 +179,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Process exactly one (non-cancelled) event; False if queue is empty."""
-        entry = self.kernel.pop_due(None)
+        entry = self._pop_due(None)
         if entry is None:
             return False
         time, _sequence, _handle, callback, argument = entry

@@ -4,7 +4,7 @@ The paper treats peer unavailability as an *admission-time* condition — a
 probed candidate may be "down" (:mod:`repro.simulation.churn`) — and its
 supplier-churn extension is *graceful*: a busy supplier defers departure
 until its session ends.  This module promotes churn to first-class
-scheduled events on the :class:`~repro.simulation.kernel.EventKernel`: a
+scheduled events on the :class:`~repro.simulation.engine.Simulator`: a
 supplier can die **mid-stream**, its active sessions are interrupted, and
 the requesting peers must recover (re-probe, re-admit, resume from their
 buffer position) while the continuity probes charge every stall against
@@ -16,17 +16,16 @@ Two layers live here:
   timing generators answering "when does this supplier next depart?" and
   "when does it come back?".  Every model derives its draws from private,
   per-peer RNGs seeded by ``(master seed, peer id)``, so event timings are
-  reproducible and independent of dispatch interleaving — the same
-  contract that makes event kernels interchangeable.
+  reproducible and independent of dispatch interleaving.
 * **:class:`LifecycleDynamics`** — the subsystem that turns a model's
-  answers into kernel-scheduled departure/return events and drives the
+  answers into scheduled departure/return events and drives the
   supply-side bookkeeping (capacity ledger, lookup registration, idle
   timers) plus the session interruptions handled by
   :class:`~repro.simulation.requestpath.RequestPath`.
 
 With the default :class:`NoLifecycle` model the subsystem schedules
 nothing, draws nothing, and runs are bit-identical to a build without it
-(pinned by ``tests/simulation/test_lifecycle.py``).
+(pinned by ``tests/simulation/test_golden.py``).
 
 Models
 ------
@@ -78,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.simulation.config import SimulationConfig
     from repro.simulation.engine import Simulator
     from repro.simulation.entities import SimPeer
-    from repro.simulation.metrics import MetricsCollector
+    from repro.simulation.probes import MetricsPipeline
     from repro.simulation.registry import SupplierRegistry
     from repro.simulation.requestpath import RequestPath
     from repro.simulation.trace import TraceRecorder
@@ -110,8 +109,7 @@ class LifecycleModel(Protocol):
 
     Implementations must be deterministic per ``(seed, peer_id)`` and must
     not share RNG state across peers, so that scheduled timings do not
-    depend on the order peers are activated in — the property that keeps
-    lifecycle runs bit-identical across event kernels.
+    depend on the order peers are activated in.
     """
 
     #: registry key (also the ``SimulationConfig.lifecycle`` vocabulary)
@@ -155,7 +153,7 @@ class OnOffLifecycle:
     deterministic, lazily extended timeline (exactly the churn model's
     construction).  Where :class:`~repro.simulation.churn.OnOffChurn`
     *samples* that timeline at probe time, this model reads off the next
-    transition so it can be scheduled as a kernel event: a supplier active
+    transition so it can be scheduled as an event: a supplier active
     at ``now`` departs at the end of the up interval containing ``now``
     (immediately, if its timeline has it down already — the "down at
     activation" edge), and returns at the end of the down interval.
@@ -347,7 +345,7 @@ def make_lifecycle(config: "SimulationConfig") -> LifecycleModel:
 
 
 class LifecycleDynamics:
-    """Kernel-scheduled supplier departures and returns.
+    """Scheduled supplier departures and returns.
 
     The registry calls :meth:`on_supplier_active` whenever a peer enters
     (or re-enters) the supplier population; the dynamics then schedule the
@@ -370,7 +368,7 @@ class LifecycleDynamics:
         sim: "Simulator",
         config: "SimulationConfig",
         model: LifecycleModel,
-        metrics: "MetricsCollector",
+        metrics: "MetricsPipeline",
         ledger,
         lookup,
         registry: "SupplierRegistry",

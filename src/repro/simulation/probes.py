@@ -1,30 +1,38 @@
 """Composable metric probes and the :class:`MetricsPipeline` behind them.
 
-The monolithic collector used to accumulate *every* series of the paper's
-evaluation on every run.  This module breaks it into one probe per paper
-artifact, so a study subscribes only to the series it needs and the hot
-path skips the untouched accumulators (and, through
+These are the metrics behind every figure and table of the paper, one
+probe per paper artifact, so a study subscribes only to the series it
+needs (``SimulationConfig.probes``) and the hot path skips the untouched
+accumulators (and, through
 :class:`~repro.simulation.samplers.Samplers`, never even schedules the
 sampler events of unsubscribed probes — the Figure-7 snapshot walks the
 whole supplier population and is the single most expensive observation):
 
-=====================  ==============  ====================================
-Paper artifact          Probe name      Output
-=====================  ==============  ====================================
-Figure 4                ``capacity``    ``capacity_series`` — hourly
-                                        ``(hour, sessions)`` plus the
-                                        fractional and supplier-count series
+=====================  ==================  ================================
+Paper artifact          Probe name          Output
+=====================  ==================  ================================
+Figure 4                ``capacity``        ``capacity_series`` — hourly
+                                            ``(hour, sessions)`` plus the
+                                            fractional and supplier-count
+                                            series
 Figure 5                ``admission_rate``  ``admission_rate_series[class]``
+                                            — hourly cumulative admitted /
+                                            first-requested, in percent
 Figure 6                ``buffering_delay`` ``buffering_delay_series[class]``
-                                        and the per-class delay means
-Figure 7                ``favored``     ``favored_series[supplier class]``
+                                            — hourly cumulative mean
+                                            buffering delay in slots
+                                            (× δt), plus the per-class means
+Figure 7                ``favored``         ``favored_series[class]`` — per
+                                            supplier class, 3-hourly mean of
+                                            the lowest favored requesting
+                                            class
 Figure 9                ``overall_admission`` ``overall_admission_rate_series``
-Table 1                 ``table1``      ``mean_rejections_before_admission``
-(waiting time)          ``waiting``     ``mean_waiting_seconds[class]``
-(lifecycle extension)   ``continuity``  interruption/stall counters,
-                                        recovery latency, playback
-                                        continuity index
-=====================  ==============  ====================================
+Table 1                 ``table1``          ``mean_rejections_before_admission``
+(waiting time)          ``waiting``         ``mean_waiting_seconds[class]``
+(lifecycle extension)   ``continuity``      interruption/stall counters,
+                                            recovery latency, playback
+                                            continuity index
+=====================  ==================  ================================
 
 The cheap cumulative event counters (requests, rejections, admissions,
 reminders, supplier churn) stay in the pipeline core: they cost one dict
@@ -33,8 +41,7 @@ increment each, nearly every probe derives from them, and the admission
 
 All cumulative series sample *state so far*, matching the paper's
 "accumulative" plots.  With every probe enabled (the default), the
-pipeline is event-for-event identical to the historical monolithic
-``MetricsCollector`` — which is now a thin alias over this class.
+pipeline records the full paper evaluation.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from repro.core.capacity import CapacityLedger
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.entities import SimPeer
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.probes import MetricsPipeline
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.trace import TraceRecorder
 
@@ -40,7 +40,7 @@ class SupplierRegistry:
         config: SimulationConfig,
         policy,
         streams: RandomStreams,
-        metrics: MetricsCollector,
+        metrics: MetricsPipeline,
         ledger: CapacityLedger,
         lookup,
         trace: TraceRecorder | None = None,

@@ -1,29 +1,24 @@
-"""One-call experiment execution: single runs, protocol comparisons, sweeps.
+"""One-call execution of a single run.
 
-These helpers are the entry points used by the benchmarks, examples and the
-CLI.  A :class:`SimulationResult` packages the run's configuration, metrics
-and bookkeeping; comparisons and sweeps return ordered dictionaries keyed
-the way the paper labels its curves.
+:func:`run_simulation` is the entry point the benchmarks, examples, the
+CLI and :class:`~repro.orchestration.study.Study` share.  A
+:class:`SimulationResult` packages the run's configuration, metrics and
+bookkeeping.  Grids of runs (protocol comparisons, sweeps, replications)
+are :class:`~repro.orchestration.study.Study` declarations.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.core.capacity import max_capacity_sessions
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.probes import MetricsPipeline
 from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 
-__all__ = [
-    "SimulationResult",
-    "run_simulation",
-    "compare_protocols",
-    "sweep_parameter",
-]
+__all__ = ["SimulationResult", "run_simulation"]
 
 
 @dataclass
@@ -31,7 +26,7 @@ class SimulationResult:
     """Everything one simulation run produced."""
 
     config: SimulationConfig
-    metrics: MetricsCollector
+    metrics: MetricsPipeline
     events_processed: int
     wall_seconds: float
     message_stats: dict[str, float] | None
@@ -103,53 +98,3 @@ def run_simulation(
         message_stats=message_stats,
     )
 
-
-def compare_protocols(
-    config: SimulationConfig,
-    protocols: Sequence[str] = ("dac", "ndac"),
-    jobs: int = 1,
-) -> dict[str, SimulationResult]:
-    """Run the same configuration under several admission protocols.
-
-    All runs share the master seed, so RNG streams are paired and observed
-    differences are attributable to the protocols.  ``jobs>1`` fans the
-    runs out over worker processes (results are identical, just faster).
-    Duplicate protocol names raise
-    :class:`~repro.errors.ConfigurationError` instead of silently
-    collapsing to one entry.
-
-    .. deprecated:: 1.1
-       Thin shim over :class:`~repro.orchestration.study.Study`; new code
-       should use ``Study.from_config(config).protocols(*protocols)``,
-       which adds seed axes, export and disk caching.
-    """
-    from repro.orchestration.study import Study
-
-    result_set = Study.from_config(config).protocols(*protocols).run(jobs=jobs)
-    return {record.protocol: record.result for record in result_set}
-
-
-def sweep_parameter(
-    config: SimulationConfig,
-    parameter: str,
-    values: Iterable[object],
-    jobs: int = 1,
-) -> dict[object, SimulationResult]:
-    """Run the config once per value of ``parameter`` (Figures 8 and 9).
-
-    ``jobs>1`` runs the sweep points on worker processes; the result dict
-    keeps the order of ``values`` either way.  An unknown ``parameter``
-    raises :class:`~repro.errors.ConfigurationError` naming the valid
-    config fields; duplicate values raise instead of silently collapsing.
-
-    .. deprecated:: 1.1
-       Thin shim over :class:`~repro.orchestration.study.Study`; new code
-       should use ``Study.from_config(config).sweep(parameter, values)``.
-    """
-    from repro.orchestration.study import Study
-
-    value_list = list(values)
-    result_set = Study.from_config(config).sweep(parameter, value_list).run(jobs=jobs)
-    return {
-        value: record.result for value, record in zip(value_list, result_set)
-    }

@@ -38,7 +38,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.entities import SimPeer, build_population
 from repro.simulation.lifecycle import LifecycleDynamics, make_lifecycle
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.probes import MetricsPipeline
 from repro.simulation.probes import DEFAULT_PROBES
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.registry import SupplierRegistry
@@ -59,14 +59,14 @@ class StreamingSystem:
         self.ladder = config.ladder
         self.media = config.media
         self.policy = make_policy(config.protocol)
-        self.sim = Simulator(kernel=config.kernel)
+        self.sim = Simulator()
         self.streams = RandomStreams(config.master_seed)
         # Lifecycle runs with the default subscription also get the
         # continuity probe — its artifacts are what the extension measures.
         probes = config.probes
         if config.lifecycle != "none" and probes is None:
             probes = DEFAULT_PROBES + ("continuity",)
-        self.metrics = MetricsCollector(self.ladder, probes=probes)
+        self.metrics = MetricsPipeline(self.ladder, probes=probes)
         self.ledger = CapacityLedger(self.ladder)
         self.trace = trace
 
@@ -141,7 +141,7 @@ class StreamingSystem:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self) -> MetricsCollector:
+    def run(self) -> MetricsPipeline:
         """Run the simulation to the configured horizon; returns metrics."""
         self.sim.run(until=self.config.horizon_seconds)
         return self.metrics

@@ -12,7 +12,7 @@ The test suite cross-checks the empirical results against the analytic ones
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.assignment import Assignment
 from repro.core.schedule import TransmissionSchedule

@@ -22,7 +22,7 @@ the recovery path can resume it from where the buffer left off.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.assignment import Assignment, ots_assignment
 from repro.core.model import ClassLadder, SupplierOffer

@@ -3,7 +3,7 @@
 import csv
 
 from repro.analysis.plots import ascii_chart, render_table, sparkline, write_csv
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.probes import SeriesPoint
 
 
 def series(*pairs):

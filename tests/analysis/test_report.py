@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import report
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import compare_protocols, run_simulation, sweep_parameter
+from repro.orchestration.study import Study
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,8 @@ def results():
         arrival_pattern=2,
         master_seed=5,
     )
-    return compare_protocols(config)
+    runs = Study.from_config(config).protocols("dac", "ndac").run()
+    return {record.protocol: record.result for record in runs}
 
 
 class TestFigure1:
@@ -65,11 +66,12 @@ class TestSimulationReports:
             requesting_peers={1: 10, 2: 10, 3: 40, 4: 40},
             master_seed=5,
         )
-        sweep_m = sweep_parameter(config, "probe_candidates", [4, 8])
+        runs_m = Study.from_config(config).sweep("probe_candidates", [4, 8]).run()
+        sweep_m = {r.axis("probe_candidates"): r for r in runs_m}
         text8 = report.figure8_report(sweep_m, parameter_label="M")
         assert "M=4" in text8 and "M=8" in text8
-        sweep_e = sweep_parameter(config, "e_bkf", [1.0, 2.0])
-        text9 = report.figure9_report(sweep_e)
+        runs_e = Study.from_config(config).sweep("e_bkf", [1.0, 2.0]).run()
+        text9 = report.figure9_report({r.axis("e_bkf"): r for r in runs_e})
         assert "E_bkf=1" in text9 and "final admission rate" in text9
 
 

@@ -12,7 +12,7 @@ from repro.analysis.stats import (
     value_at_hour,
     windowed_mean,
 )
-from repro.simulation.metrics import SeriesPoint
+from repro.simulation.probes import SeriesPoint
 
 
 def series(*pairs):

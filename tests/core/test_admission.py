@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.admission import AdmissionVector, SupplierAdmissionState
-from repro.core.model import ClassLadder
 from repro.errors import ConfigurationError
 
 

@@ -10,7 +10,7 @@ from repro.core.assignment import (
     sweep_assignment,
 )
 from repro.core.schedule import min_start_delay_slots
-from repro.core.model import ClassLadder, SupplierOffer
+from repro.core.model import ClassLadder
 from repro.errors import AssignmentError
 from tests.conftest import offers_from_classes
 

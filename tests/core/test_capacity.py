@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.capacity import CapacityLedger, capacity_of_classes, max_capacity_sessions
-from repro.core.model import ClassLadder
 from repro.errors import CapacityError
 
 

@@ -9,6 +9,7 @@ not move the hash, and every other field really does.
 import dataclasses
 
 from repro.orchestration.runspec import HASH_EXCLUDED_FIELDS, config_hash
+from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
 
 
@@ -25,16 +26,13 @@ class TestAllowlist:
         for name, rationale in HASH_EXCLUDED_FIELDS.items():
             assert rationale.strip(), f"{name} has no rationale"
 
-    def test_the_documented_exclusions_are_kernel_and_engine(self):
-        assert set(HASH_EXCLUDED_FIELDS) == {"kernel", "engine"}
+    def test_the_documented_exclusion_is_engine(self):
+        assert set(HASH_EXCLUDED_FIELDS) == {"engine"}
 
 
 class TestHashBehavior:
     def test_excluded_fields_do_not_move_the_hash(self):
         base = small_config()
-        assert config_hash(base) == config_hash(
-            base.replace(kernel="calendar")
-        )
         assert config_hash(base) == config_hash(base.replace(engine="array"))
 
     def test_hashed_fields_move_the_hash(self):
@@ -46,3 +44,23 @@ class TestHashBehavior:
 
     def test_hash_is_stable_across_equal_configs(self):
         assert config_hash(small_config()) == config_hash(small_config())
+
+
+class TestSpecHashPins:
+    """Spec hashes are cache keys on disk, so they must never drift.
+
+    Both literals were taken while configs still carried an event-queue
+    field, which the hash always excluded; the scenario one chose a
+    non-default queue.  Deleting the field moved neither.
+    """
+
+    def test_default_config_hash(self):
+        assert config_hash(SimulationConfig()) == (
+            "973a7a582c709f3625e8ba3c491c3bb58a61d311bd143d54e4f3c64ab2e19c2f"
+        )
+
+    def test_population_scenario_hash(self):
+        config = get_scenario("metropolis_100k").build_config(scale=0.02)
+        assert config_hash(config) == (
+            "454b6122da2367f0415b80080f48a53875aa89fb927d3e0c235c0061c287e253"
+        )

@@ -4,15 +4,10 @@ import json
 
 import pytest
 
-from repro.analysis.replication import replicate
 from repro.errors import ConfigurationError
-from repro.orchestration import run_batch
+from repro.orchestration import Study, run_batch
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import (
-    compare_protocols,
-    run_simulation,
-    sweep_parameter,
-)
+from repro.simulation.runner import run_simulation
 
 
 def small_config(**overrides):
@@ -74,42 +69,41 @@ class TestRunBatch:
 
 
 class TestJobsPlumbing:
+    """``Study.run(jobs=2)`` returns what ``jobs=1`` does, in grid order."""
+
     def test_compare_protocols_parallel_parity(self):
-        config = small_config()
-        serial = compare_protocols(config, jobs=1)
-        parallel = compare_protocols(config, jobs=2)
-        assert list(serial) == list(parallel) == ["dac", "ndac"]
-        assert fingerprint(serial.values()) == fingerprint(parallel.values())
+        study = Study.from_config(small_config()).protocols("dac", "ndac")
+        serial, parallel = study.run(jobs=1), study.run(jobs=2)
+        assert [r.protocol for r in parallel] == ["dac", "ndac"]
+        assert fingerprint(serial.results()) == fingerprint(parallel.results())
 
     def test_sweep_parameter_parallel_parity(self):
-        config = small_config()
-        serial = sweep_parameter(config, "probe_candidates", [4, 8], jobs=1)
-        parallel = sweep_parameter(config, "probe_candidates", [4, 8], jobs=2)
-        assert list(serial) == list(parallel) == [4, 8]
-        assert fingerprint(serial.values()) == fingerprint(parallel.values())
+        study = Study.from_config(small_config()).sweep("probe_candidates", [4, 8])
+        serial, parallel = study.run(jobs=1), study.run(jobs=2)
+        assert [r.axis("probe_candidates") for r in parallel] == [4, 8]
+        assert fingerprint(serial.results()) == fingerprint(parallel.results())
 
     def test_replicate_parallel_parity_and_seed_pairing(self):
-        config = small_config()
-        serial = replicate(config, replications=3, jobs=1)
-        parallel = replicate(config, replications=3, jobs=2)
-        assert serial.seeds == parallel.seeds == (11, 12, 13)
-        assert fingerprint(serial.results) == fingerprint(parallel.results)
+        study = Study.from_config(small_config()).seeds(3)
+        serial, parallel = study.run(jobs=1), study.run(jobs=2)
+        assert [r.seed for r in parallel] == [11, 12, 13]
+        assert fingerprint(serial.results()) == fingerprint(parallel.results())
 
 
 class TestShimValidation:
-    """The legacy helpers no longer silently collapse duplicate grid keys."""
+    """Comparison and sweep grids reject duplicate keys instead of collapsing them."""
 
     def test_compare_rejects_duplicate_protocols(self):
         with pytest.raises(ConfigurationError):
-            compare_protocols(small_config(), protocols=("dac", "dac"))
+            Study.from_config(small_config()).protocols("dac", "dac")
 
     def test_sweep_rejects_duplicate_values(self):
         with pytest.raises(ConfigurationError):
-            sweep_parameter(small_config(), "probe_candidates", [8, 8])
+            Study.from_config(small_config()).sweep("probe_candidates", [8, 8])
 
     def test_sweep_rejects_unknown_parameter_naming_valid_fields(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            sweep_parameter(small_config(), "probe_count", [4])
+            Study.from_config(small_config()).sweep("probe_count", [4])
         message = str(excinfo.value)
         assert "probe_count" in message
         assert "probe_candidates" in message

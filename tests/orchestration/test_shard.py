@@ -253,8 +253,21 @@ class TestShardMergeCollect:
         ))
         merged = ResultStore(tmp_path / "merged")
         merge_stores(merged, [source])
-        with pytest.raises(StoreMergeError):
+        with pytest.raises(StoreMergeError, match="determinism violation"):
             merge_stores(merged, [tampered])
+
+    def test_merge_names_both_versions_of_cross_release_records(
+        self, tmp_path
+    ):
+        merged = ResultStore(tmp_path / "merged")
+        record = Study.from_config(small_config()).run(store=merged)[0]
+        older = ResultStore(tmp_path / "older")
+        older.put(dataclasses.replace(record, version="1.4.0"))
+        with pytest.raises(StoreMergeError) as excinfo:
+            merge_stores(merged, [older])
+        message = str(excinfo.value)
+        assert "1.4.0" in message and record.version in message
+        assert "determinism violation" not in message
 
     def test_collect_raises_on_gaps_unless_allowed(self, tmp_path):
         store = ResultStore(tmp_path / "partial")
@@ -365,3 +378,25 @@ class TestWorkerDeath:
             run_batch(configs, jobs=2, labels=["a", "culprit", "c"])
         assert excinfo.value.index == 1
         assert "culprit" in str(excinfo.value)
+
+    def test_culprit_is_named_every_time_in_a_wide_batch(self, monkeypatch):
+        """Whenever the pool breaks, only the worker killer is ever named.
+
+        The dying worker may take bystanders' chunks down with it, or
+        break the pool before every chunk is submitted.  Neither may
+        blame a bystander or escape as a bare ``BrokenProcessPool``.
+        """
+        configs = [small_config(master_seed=s) for s in range(1, 9)]
+        labels = [f"seed-{s}" for s in range(1, 9)]
+
+        def kill_on_seed_2(config):
+            if config.master_seed == 2:
+                os._exit(17)
+            return object()
+
+        monkeypatch.setattr(batch, "run_simulation", kill_on_seed_2)
+        for _ in range(40):
+            with pytest.raises(BatchWorkerError) as excinfo:
+                run_batch(configs, jobs=2, labels=labels)
+            assert excinfo.value.index == 1
+            assert "seed-2" in str(excinfo.value)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.model import ClassLadder
 from repro.errors import ConfigurationError
 from repro.protocols import (
     DacPolicy,

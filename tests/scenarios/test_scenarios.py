@@ -42,7 +42,6 @@ class TestRegistry:
         assert config.lifecycle_recovery == "resume"
         # the 100k lifecycle scenario rides the fast path with continuity
         config = get_scenario("unstable_suppliers_100k").build_config(scale=0.01)
-        assert config.kernel == "calendar"
         assert "continuity" in config.probes
 
     def test_unknown_name_lists_alternatives(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.model import ClassLadder, PeerRole
+from repro.core.model import PeerRole
 from repro.errors import SimulationError
 from repro.protocols.dac import DacPolicy
 from repro.simulation.entities import SimPeer

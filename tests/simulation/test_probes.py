@@ -8,7 +8,6 @@ from repro.core.capacity import CapacityLedger
 from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import MetricsCollector
 from repro.simulation.probes import (
     DEFAULT_PROBES,
     PROBE_NAMES,
@@ -47,10 +46,6 @@ class TestSubscriptions:
         config = SimulationConfig(probes=["capacity", "table1"])
         assert config.probes == ("capacity", "table1")  # normalized to tuple
 
-    def test_config_validates_kernel(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(kernel="fibonacci")
-
 
 class TestUnsubscribedDefaults:
     """Unsubscribed probes read as empty series / NaN means, never KeyError."""
@@ -74,7 +69,7 @@ class TestUnsubscribedDefaults:
         assert pipeline.admission_rate_percent()[1] == 100.0
 
     def test_to_dict_key_set_is_subscription_independent(self, ladder):
-        full = MetricsCollector(ladder).to_dict()
+        full = MetricsPipeline(ladder).to_dict()
         subset = MetricsPipeline(ladder, probes=("capacity",)).to_dict()
         assert set(full) == set(subset)
 
@@ -107,7 +102,7 @@ class TestDispatch:
         assert pipeline.supplier_count_series[-1].value == 1.0
 
     def test_full_pipeline_matches_monolithic_collector_shape(self, ladder):
-        collector = MetricsCollector(ladder)
+        collector = MetricsPipeline(ladder)
         collector.on_first_request(1)
         collector.on_retry(1)
         collector.on_rejection(1)
@@ -160,7 +155,6 @@ class TestEndToEnd:
     def test_population_scale_scenarios_subscribe_the_fast_path(self):
         for name in ("metropolis_100k", "flash_crowd_100k", "diurnal_week"):
             config = get_scenario(name).build_config(scale=0.002)
-            assert config.kernel == "calendar"
             assert config.probes is not None
             assert "favored" not in config.probes
             assert config.track_messages is False

@@ -1,13 +1,10 @@
-"""Unit tests for the experiment runner helpers."""
+"""Unit tests for ``run_simulation`` and the studies built on it."""
 
 import pytest
 
+from repro.orchestration.study import Study
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import (
-    compare_protocols,
-    run_simulation,
-    sweep_parameter,
-)
+from repro.simulation.runner import run_simulation
 
 
 @pytest.fixture(scope="module")
@@ -44,22 +41,20 @@ class TestRunSimulation:
 
 class TestCompareProtocols:
     def test_runs_both_protocols(self, config):
-        results = compare_protocols(config)
-        assert set(results) == {"dac", "ndac"}
-        assert results["dac"].config.protocol == "dac"
-        assert results["ndac"].config.protocol == "ndac"
+        runs = Study.from_config(config).protocols("dac", "ndac").run()
+        assert [record.protocol for record in runs] == ["dac", "ndac"]
+        assert [r.config.protocol for r in runs.results()] == ["dac", "ndac"]
 
     def test_custom_protocol_list(self, config):
-        results = compare_protocols(config, protocols=("dac", "dac-no-reminder"))
-        assert set(results) == {"dac", "dac-no-reminder"}
+        runs = Study.from_config(config).protocols("dac", "dac-no-reminder").run()
+        assert [record.protocol for record in runs] == ["dac", "dac-no-reminder"]
 
 
 class TestSweep:
     def test_sweep_replaces_parameter(self, config):
-        results = sweep_parameter(config, "probe_candidates", [4, 8])
-        assert results[4].config.probe_candidates == 4
-        assert results[8].config.probe_candidates == 8
+        runs = Study.from_config(config).sweep("probe_candidates", [4, 8]).run()
+        assert [r.config.probe_candidates for r in runs.results()] == [4, 8]
 
     def test_sweep_keys_preserve_values(self, config):
-        results = sweep_parameter(config, "e_bkf", [1.0, 2.0])
-        assert list(results) == [1.0, 2.0]
+        runs = Study.from_config(config).sweep("e_bkf", [1.0, 2.0]).run()
+        assert [record.axis("e_bkf") for record in runs] == [1.0, 2.0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.assignment import contiguous_assignment, ots_assignment
+from repro.core.assignment import ots_assignment
 from repro.core.schedule import min_start_delay_slots
 from repro.errors import SchedulingError
 from repro.streaming.buffer import occupancy_profile

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.assignment import contiguous_assignment
-from repro.core.model import ClassLadder
 from repro.errors import InfeasibleSessionError
 from repro.streaming.media import MediaFile
 from repro.streaming.session import plan_session

@@ -35,10 +35,6 @@ class TestPublicApi:
             "plan_session",
             "SimulationConfig",
             "run_simulation",
-            "compare_protocols",
-            "sweep_parameter",
-            "replicate",
-            "ReplicatedResult",
             "run_experiment",
         ):
             assert name in repro.__all__

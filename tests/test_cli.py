@@ -51,18 +51,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 5" in out and "Figure 6" in out
 
-    def test_compare_command_small(self, capsys):
-        assert main(["compare", "--scale", "0.004", "--pattern", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 4" in out and "Table 1" in out
-
-    def test_sweep_command_small(self, capsys):
-        code = main(
-            ["sweep", "e_bkf", "1", "2", "--scale", "0.004", "--pattern", "1"]
-        )
-        assert code == 0
-        assert "E_bkf=1" in capsys.readouterr().out
-
     def test_experiment_listing(self, capsys):
         assert main(["experiment"]) == 0
         out = capsys.readouterr().out
@@ -99,23 +87,6 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scenario", "nope"])
 
-    def test_replicate_command(self, capsys):
-        code = main(
-            ["replicate", "--scale", "0.004", "--pattern", "1",
-             "--replications", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "2-seed replication" in out
-        assert "final capacity" in out
-
-    def test_compare_with_jobs(self, capsys):
-        code = main(
-            ["compare", "--scale", "0.004", "--pattern", "1", "--jobs", "2"]
-        )
-        assert code == 0
-        assert "Figure 4" in capsys.readouterr().out
-
     def test_run_with_custom_seed_and_protocol(self, capsys):
         code = main(
             ["run", "--scale", "0.004", "--seed", "99", "--protocol", "ndac"]
@@ -125,26 +96,24 @@ class TestCommands:
 
 
 class TestPerfAndProfiling:
-    def test_perf_command_reports_every_kernel(self, capsys):
+    def test_perf_command_reports_reference_and_workload(self, capsys):
         assert main(["perf", "--scale", "0.004", "--scenario", "quickstart"]) == 0
         out = capsys.readouterr().out
         assert "events/sec" in out
         assert "reference" in out
-        assert "calendar" in out
-        assert "heap" in out
+        assert "workload" in out
 
     def test_perf_no_reference(self, capsys):
         assert main([
-            "perf", "--scale", "0.004", "--kernels", "calendar", "--no-reference",
+            "perf", "--scale", "0.004", "--engines", "array", "--no-reference",
         ]) == 0
         out = capsys.readouterr().out
         assert "reference" not in out
-        assert "calendar" in out
+        assert "array" in out
 
-    def test_run_with_kernel_and_probes(self, capsys):
+    def test_run_with_probes(self, capsys):
         assert main([
-            "run", "--scale", "0.004", "--kernel", "calendar",
-            "--probes", "capacity", "table1",
+            "run", "--scale", "0.004", "--probes", "capacity", "table1",
         ]) == 0
         assert "capacity" in capsys.readouterr().out
 
@@ -154,17 +123,11 @@ class TestPerfAndProfiling:
         assert "profile (top 25 by cumulative time):" in out
         assert "cumtime" in out
 
-    def test_study_profile_and_kernel(self, capsys):
-        assert main([
-            "study", "--scale", "0.004", "--kernel", "calendar", "--profile",
-        ]) == 0
+    def test_study_profile(self, capsys):
+        assert main(["study", "--scale", "0.004", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "study: 1 runs" in out
         assert "profile (top 25 by cumulative time):" in out
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--kernel", "fibonacci"])
 
     def test_unknown_probe_rejected(self):
         with pytest.raises(SystemExit):
@@ -280,11 +243,11 @@ class TestStudyCommand:
         assert code == 2
         assert "probe_candidates" in capsys.readouterr().err
 
-    def test_compare_with_export(self, capsys, tmp_path):
+    def test_study_protocols_with_export(self, capsys, tmp_path):
         out_base = str(tmp_path / "cmp")
         code = main(
-            ["compare", "--scale", "0.004", "--pattern", "1",
-             "--export", "json", "--out", out_base]
+            ["study", "--scale", "0.004", "--pattern", "1",
+             "--protocols", "dac", "ndac", "--export", "json", "--out", out_base]
         )
         assert code == 0
         payload = json.loads((tmp_path / "cmp.json").read_text())
@@ -295,14 +258,91 @@ class TestStudyCommand:
         assert code == 2
         assert "--cache-dir" in capsys.readouterr().err
 
-    def test_replicate_with_cache_dir(self, capsys, tmp_path):
+    def test_study_seeds_with_cache_dir(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        argv = ["replicate", "--scale", "0.004", "--pattern", "1",
-                "--replications", "2", "--cache-dir", cache_dir]
+        argv = ["study", "--scale", "0.004", "--pattern", "1",
+                "--seeds", "2", "--cache-dir", cache_dir]
         assert main(argv) == 0
-        capsys.readouterr()
+        first = capsys.readouterr().out
         assert main(argv) == 0
-        assert "2-seed replication" in capsys.readouterr().out
+        second = capsys.readouterr().out
+        assert second.count("cache") >= 2
+        # the seed aggregates come out the same when served from the store
+        assert first[first.index("final capacity across seeds"):] == (
+            second[second.index("final capacity across seeds"):]
+        )
+
+
+class TestStudyPaperArtifacts:
+    """``study`` prints the paper figure or table its grid's axes imply."""
+
+    @pytest.mark.parametrize("axis", [
+        ["--protocols", "dac", "ndac"],
+        ["--sweep", "protocol", "dac", "ndac"],
+    ])
+    def test_protocol_axis_prints_figure4_and_table1(self, capsys, axis):
+        assert main(["study", "--scale", "0.02", *axis]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 4 — system capacity amplification (arrival pattern 2)" in out
+        assert "Table 1 — per-class average rejections" in out
+        assert "dac: final capacity" in out and "ndac: final capacity" in out
+
+    def test_protocol_axis_prints_figure4_per_arrival_pattern(self, capsys):
+        assert main([
+            "study", "--scale", "0.004", "--protocols", "dac", "ndac",
+            "--sweep", "arrival_pattern", "1", "3", "--jobs", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(arrival pattern 1)" in out and "(arrival pattern 3)" in out
+        assert out.count("Table 1") == 1
+        assert "Pattern 1" in out and "Pattern 3" in out
+
+    def test_table1_needs_dac_and_ndac(self, capsys):
+        assert main([
+            "study", "--scale", "0.004", "--protocols", "dac", "dac-no-reminder",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 4" in out and "dac-no-reminder" in out
+        assert "Table 1" not in out
+
+    def test_e_bkf_sweep_prints_figure9(self, capsys):
+        assert main([
+            "study", "--scale", "0.004", "--pattern", "1",
+            "--sweep", "e_bkf", "1", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 9" in out
+        assert "E_bkf=1" in out and "E_bkf=2" in out
+
+    @pytest.mark.parametrize("parameter, label, values", [
+        ("probe_candidates", "M", ["4", "8"]),
+        ("t_out_seconds", "T_out", ["600", "1200"]),
+    ])
+    def test_sweep_prints_figure8(self, capsys, parameter, label, values):
+        assert main([
+            "study", "--scale", "0.004", "--pattern", "1",
+            "--sweep", parameter, *values,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"Figure 8 — impact of {label}" in out
+        assert f"{label}={values[0]}" in out
+
+    def test_other_sweeps_print_no_figure(self, capsys):
+        assert main([
+            "study", "--scale", "0.004", "--sweep", "t_bkf_seconds", "300", "600",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Figure" not in out and "Table 1" not in out
+
+    def test_seeds_print_per_class_rejection_cis(self, capsys):
+        assert main(["study", "--scale", "0.02", "--seeds", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "final capacity across seeds (mean ± 95% CI):" in out
+        section = out[out.index("rejections before admission across seeds"):]
+        for peer_class in (1, 2, 3, 4):
+            assert f"class {peer_class}" in section
+        row = next(line for line in section.splitlines() if line.startswith("all runs"))
+        assert row.count("±") == 4 and "nan" not in row
 
 
 class TestStudySharding:

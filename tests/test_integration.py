@@ -9,7 +9,8 @@ import pytest
 
 from repro.analysis.stats import area_under_series, value_at_hour
 from repro.simulation.config import SimulationConfig
-from repro.simulation.runner import compare_protocols, run_simulation, sweep_parameter
+from repro.orchestration.study import Study
+from repro.simulation.runner import run_simulation
 
 HOUR = 3600.0
 
@@ -22,7 +23,8 @@ def small_paper_config():
 
 @pytest.fixture(scope="module")
 def comparison(small_paper_config):
-    return compare_protocols(small_paper_config)
+    runs = Study.from_config(small_paper_config).protocols("dac", "ndac").run()
+    return {record.protocol: record.result for record in runs}
 
 
 class TestCapacityAmplification:
@@ -132,26 +134,23 @@ class TestParameterStudies:
         return SimulationConfig().scaled(0.02)
 
     def test_m4_slows_capacity_growth(self, tiny):
-        sweep = sweep_parameter(tiny, "probe_candidates", [4, 8])
-        area4 = area_under_series(sweep[4].metrics.capacity_series)
-        area8 = area_under_series(sweep[8].metrics.capacity_series)
+        runs = Study.from_config(tiny).sweep("probe_candidates", [4, 8]).run()
+        area4, area8 = (area_under_series(r.metrics.capacity_series) for r in runs)
         assert area4 < area8
 
     def test_m_beyond_8_has_diminishing_impact(self, tiny):
-        sweep = sweep_parameter(tiny, "probe_candidates", [4, 8, 16])
-        area4 = area_under_series(sweep[4].metrics.capacity_series)
-        area8 = area_under_series(sweep[8].metrics.capacity_series)
-        area16 = area_under_series(sweep[16].metrics.capacity_series)
+        runs = Study.from_config(tiny).sweep("probe_candidates", [4, 8, 16]).run()
+        area4, area8, area16 = (
+            area_under_series(r.metrics.capacity_series) for r in runs
+        )
         assert (area8 - area4) > (area16 - area8)
 
     def test_aggressive_retry_beats_heavy_backoff(self, tiny):
         # Figure 9: constant backoff achieves the highest admission rate.
-        sweep = sweep_parameter(tiny, "e_bkf", [1.0, 4.0])
-        final_1 = value_at_hour(
-            sweep[1.0].metrics.overall_admission_rate_series, 144
-        )
-        final_4 = value_at_hour(
-            sweep[4.0].metrics.overall_admission_rate_series, 144
+        runs = Study.from_config(tiny).sweep("e_bkf", [1.0, 4.0]).run()
+        final_1, final_4 = (
+            value_at_hour(r.metrics.overall_admission_rate_series, 144)
+            for r in runs
         )
         assert final_1 > final_4
 
