@@ -6,7 +6,8 @@ range of population scales — the per-peer object walk of
 :class:`~repro.simulation.system.StreamingSystem` against the
 struct-of-arrays :class:`~repro.simulation.arrayengine.ArrayEngine` —
 then runs the ``megacity_1m`` scenario (a million requesters) end-to-end
-on the array engine.
+on the array engine.  Both engines are built directly: ``run_simulation``
+would pick the array engine for every config measured here.
 
 Setup (system construction: peer tables, prescheduled arrivals) and the
 dispatch loop are timed separately; ``events_per_sec`` is dispatch-loop
@@ -46,6 +47,7 @@ from repro.simulation.arrayengine import ArrayEngine  # noqa: E402
 from repro.simulation.system import StreamingSystem  # noqa: E402
 
 SCHEMA = "repro.bench_engine_scaling.v1"
+ENGINES = {"object": StreamingSystem, "array": ArrayEngine}
 SCENARIO = "metropolis_100k"
 MEGACITY = "megacity_1m"
 FULL_SCALES = (0.05, 0.1, 0.25, 1.0)
@@ -55,7 +57,7 @@ MEGACITY_SCALE = {"full": 1.0, "quick": 0.004}
 DEFAULT_OUT = REPO_ROOT / "benchmarks" / "output" / "BENCH_engine_scaling.json"
 
 
-def measure(config, repeats: int) -> dict:
+def measure(engine: str, config, repeats: int) -> dict:
     """Best-of-``repeats`` (by loop throughput) timings of one config.
 
     Construction and the dispatch loop are timed separately so the two
@@ -66,18 +68,14 @@ def measure(config, repeats: int) -> dict:
     best = None
     for _ in range(repeats):
         start = perf_counter()
-        if config.engine == "array":
-            system = ArrayEngine(config)
-            built = perf_counter()
-            system.run()
-            done = perf_counter()
-            events = system.events_processed
-        else:
-            system = StreamingSystem(config)
-            built = perf_counter()
-            system.run()
-            done = perf_counter()
-            events = system.sim.events_processed
+        system = ENGINES[engine](config)
+        built = perf_counter()
+        system.run()
+        done = perf_counter()
+        events = (
+            system.events_processed if engine == "array"
+            else system.sim.events_processed
+        )
         run_seconds = done - built
         events_per_sec = events / run_seconds
         if best is None or events_per_sec > best["events_per_sec"]:
@@ -100,8 +98,8 @@ def run_bench(scales, repeats: int, quick: bool) -> dict:
         config = scenario.build_config(scale=scale)
         peers = config.total_peers
         by_engine = {}
-        for engine in ("object", "array"):
-            timings = measure(config.replace(engine=engine), repeats)
+        for engine in ENGINES:
+            timings = measure(engine, config, repeats)
             by_engine[engine] = timings
             runs.append({
                 "scale": scale, "peers": peers, "scenario": SCENARIO,
@@ -129,12 +127,12 @@ def run_bench(scales, repeats: int, quick: bool) -> dict:
     mega_scenario = get_scenario(MEGACITY)
     mega_scale = MEGACITY_SCALE["quick" if quick else "full"]
     mega_config = mega_scenario.build_config(scale=mega_scale)
-    timings = measure(mega_config, 1)
+    timings = measure("array", mega_config, 1)
     megacity = {
         "scenario": MEGACITY,
         "scale": mega_scale,
         "peers": mega_config.total_peers,
-        "engine": mega_config.engine,
+        "engine": "array",
         "completed": True,  # measure() raised otherwise
         **timings,
     }

@@ -44,9 +44,9 @@ Commands
 ``scenarios``
     List every registered workload scenario.
 ``perf``
-    Performance harness: run one workload on each requested execution
-    engine (``--engines``), plus the full-instrumentation reference, and
-    print events/sec.
+    Performance harness: run one workload as configured and with full
+    instrumentation (every probe, message accounting) as the reference,
+    and print events/sec.
 ``assignment``
     OTS_p2p vs baselines on a supplier set given as classes, e.g.
     ``repro-p2pstream assignment 1 2 3 3``.
@@ -64,9 +64,9 @@ Commands
 Simulation commands pick their workload with ``--scenario NAME`` (see
 ``scenarios``) or the legacy ``--pattern N`` shorthand, and accept
 ``--scale`` so full paper scale (1.0) or quick runs (0.05) are one flag
-away.  ``--engine object|array`` selects the execution engine (results
-are bit-identical either way; the struct-of-arrays engine is built for
-100k+ populations), ``--lifecycle`` selects a session-lifecycle model
+away.  The admission policy picks the execution engine (see
+:func:`~repro.simulation.runner.run_simulation`), so there is no engine
+flag.  ``--lifecycle`` selects a session-lifecycle model
 scheduling mid-stream supplier departures (with ``--recovery`` choosing
 what interrupted requesters do; see :mod:`repro.simulation.lifecycle`),
 ``--probes NAME...`` (on ``run``/``study``) subscribes only the named
@@ -112,7 +112,7 @@ from repro.orchestration.shard import (
 from repro.orchestration.store import ResultStore
 from repro.orchestration.study import ResultSet, RunRecord, Study
 from repro.simulation.arrivals import arrivals_per_bin, generate_arrival_times, make_pattern
-from repro.simulation.config import ENGINE_NAMES, SimulationConfig
+from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import LIFECYCLE_NAMES, RECOVERY_MODES
 from repro.simulation.probes import SeriesPoint
 from repro.simulation.probes import PROBE_NAMES
@@ -140,11 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--lookup", choices=["directory", "chord"], default=None,
                        help="lookup substrate (default: the scenario's)")
-        p.add_argument("--engine", choices=list(ENGINE_NAMES), default=None,
-                       help="execution engine (results are bit-identical; "
-                            "'array' runs struct-of-arrays state for "
-                            "100k+ populations; default: the scenario's, "
-                            "normally object)")
         p.add_argument("--lifecycle", choices=list(LIFECYCLE_NAMES),
                        default=None,
                        help="session-lifecycle model scheduling mid-stream "
@@ -313,20 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("scenarios", help="list the registered workload scenarios")
 
     perf_p = sub.add_parser(
-        "perf", help="events/sec of one workload on each execution engine"
+        "perf", help="events/sec of one workload against full instrumentation"
     )
     add_common(perf_p)
-    perf_p.add_argument("--engines", nargs="+", choices=list(ENGINE_NAMES),
-                        default=None, metavar="ENGINE",
-                        help="execution engines to measure (default: "
-                             "--engine if given, else the workload's)")
     perf_p.add_argument("--repeats", type=positive_int, default=1,
-                        help="measurements per engine; the best is reported "
+                        help="measurements per row; the best is reported "
                              "(default 1)")
     perf_p.add_argument("--no-reference", action="store_true",
                         help="skip the full-instrumentation reference run "
-                             "(object engine, every probe, message "
-                             "accounting)")
+                             "(every probe, message accounting)")
 
     asg_p = sub.add_parser("assignment", help="compare assignment algorithms")
     asg_p.add_argument("classes", nargs="+", type=int,
@@ -388,8 +378,6 @@ def _make_config(args: argparse.Namespace, **extra: object) -> SimulationConfig:
         extra["master_seed"] = args.seed
     if getattr(args, "protocol", None) is not None:
         extra["protocol"] = args.protocol
-    if getattr(args, "engine", None) is not None:
-        extra["engine"] = args.engine
     if getattr(args, "lifecycle", None) is not None:
         extra["lifecycle"] = args.lifecycle
     if getattr(args, "recovery", None) is not None:
@@ -726,10 +714,6 @@ def _print_seed_aggregates(config: SimulationConfig, result_set: ResultSet) -> N
 
 def _cmd_perf(args: argparse.Namespace) -> int:
     config = _make_config(args)
-    # --engines wins; a bare --engine measures just that engine; neither
-    # measures the workload's own engine (the array engine rejects some
-    # policies, so it is never added unasked).
-    engines = args.engines or ([args.engine] if args.engine else [config.engine])
     print(config.describe())
     print()
 
@@ -744,7 +728,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         probes = run_config.probes
         return events_per_sec, [
             label,
-            run_config.engine,
             "all" if probes is None else f"{len(probes)}/{len(PROBE_NAMES)}",
             f"{result.events_processed}",
             f"{result.wall_seconds:.2f}s",
@@ -755,25 +738,22 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     reference_events_per_sec = None
     if not args.no_reference:
         # the full-instrumentation path: every probe and message
-        # accounting on the object engine — what every run paid before
-        # probe subscriptions existed
-        reference = config.replace(
-            engine="object", probes=None, track_messages=True
-        )
+        # accounting — what every run paid before probe subscriptions
+        # existed
+        reference = config.replace(probes=None, track_messages=True)
         reference_events_per_sec, row = measure("reference", reference)
         rows.append(row + ["1.00x"])
-    for engine in engines:
-        events_per_sec, row = measure("workload", config.replace(engine=engine))
-        speedup = (
-            f"{events_per_sec / reference_events_per_sec:.2f}x"
-            if reference_events_per_sec
-            else "-"
-        )
-        rows.append(row + [speedup])
+    events_per_sec, row = measure("workload", config)
+    speedup = (
+        f"{events_per_sec / reference_events_per_sec:.2f}x"
+        if reference_events_per_sec
+        else "-"
+    )
+    rows.append(row + [speedup])
     print(render_table(
-        ["run", "engine", "probes", "events", "wall", "events/sec", "speedup"],
+        ["run", "probes", "events", "wall", "events/sec", "speedup"],
         rows,
-        title="perf: events/sec by engine",
+        title="perf: events/sec against full instrumentation",
     ))
     return 0
 

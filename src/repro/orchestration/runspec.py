@@ -41,14 +41,9 @@ _CLASS_KEYED_FIELDS = ("seed_suppliers", "requesting_peers")
 #: :func:`config_hash` are kept literal on purpose, and the detlint
 #: ``config-hash-drift`` rule fails the build whenever the two drift apart
 #: (an entry without a pop, a pop without an entry, a stale field name, or
-#: an empty rationale).
-HASH_EXCLUDED_FIELDS: dict[str, str] = {
-    "engine": (
-        "the array engine is parity-pinned against the object engine "
-        "(see repro.simulation.arrayengine), so runs differing only in "
-        "engine produce the same measurements and share one cache entry"
-    ),
-}
+#: an empty rationale).  It is empty: every field can change measurements,
+#: so every field is hashed.
+HASH_EXCLUDED_FIELDS: dict[str, str] = {}
 
 
 def config_to_dict(config: SimulationConfig) -> dict:
@@ -70,15 +65,13 @@ def config_from_dict(data: dict) -> SimulationConfig:
 def config_hash(config: SimulationConfig) -> str:
     """Stable SHA-256 hex digest of a configuration's canonical JSON.
 
-    The fields listed in :data:`HASH_EXCLUDED_FIELDS` are excluded (see
-    the per-field rationales there): runs differing only in those fields
-    produce the same measurements and deliberately share one cache
-    entry.  The pop below stays literal — not a loop over the constant —
-    so the exclusion set is auditable at a glance; the detlint
-    ``config-hash-drift`` rule keeps it and the allowlist in sync.
+    Every field listed in :data:`HASH_EXCLUDED_FIELDS` (none today)
+    would be left out by a literal ``data.pop(name, None)`` here — not a
+    loop over the constant — so the exclusion set stays auditable at a
+    glance; the detlint ``config-hash-drift`` rule keeps the pops and the
+    allowlist in sync.
     """
     data = config_to_dict(config)
-    data.pop("engine", None)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

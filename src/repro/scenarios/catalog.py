@@ -135,9 +135,9 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
     ),
     Scenario(
         name="megacity_1m",
-        description="a million-requester megacity audience on the array "
-        "engine: the paper's class mix at 10x its population, steady "
-        "arrivals, struct-of-arrays peer state",
+        description="a million-requester megacity audience: the paper's "
+        "class mix at 10x its population, steady arrivals, the "
+        "capacity/admission probes only and no message accounting",
         arrival_pattern=1,
         seed_suppliers=((1, 2000),),
         requesting_peers=(
@@ -147,7 +147,6 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
             (4, 400000),
         ),
         config_overrides=(
-            ("engine", "array"),
             ("probes", ("capacity", "admission_rate", "overall_admission", "table1")),
             ("track_messages", False),
         ),

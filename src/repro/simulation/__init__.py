@@ -16,11 +16,16 @@ simulated system over 144 hours.  This package is that simulator:
   path (probing, admission, sessions, reminders, backoff);
 * :mod:`repro.simulation.samplers` — the periodic metric samplers;
 * :mod:`repro.simulation.system` — the facade wiring the three
-  subsystems over the shared substrates;
+  subsystems over the shared substrates (the object engine);
+* :mod:`repro.simulation.arrayengine` — the struct-of-arrays engine that
+  runs every level-representable policy;
 * :mod:`repro.simulation.probes` — the metric probes behind Figures 4–9
   and Table 1;
-* :mod:`repro.simulation.runner` — one-call experiment execution;
-* :mod:`repro.simulation.trace` — optional structured event traces.
+* :mod:`repro.simulation.runner` — one-call experiment execution, which
+  picks the engine from the admission policy;
+* :mod:`repro.simulation.trace` — optional structured event traces;
+* :mod:`repro.simulation.validation` — post-run invariant audits on
+  either engine.
 """
 
 from repro.simulation.config import SimulationConfig

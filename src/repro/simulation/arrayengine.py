@@ -1,13 +1,15 @@
-"""Array-backed execution engine (``SimulationConfig(engine="array")``).
+"""Array-backed execution engine: the one every level-representable run takes.
 
-A drop-in replacement for the object engine
-(:class:`~repro.simulation.system.StreamingSystem`) that runs the same
-simulation over the struct-of-arrays columns of
+:func:`~repro.simulation.runner.run_simulation` runs every config whose
+policy is in :data:`LEVEL_POLICIES` here, and only the others on the
+object engine (:class:`~repro.simulation.system.StreamingSystem`).  This
+engine runs the same simulation over the struct-of-arrays columns of
 :mod:`repro.simulation.arraystate` instead of per-peer Python objects.
-It exists for one reason: population scale.  The object engine's hot loop
-is dominated by attribute-dict hops (peer → admission state → vector →
-probability list) and per-event closure scheduling; at 100k+ peers that
-caps throughput far below what the paper's million-user experiments need.
+It exists for one reason: speed, most of all at population scale.  The
+object engine's hot loop is dominated by attribute-dict hops (peer →
+admission state → vector → probability list) and per-event closure
+scheduling; at 100k+ peers that caps throughput far below what the
+paper's million-user experiments need.
 The array engine keeps *peer state* as flat columns, *admission vectors*
 as single signed integers, and *events* as ``(time, seq, kind, payload)``
 tuples on one C-backed heap — no handles, no closures, no per-peer
@@ -32,12 +34,11 @@ not approximating:
   ``(time, seq)``, and for the deterministic patterns with vectorizable
   quantiles the times themselves are computed by
   :func:`~repro.simulation.arraystate.vectorized_arrival_times` in one
-  numpy sweep.
+  numpy sweep — the only place this engine loads numpy.
 
-The parity pins live in ``tests/simulation/test_arrayengine.py`` and run
-in CI next to the golden-fingerprint step; because results are identical
-by contract, ``engine`` is excluded from spec hashes (see
-:func:`~repro.orchestration.runspec.config_hash`).
+The parity pins live in ``tests/simulation/test_arrayengine.py``, which
+builds the object engine directly as the oracle, and run in CI next to
+the golden-fingerprint step.
 
 Representable policies
 ----------------------
@@ -47,7 +48,8 @@ vectors all have that shape — initialization (all-ones through a class),
 relax (doubling ⇒ ``L+1``) and tighten (re-init at the reminder class)
 preserve it.  ``dac-linear-elevation`` adds ``0.125`` per elevation step,
 leaving the power-of-two lattice, so this engine refuses it
-(:class:`~repro.errors.ConfigurationError`); use the object engine there.
+(:class:`~repro.errors.ConfigurationError`) and ``run_simulation`` runs
+it on the object engine.
 
 Everything that is *not* per-peer or per-event hot state is reused from
 the object engine unchanged: :class:`MetricsPipeline`,
@@ -193,8 +195,9 @@ class ArrayEngine:
         if init_mode is None:
             raise ConfigurationError(
                 f"policy {config.protocol!r} is not representable by the "
-                f"array engine's integer admission levels; use "
-                f'engine="object" (level-representable policies: '
+                f"array engine's integer admission levels; run it through "
+                f"run_simulation, which uses the object engine for it "
+                f"(level-representable policies: "
                 f"{', '.join(sorted(LEVEL_POLICIES))})"
             )
         self.config = config

@@ -13,10 +13,10 @@ Two deliberate layout choices:
 * **Hybrid columns.**  Mutable hot fields (admission level, per-session
   flags, counters) are plain Python ``list``/``bytearray`` columns: the
   engine reads and writes them one scalar at a time inside the event
-  loop, and CPython list indexing is several times faster than boxing a
-  numpy scalar per access.  Write-only measurement fields
-  (``admitted_time`` and friends) and the static class column are numpy
-  arrays — they are bulk-consumed by analysis, never read in the loop.
+  loop, and CPython list indexing is the fastest scalar access there is.
+  Write-only measurement fields (``admitted_time`` and friends) are
+  typed :class:`array.array` columns — unboxed, so a million-peer run
+  stores them in a few bytes per peer, and never read in the loop.
 * **Integer admission levels.**  Every admission vector reachable under
   the level-representable policies is ``Pa[j] = min(1, 2**(L-j))`` for a
   single integer level ``L`` (see ``LEVEL_POLICIES`` in
@@ -36,12 +36,14 @@ generation counter standing in for event-handle cancellation.
 placement of :mod:`repro.simulation.arrivals` bit-for-bit for the
 patterns whose cumulative curves use only operations numpy evaluates
 identically to CPython scalars (add/sub/mul/div/min — no ``**``, whose
-libm path differs in the last ulp).
+libm path differs in the last ulp).  It is the only numpy user here and
+imports numpy itself, so a run on any other arrival set-up never loads
+numpy at all.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
 from repro.errors import ConfigurationError
 
@@ -76,10 +78,8 @@ class PeerArrays:
     ``first_request_time``
         ``None`` until the peer's first request event fires.
 
-    Cold columns (numpy, write-only in the loop):
+    Cold columns (typed ``array.array``, write-only in the loop):
 
-    ``class_column``
-        Same as ``peer_class``, as an array for bulk analysis.
     ``admitted_time`` / ``buffering_delay_slots`` / ``num_suppliers_served_by``
         Admission measurements (NaN / -1 until admitted).
     """
@@ -95,7 +95,6 @@ class PeerArrays:
         "departures",
         "departed",
         "first_request_time",
-        "class_column",
         "admitted_time",
         "buffering_delay_slots",
         "num_suppliers_served_by",
@@ -113,10 +112,9 @@ class PeerArrays:
         self.departures = [0] * n
         self.departed = bytearray(n)
         self.first_request_time: list[float | None] = [None] * n
-        self.class_column = np.asarray(peer_classes, dtype=np.int16)
-        self.admitted_time = np.full(n, np.nan, dtype=np.float64)
-        self.buffering_delay_slots = np.full(n, -1, dtype=np.int32)
-        self.num_suppliers_served_by = np.full(n, -1, dtype=np.int32)
+        self.admitted_time = array("d", [float("nan")]) * n
+        self.buffering_delay_slots = array("i", [-1]) * n
+        self.num_suppliers_served_by = array("i", [-1]) * n
 
     def __len__(self) -> int:
         return len(self.peer_class)
@@ -210,12 +208,16 @@ class SessionTable:
 VECTORIZABLE_PATTERNS: tuple[int, ...] = (1, 3, 4)
 
 
-def _cumulative_uniform(t: np.ndarray, window: float) -> np.ndarray:
+# The cumulative curves take the numpy module as an argument so that
+# importing this module never imports numpy.
+
+
+def _cumulative_uniform(np, t, window: float):
     # pattern 1: UniformArrivals.cumulative_fraction
     return np.minimum(np.maximum(t / window, 0.0), 1.0)
 
 
-def _cumulative_front_loaded(t: np.ndarray, window: float) -> np.ndarray:
+def _cumulative_front_loaded(np, t, window: float):
     # pattern 3: FrontLoadedArrivals.cumulative_fraction
     burst_fraction = 0.40
     burst_share = 1.0 / 12.0
@@ -230,7 +232,7 @@ def _cumulative_front_loaded(t: np.ndarray, window: float) -> np.ndarray:
     return np.where(t <= 0.0, 0.0, np.where(t >= window, 1.0, inside))
 
 
-def _cumulative_bursty(t: np.ndarray, window: float) -> np.ndarray:
+def _cumulative_bursty(np, t, window: float):
     # pattern 4: BurstyArrivals.cumulative_fraction — same op order as the
     # scalar code so every intermediate rounds identically
     num_bursts = 6
@@ -268,6 +270,8 @@ def vectorized_arrival_times(
     and CPython round identically), every returned time equals the scalar
     engine's to the last bit.
     """
+    import numpy as np
+
     if pattern_id not in _CUMULATIVES:
         raise ConfigurationError(
             f"arrival pattern {pattern_id} has no vectorized quantile; "
@@ -282,7 +286,7 @@ def vectorized_arrival_times(
     hi = np.full(n, window_seconds, dtype=np.float64)
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        below = cumulative(mid, window_seconds) < fractions
+        below = cumulative(np, mid, window_seconds) < fractions
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return ((lo + hi) / 2.0).tolist()

@@ -27,17 +27,10 @@ from repro.simulation.lifecycle import LIFECYCLE_NAMES, RECOVERY_MODES
 from repro.simulation.probes import validate_probes
 from repro.streaming.media import MediaFile
 
-__all__ = ["SimulationConfig", "PAPER_CLASS_SHARES", "ENGINE_NAMES"]
+__all__ = ["SimulationConfig", "PAPER_CLASS_SHARES"]
 
 MINUTE = 60.0
 HOUR = 3600.0
-
-#: Execution engines.  "object" is the reference per-peer object walk;
-#: "array" is the struct-of-arrays engine (repro.simulation.arrayengine),
-#: metric-identical by contract but restricted to level-representable
-#: admission policies.  Defined here (not in the engine module) so the
-#: config layer never imports numpy.
-ENGINE_NAMES: tuple[str, ...] = ("array", "object")
 
 #: Paper: requesting peers are 10% class 1, 10% class 2, 40% class 3, 40% class 4.
 PAPER_CLASS_SHARES: dict[int, float] = {1: 0.10, 2: 0.10, 3: 0.40, 4: 0.40}
@@ -130,13 +123,6 @@ class SimulationConfig:
     #: and sampler events entirely
     probes: tuple[str, ...] | None = None
 
-    # ----- execution -------------------------------------------------------
-    #: execution engine ("object" or "array"); never changes results —
-    #: the array engine is parity-pinned against the object engine (see
-    #: repro.simulation.arrayengine) — so it is excluded from
-    #: result-cache hashes
-    engine: str = "object"
-
     # ----- reproducibility -------------------------------------------------
     master_seed: int = 20020701  # ICDCS 2002 was held in July
 
@@ -217,11 +203,6 @@ class SimulationConfig:
                     "lifecycle_flash_fraction must be in [0, 1], got "
                     f"{self.lifecycle_flash_fraction}"
                 )
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; "
-                f"known: {', '.join(ENGINE_NAMES)}"
-            )
         if self.probes is not None:
             # normalize (JSON round-trips hand us lists) then validate
             object.__setattr__(self, "probes", tuple(self.probes))

@@ -65,20 +65,24 @@ def run_simulation(
 ) -> SimulationResult:
     """Build and run one streaming system; returns its results.
 
-    ``config.engine`` selects the execution engine: the per-peer object
-    walk of :class:`~repro.simulation.system.StreamingSystem` or the
-    struct-of-arrays :class:`~repro.simulation.arrayengine.ArrayEngine`.
-    Both produce identical results by contract (the array engine is
-    parity-pinned against the object engine), so everything downstream
-    of this call is engine-agnostic.  The import is deferred so runs on
-    the default engine never pay for numpy.
+    The admission policy picks the engine.  Every level-representable
+    policy (:data:`~repro.simulation.arrayengine.LEVEL_POLICIES`) runs on
+    the struct-of-arrays :class:`~repro.simulation.arrayengine.ArrayEngine`;
+    any other policy (today only ``dac-linear-elevation``) runs on the
+    per-peer object walk of
+    :class:`~repro.simulation.system.StreamingSystem`.  Both produce
+    identical results for every config the array engine accepts (the
+    parity suite uses the object engine as its oracle), so everything
+    downstream of this call is engine-agnostic.  The array engine is
+    imported on first use, which keeps compiling its large module out of
+    ``import repro``.
     """
+    from repro.simulation.arrayengine import LEVEL_POLICIES, ArrayEngine
+
     # wall time is measured for reporting (events/sec) only; it never
     # steers the simulation, so the wall-clock ban does not apply here
     start = time.perf_counter()  # detlint: ignore[no-wallclock]
-    if config.engine == "array":
-        from repro.simulation.arrayengine import ArrayEngine
-
+    if config.protocol in LEVEL_POLICIES:
         system = ArrayEngine(config, trace=trace)
         metrics = system.run()
         events_processed = system.events_processed

@@ -2,18 +2,30 @@
 
 A simulation can silently drift from the paper's model (a supplier serving
 two sessions, a session using more than ``R0``, a peer admitted without
-ever requesting).  :func:`audit_system` sweeps a finished
-:class:`~repro.simulation.system.StreamingSystem` and its optional trace
-and returns a structured report of every violated invariant — the
-integration suite asserts the report is empty, and long experiment
-campaigns can audit cheaply instead of re-deriving everything from traces.
+ever requesting).  :func:`audit_system` sweeps a finished run — a
+:class:`~repro.simulation.system.StreamingSystem` or an
+:class:`~repro.simulation.arrayengine.ArrayEngine`, whichever ran — and
+its optional trace, and returns a structured report of every violated
+invariant.  The integration suite asserts the report is empty, and long
+experiment campaigns can audit cheaply instead of re-deriving everything
+from traces.
+
+Each invariant is written once: the array engine's columns are read
+back as rows with the ``SimPeer`` attributes the audit uses.  There a
+nonzero admission ``level`` means supplier, a NaN ``admitted_time``
+means not admitted, and the ``departed`` flag excludes a peer from the
+ledger recount.
 
 Invariants checked
 ------------------
 **State invariants** (from the final system state)
 
-* S1  every non-seed peer that was admitted is now a supplier;
-* S2  every supplier has admission state and a class on the ladder;
+* S1  every admitted non-seed peer is now a supplier, except the
+      requesters of lost sessions: the lifecycle extension never promotes
+      a requester whose session it loses (under ``abandon``, or when the
+      recovery backoff passes the horizon), so the number of unpromoted
+      admitted peers must equal the number of lost sessions exactly;
+* S2  every supplier has valid admission state;
 * S3  the capacity ledger equals a recount over the supplier population;
 * S4  per-peer bookkeeping is consistent (admitted ⇒ first request;
       waiting time non-negative; buffering delay equals supplier count);
@@ -22,7 +34,8 @@ Invariants checked
 * S6  metrics counters are self-consistent (admissions ≤ first requests,
       requests = first requests + retries ≥ rejections).
 
-**Trace invariants** (when a trace was recorded)
+**Trace invariants** (when a trace was recorded; they read only each
+peer's class)
 
 * T1  no supplier is enlisted into two overlapping sessions;
 * T2  every admission's suppliers aggregate to exactly ``R0``;
@@ -32,9 +45,11 @@ Invariants checked
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.core.model import PeerRole
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 
@@ -74,22 +89,69 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _audit_state(system: StreamingSystem, report: AuditReport) -> None:
+class _ArrayPeer(NamedTuple):
+    """The :class:`SimPeer` attributes the state audit reads, for one row
+    of the array engine's columns."""
+
+    peer_id: int
+    peer_class: int
+    is_supplier: bool
+    #: the signed admission level, or None when it is no valid level
+    admission: int | None
+    departed: bool
+    first_request_time: float | None
+    admitted_time: float | None
+    buffering_delay_slots: int | None
+    num_suppliers_served_by: int | None
+
+
+def _array_peers(engine: ArrayEngine) -> Iterator[_ArrayPeer]:
+    peers = engine.peers
+    num_classes = engine.ladder.num_classes
+    for pid in range(len(peers)):
+        level = peers.level[pid]
+        admitted_time = peers.admitted_time[pid]
+        admitted = admitted_time == admitted_time  # NaN until admitted
+        yield _ArrayPeer(
+            pid,
+            peers.peer_class[pid],
+            level != 0,
+            level if 1 <= abs(level) <= num_classes else None,
+            bool(peers.departed[pid]),
+            peers.first_request_time[pid],
+            admitted_time if admitted else None,
+            peers.buffering_delay_slots[pid] if admitted else None,
+            peers.num_suppliers_served_by[pid] if admitted else None,
+        )
+
+
+def _audited_peers(system: StreamingSystem | ArrayEngine) -> Iterable:
+    """Every peer, as a ``SimPeer`` or its array-engine equivalent."""
+    if isinstance(system, ArrayEngine):
+        return _array_peers(system)
+    return system.peers
+
+
+def _audit_state(
+    system: StreamingSystem | ArrayEngine, report: AuditReport
+) -> None:
     ladder = system.ladder
     metrics = system.metrics
 
+    unpromoted: list[int] = []
     recount_units = 0
     recount_suppliers = 0
-    for peer in system.peers:
+    for peer in _audited_peers(system):
         report.checks_run += 1
-        if peer.admitted_time is not None and peer.role is not PeerRole.SUPPLYING:
-            report.add("S1", f"peer {peer.peer_id} admitted but not a supplier")
-        if peer.is_active_supplier:
+        admitted = peer.admitted_time is not None  # never true of a seed
+        if admitted and not peer.is_supplier:
+            unpromoted.append(peer.peer_id)
+        if peer.is_supplier and not peer.departed:
             recount_suppliers += 1
             recount_units += ladder.offer_units(peer.peer_class)
         if peer.is_supplier and peer.admission is None:
             report.add("S2", f"supplier {peer.peer_id} has no admission state")
-        if peer.admitted_time is not None:
+        if admitted:
             if peer.first_request_time is None:
                 report.add(
                     "S4", f"peer {peer.peer_id} admitted without a first request"
@@ -111,6 +173,18 @@ def _audit_state(system: StreamingSystem, report: AuditReport) -> None:
                     f"{peer.num_suppliers_served_by} suppliers, outside "
                     f"[2, M={system.config.probe_candidates}]",
                 )
+
+    report.checks_run += 1
+    lost = sum(metrics.sessions_lost.values())
+    if len(unpromoted) != lost:
+        shown = ", ".join(str(pid) for pid in unpromoted[:5])
+        more = ", ..." if len(unpromoted) > 5 else ""
+        report.add(
+            "S1",
+            f"{len(unpromoted)} admitted peer(s) are not suppliers "
+            f"[{shown}{more}] but {lost} session(s) were lost; only a lost "
+            "session leaves its requester unpromoted",
+        )
 
     report.checks_run += 1
     if recount_units != system.ledger.total_units:
@@ -139,11 +213,14 @@ def _audit_state(system: StreamingSystem, report: AuditReport) -> None:
 
 
 def _audit_trace(
-    system: StreamingSystem, trace: TraceRecorder, report: AuditReport
+    system: StreamingSystem | ArrayEngine,
+    trace: TraceRecorder,
+    report: AuditReport,
 ) -> None:
     ladder = system.ladder
     config = system.config
     show_seconds = system.media.show_seconds
+    peer_classes = [peer.peer_class for peer in _audited_peers(system)]
 
     busy_until: dict[int, float] = {}
     previous_time = 0.0
@@ -166,7 +243,7 @@ def _audit_trace(
                         f"until {busy_until[supplier_id]}",
                     )
                 busy_until[supplier_id] = time + show_seconds
-                units += ladder.offer_units(system.peers[supplier_id].peer_class)
+                units += ladder.offer_units(peer_classes[supplier_id])
             if units != ladder.full_rate_units:
                 report.add(
                     "T2",
@@ -186,9 +263,9 @@ def _audit_trace(
 
 
 def audit_system(
-    system: StreamingSystem, trace: TraceRecorder | None = None
+    system: StreamingSystem | ArrayEngine, trace: TraceRecorder | None = None
 ) -> AuditReport:
-    """Audit a finished run against the paper's model invariants."""
+    """Audit a finished run, on either engine, against the model invariants."""
     report = AuditReport()
     _audit_state(system, report)
     if trace is not None:

@@ -2,8 +2,8 @@
 
 The detlint ``config-hash-drift`` rule pins the *static* agreement
 between ``HASH_EXCLUDED_FIELDS`` and ``config_hash``; these tests pin
-the *dynamic* claim each rationale makes — excluded fields really do
-not move the hash, and every other field really does.
+the *dynamic* claims — the allowlist is empty, hashed fields really move
+the hash, and the hashes stored on disk never drift.
 """
 
 import dataclasses
@@ -26,15 +26,11 @@ class TestAllowlist:
         for name, rationale in HASH_EXCLUDED_FIELDS.items():
             assert rationale.strip(), f"{name} has no rationale"
 
-    def test_the_documented_exclusion_is_engine(self):
-        assert set(HASH_EXCLUDED_FIELDS) == {"engine"}
+    def test_no_field_is_excluded(self):
+        assert HASH_EXCLUDED_FIELDS == {}
 
 
 class TestHashBehavior:
-    def test_excluded_fields_do_not_move_the_hash(self):
-        base = small_config()
-        assert config_hash(base) == config_hash(base.replace(engine="array"))
-
     def test_hashed_fields_move_the_hash(self):
         base = small_config()
         assert config_hash(base) != config_hash(
@@ -49,9 +45,11 @@ class TestHashBehavior:
 class TestSpecHashPins:
     """Spec hashes are cache keys on disk, so they must never drift.
 
-    Both literals were taken while configs still carried an event-queue
-    field, which the hash always excluded; the scenario one chose a
-    non-default queue.  Deleting the field moved neither.
+    Every literal was taken while configs still carried an execution
+    field the hash always excluded: the first two under an event-queue
+    field (``metropolis_100k`` chose a non-default queue), the
+    ``megacity_1m`` one under an engine field the scenario overrode.
+    Deleting those fields moved none of them.
     """
 
     def test_default_config_hash(self):
@@ -63,4 +61,10 @@ class TestSpecHashPins:
         config = get_scenario("metropolis_100k").build_config(scale=0.02)
         assert config_hash(config) == (
             "454b6122da2367f0415b80080f48a53875aa89fb927d3e0c235c0061c287e253"
+        )
+
+    def test_megacity_scenario_hash(self):
+        config = get_scenario("megacity_1m").build_config(scale=0.02)
+        assert config_hash(config) == (
+            "3da8213111ab3e28093809a72241033536b00dea6466451425539cc81ece0133"
         )

@@ -1,21 +1,27 @@
 """Array-engine parity suite: struct-of-arrays engine vs. the object oracle.
 
-The array engine's one promise is *bit-identical results*: same metrics
-payload, same event count, same message statistics, same trace — for any
-configuration both engines accept.  These tests pin that promise on
-every builtin scenario, on randomized property-style configurations, and
-on the targeted seams (vectorized arrivals, session-slot recycling,
-lifecycle recovery) where an off-by-one would hide.
+``run_simulation`` runs every level-representable config on the array
+engine, whose one promise is *bit-identical results*: same metrics
+payload, same event count, same message statistics, same trace as the
+object engine (:class:`StreamingSystem`, built directly here as the
+oracle).  These tests pin that promise on every builtin scenario, on
+randomized property-style configurations, and on the targeted seams
+(vectorized arrivals, session-slot recycling, lifecycle recovery) where
+an off-by-one would hide.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import all_scenarios, get_scenario
-from repro.simulation.arrayengine import LEVEL_POLICIES
+from repro.simulation.arrayengine import LEVEL_POLICIES, ArrayEngine
 from repro.simulation.arrivals import generate_arrival_times, make_pattern
 from repro.simulation.arraystate import (
     VECTORIZABLE_PATTERNS,
@@ -25,24 +31,30 @@ from repro.simulation.arraystate import (
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import RECOVERY_MODES
 from repro.simulation.runner import run_simulation
+from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 
 
 def assert_engine_parity(config, *, trace: bool = False) -> None:
-    """Run ``config`` on both engines; assert bit-identical outputs.
+    """``run_simulation`` equals a directly built ``StreamingSystem``.
 
     Metrics are compared as canonical JSON text so NaN-valued means stay
     comparable (NaN != NaN under ``==``).
     """
+    assert config.protocol in LEVEL_POLICIES, "parity covers array-engine runs"
     object_trace = TraceRecorder() if trace else None
     array_trace = TraceRecorder() if trace else None
-    reference = run_simulation(config.replace(engine="object"), trace=object_trace)
-    result = run_simulation(config.replace(engine="array"), trace=array_trace)
+    oracle = StreamingSystem(config, trace=object_trace)
+    oracle_metrics = oracle.run()
+    result = run_simulation(config, trace=array_trace)
     assert json.dumps(result.metrics.to_dict(), sort_keys=True) == json.dumps(
-        reference.metrics.to_dict(), sort_keys=True
+        oracle_metrics.to_dict(), sort_keys=True
     )
-    assert result.events_processed == reference.events_processed
-    assert result.message_stats == reference.message_stats
+    assert result.events_processed == oracle.sim.events_processed
+    oracle_messages = (
+        oracle.transport.stats.snapshot() if oracle.transport is not None else None
+    )
+    assert result.message_stats == oracle_messages
     if trace:
         assert array_trace.events == object_trace.events
 
@@ -107,22 +119,62 @@ def test_randomized_config_parity():
 
 
 def test_linear_elevation_is_not_level_representable():
-    """The one non-level-representable variant is rejected, not mis-run."""
+    """The one non-level-representable variant runs on the object engine.
+
+    The array engine refuses it rather than mis-running it, so
+    ``run_simulation`` must route it to ``StreamingSystem``.
+    """
     config = SimulationConfig(
         protocol="dac-linear-elevation",
         seed_suppliers={1: 2},
         requesting_peers={1: 5, 2: 5, 3: 5, 4: 5},
-        engine="array",
+        master_seed=3,
     )
+    assert config.protocol not in LEVEL_POLICIES
     with pytest.raises(ConfigurationError, match="dac-linear-elevation"):
-        run_simulation(config)
-    # the object engine runs it fine
-    run_simulation(config.replace(engine="object"))
+        ArrayEngine(config)
+    result = run_simulation(config)
+    oracle = StreamingSystem(config)
+    assert json.dumps(result.metrics.to_dict(), sort_keys=True) == json.dumps(
+        oracle.run().to_dict(), sort_keys=True
+    )
+    assert result.events_processed == oracle.sim.events_processed
 
 
-def test_unknown_engine_rejected():
-    with pytest.raises(ConfigurationError, match="engine"):
-        SimulationConfig(engine="simd")
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+_NUMPY_PROBE = """
+import sys
+import repro
+assert "numpy" not in sys.modules, "import repro loaded numpy"
+config = repro.get_scenario(sys.argv[1]).build_config(scale=0.02)
+assert sum(repro.run_simulation(config).metrics.admitted.values()) > 0
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "scenario_name, loads_numpy",
+    [("paper_default", False), ("constant", True)],
+)
+def test_numpy_loads_only_for_vectorized_arrivals(scenario_name, loads_numpy):
+    """A fresh interpreter imports numpy only to vectorize arrival times.
+
+    ``paper_default`` (pattern 2) places arrivals with the scalar path;
+    ``constant`` (pattern 1) takes the vectorized one.  Peak memory of
+    pattern-2 runs depends on numpy staying out.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        f"{SRC}{os.pathsep}{env['PYTHONPATH']}"
+        if env.get("PYTHONPATH") else str(SRC)
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, scenario_name],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(loads_numpy)
 
 
 class TestVectorizedArrivals:

@@ -1,58 +1,115 @@
-"""Unit tests for the post-run invariant auditor."""
+"""Unit tests for the post-run invariant auditor.
+
+The clean-run audits run on both engines: ``run_simulation`` takes the
+array engine for every level-representable policy, and the invariants
+must hold on whichever engine ran.
+"""
 
 import pytest
 
+from repro.core.model import PeerRole
+from repro.scenarios import get_scenario
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
 from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.validation import AuditReport, audit_system
 
 HOUR = 3600.0
+ENGINES = (StreamingSystem, ArrayEngine)
+
+SMALL = SimulationConfig(
+    seed_suppliers={1: 4},
+    requesting_peers={1: 10, 2: 10, 3: 40, 4: 40},
+    arrival_pattern=1,
+    master_seed=11,
+)
 
 
-@pytest.fixture(scope="module")
-def finished_system():
-    config = SimulationConfig(
-        seed_suppliers={1: 4},
-        requesting_peers={1: 10, 2: 10, 3: 40, 4: 40},
-        arrival_pattern=1,
-        master_seed=11,
-    )
+def finished_run(engine, config):
     trace = TraceRecorder()
-    system = StreamingSystem(config, trace=trace)
+    system = engine(config, trace=trace)
     system.run()
     return system, trace
 
 
+@pytest.fixture(scope="module")
+def finished_system():
+    return finished_run(StreamingSystem, SMALL)
+
+
+@pytest.fixture(scope="module")
+def finished_runs():
+    """The same run finished on each engine."""
+    return [finished_run(engine, SMALL) for engine in ENGINES]
+
+
 class TestCleanRunPasses:
-    def test_state_audit_clean(self, finished_system):
-        system, _trace = finished_system
-        report = audit_system(system)
-        assert report.ok, report.summary()
-        assert report.checks_run > 100
+    def test_state_audit_clean(self, finished_runs):
+        for system, _trace in finished_runs:
+            report = audit_system(system)
+            assert report.ok, report.summary()
+            assert report.checks_run > 100
 
-    def test_trace_audit_clean(self, finished_system):
-        system, trace = finished_system
-        report = audit_system(system, trace)
-        assert report.ok, report.summary()
+    def test_trace_audit_clean(self, finished_runs):
+        for system, trace in finished_runs:
+            report = audit_system(system, trace)
+            assert report.ok, report.summary()
 
-    def test_summary_mentions_checks(self, finished_system):
-        system, trace = finished_system
-        text = audit_system(system, trace).summary()
-        assert "audit ok" in text
+    def test_summary_mentions_checks(self, finished_runs):
+        for system, trace in finished_runs:
+            text = audit_system(system, trace).summary()
+            assert "audit ok" in text
 
     def test_ndac_run_also_clean(self):
-        config = SimulationConfig(
-            seed_suppliers={1: 4},
-            requesting_peers={1: 10, 2: 10, 3: 40, 4: 40},
-            arrival_pattern=1,
-            protocol="ndac",
-            master_seed=11,
+        for engine in ENGINES:
+            system, trace = finished_run(engine, SMALL.replace(protocol="ndac"))
+            assert audit_system(system, trace).ok
+
+
+def demote(system, pid):
+    """Turn a promoted supplier back into a plain requester."""
+    if isinstance(system, ArrayEngine):
+        system.peers.level[pid] = 0
+    else:
+        system.peers[pid].role = PeerRole.REQUESTING
+
+
+def promoted_requester(system):
+    """A non-seed peer that was admitted and then became a supplier."""
+    num_seeds = sum(system.config.seed_suppliers.values())
+    for pid in range(num_seeds, system.config.total_peers):
+        if isinstance(system, ArrayEngine):
+            peers = system.peers
+            if peers.level[pid] != 0 and not peers.departed[pid]:
+                return pid
+        elif system.peers[pid].is_active_supplier:
+            return pid
+    raise AssertionError("no promoted requester")
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+class TestLostSessions:
+    """S1 allows exactly one unpromoted admitted peer per lost session."""
+
+    @pytest.fixture
+    def abandoned(self, engine):
+        config = get_scenario("flash_departure").build_config(
+            scale=0.02, lifecycle_recovery="abandon"
         )
-        trace = TraceRecorder()
-        system = StreamingSystem(config, trace=trace)
+        system = engine(config)
         system.run()
-        assert audit_system(system, trace).ok
+        assert sum(system.metrics.sessions_lost.values()) > 0
+        return system
+
+    def test_lost_sessions_are_not_violations(self, abandoned):
+        report = audit_system(abandoned)
+        assert report.ok, report.summary()
+
+    def test_one_more_unpromoted_peer_is_flagged(self, abandoned):
+        demote(abandoned, promoted_requester(abandoned))
+        report = audit_system(abandoned)
+        assert any(v.invariant == "S1" for v in report.violations)
 
 
 class TestViolationsDetected:
