@@ -1,8 +1,9 @@
 """Extension — capacity amplification under supplier churn.
 
 The paper's model keeps every supplier online forever.  Real peers leave.
-This extension gives suppliers exponential online/offline lifetimes
-(departures are graceful — a busy supplier finishes its session first) and
+This extension gives suppliers exponential online/offline lifetimes (the
+``graceful`` lifecycle model: a busy supplier finishes its session before
+it departs) and
 measures how the self-growing property survives: the steady population is
 scaled by the availability factor ``online / (online + offline)``, so the
 achievable plateau drops accordingly, but DAC_p2p keeps its advantage over
@@ -23,14 +24,16 @@ def test_supplier_churn(benchmark):
 
     def run():
         settings = {
-            "no churn": dict(supplier_mean_online_seconds=None),
+            "no churn": dict(lifecycle="none"),
             "48h online / 8h offline": dict(
-                supplier_mean_online_seconds=48 * HOUR,
-                supplier_mean_offline_seconds=8 * HOUR,
+                lifecycle="graceful",
+                lifecycle_mean_up_seconds=48 * HOUR,
+                lifecycle_mean_down_seconds=8 * HOUR,
             ),
             "12h online / 8h offline": dict(
-                supplier_mean_online_seconds=12 * HOUR,
-                supplier_mean_offline_seconds=8 * HOUR,
+                lifecycle="graceful",
+                lifecycle_mean_up_seconds=12 * HOUR,
+                lifecycle_mean_down_seconds=8 * HOUR,
             ),
         }
         results = {}

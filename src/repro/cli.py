@@ -67,8 +67,9 @@ Simulation commands pick their workload with ``--scenario NAME`` (see
 away.  The admission policy picks the execution engine (see
 :func:`~repro.simulation.runner.run_simulation`), so there is no engine
 flag.  ``--lifecycle`` selects a session-lifecycle model
-scheduling mid-stream supplier departures (with ``--recovery`` choosing
-what interrupted requesters do; see :mod:`repro.simulation.lifecycle`),
+scheduling supplier departures, graceful or mid-stream (with
+``--recovery`` choosing what interrupted requesters do; see
+:mod:`repro.simulation.lifecycle`),
 ``--probes NAME...`` (on ``run``/``study``) subscribes only the named
 metric probes (space- or comma-separated), and ``--profile`` (on
 ``run``/``study``) wraps execution in :mod:`cProfile` and prints the top
@@ -142,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lookup substrate (default: the scenario's)")
         p.add_argument("--lifecycle", choices=list(LIFECYCLE_NAMES),
                        default=None,
-                       help="session-lifecycle model scheduling mid-stream "
-                            "supplier departures (default: the scenario's, "
-                            "normally none)")
+                       help="session-lifecycle model scheduling supplier "
+                            "departures, graceful or mid-stream (default: "
+                            "the scenario's, normally none)")
         p.add_argument("--recovery", choices=list(RECOVERY_MODES),
                        default=None,
                        help="what interrupted requesters do under a "

@@ -48,15 +48,21 @@ BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
         name="heavy_churn",
         description="suppliers stay ~8h then leave, rejoining after ~1h",
         arrival_pattern=2,
-        supplier_mean_online_seconds=8 * HOUR,
-        supplier_mean_offline_seconds=1 * HOUR,
+        lifecycle="graceful",
+        config_overrides=(
+            ("lifecycle_mean_up_seconds", 8 * HOUR),
+            ("lifecycle_mean_down_seconds", 1 * HOUR),
+        ),
     ),
     Scenario(
         name="shrinking_pool",
         description="churn with no rejoin: the supplier pool only drains",
         arrival_pattern=2,
-        supplier_mean_online_seconds=12 * HOUR,
-        suppliers_rejoin=False,
+        lifecycle="graceful",
+        config_overrides=(
+            ("lifecycle_mean_up_seconds", 12 * HOUR),
+            ("lifecycle_rejoin", False),
+        ),
     ),
     Scenario(
         name="asymmetric_classes",

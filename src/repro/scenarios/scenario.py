@@ -2,9 +2,10 @@
 
 A scenario captures *what the world looks like* — who seeds the system,
 who shows up wanting the stream, in what temporal shape, over which
-lookup substrate, and with how much churn — independently of *how big*
-the run is (``scale``) and of per-experiment knobs (protocol variants,
-``M``, timers), which stay free overrides.
+lookup substrate, and with which supplier departures (a lifecycle model)
+— independently of *how big* the run is (``scale``) and of
+per-experiment knobs (protocol variants, ``M``, timers), which stay free
+overrides.
 
 Scenarios are frozen and hashable: the population maps are stored as
 sorted ``(class, count)`` tuples, so a scenario can key result caches the
@@ -20,8 +21,6 @@ from repro.errors import ConfigurationError
 from repro.simulation.config import SimulationConfig
 
 __all__ = ["Scenario"]
-
-HOUR = 3600.0
 
 #: the paper's Section 5.1 population, expressed as scenario tuples
 PAPER_SEEDS: tuple[tuple[int, int], ...] = ((1, 100),)
@@ -53,15 +52,9 @@ class Scenario:
     lookup: str = "directory"
     #: probability a probed candidate is unreachable
     down_probability: float = 0.0
-    #: mean supplier online time before departing (None = no churn)
-    supplier_mean_online_seconds: float | None = None
-    #: mean offline time before a departed supplier rejoins
-    supplier_mean_offline_seconds: float = 4 * HOUR
-    #: whether departed suppliers ever rejoin
-    suppliers_rejoin: bool = True
-    #: session-lifecycle model scheduling mid-stream departures ("none",
-    #: "onoff", "sessions", "diurnal", "flash"); model parameters ride in
-    #: :attr:`config_overrides`
+    #: session-lifecycle model scheduling supplier departures ("none",
+    #: "graceful", "onoff", "sessions", "diurnal", "flash"); model
+    #: parameters ride in :attr:`config_overrides`
     lifecycle: str = "none"
     #: any further :class:`SimulationConfig` fields, as (field, value) pairs
     config_overrides: tuple[tuple[str, object], ...] = field(default=())
@@ -88,9 +81,6 @@ class Scenario:
             protocol=self.protocol,
             lookup=self.lookup,
             down_probability=self.down_probability,
-            supplier_mean_online_seconds=self.supplier_mean_online_seconds,
-            supplier_mean_offline_seconds=self.supplier_mean_offline_seconds,
-            suppliers_rejoin=self.suppliers_rejoin,
             lifecycle=self.lifecycle,
             **dict(self.config_overrides),
         )

@@ -8,10 +8,12 @@ simulated system over 144 hours.  This package is that simulator:
 * :mod:`repro.simulation.config` — :class:`SimulationConfig` with the
   paper's defaults;
 * :mod:`repro.simulation.arrivals` — the four first-request arrival patterns;
-* :mod:`repro.simulation.churn` — optional peer up/down availability;
 * :mod:`repro.simulation.entities` — per-peer simulation state;
-* :mod:`repro.simulation.registry` — the supplier population (joins,
-  churn, idle-elevation timers);
+* :mod:`repro.simulation.registry` — the supplier population (joins and
+  idle-elevation timers);
+* :mod:`repro.simulation.lifecycle` — optional supplier departures and
+  returns as scheduled events, graceful (``lifecycle="graceful"``) or
+  mid-stream;
 * :mod:`repro.simulation.requestpath` — the requesting peer's protocol
   path (probing, admission, sessions, reminders, backoff);
 * :mod:`repro.simulation.samplers` — the periodic metric samplers;

@@ -78,7 +78,11 @@ from repro.simulation.arraystate import (
     vectorized_arrival_times,
 )
 from repro.simulation.config import SimulationConfig
-from repro.simulation.lifecycle import make_lifecycle
+from repro.simulation.lifecycle import (
+    LIFECYCLE_MODELS,
+    LifecycleDynamics,
+    make_lifecycle,
+)
 from repro.simulation.probes import MetricsPipeline
 from repro.simulation.probes import DEFAULT_PROBES
 from repro.simulation.randoms import RandomStreams
@@ -103,15 +107,13 @@ LEVEL_POLICIES: dict[str, str] = {
 _REQUEST = 0          # retry request; payload: peer id
 _SESSION_END = 1      # untracked session end; payload: (requester, [suppliers])
 _IDLE_TIMEOUT = 2     # T_out elevation; payload: (peer id, idle generation)
-_TRACKED_END = 3      # lifecycle session end; payload: (slot, slot generation)
+_TRACKED_END = 3      # interruptible session end; payload: (slot, slot generation)
 _RECOVERY = 4         # recovery probe; payload: slot
-_LC_DEPARTURE = 5     # lifecycle (abrupt) departure; payload: peer id
+_LC_DEPARTURE = 5     # lifecycle departure (or its busy re-check); payload: peer id
 _LC_RETURN = 6        # lifecycle return; payload: peer id
-_DEPARTURE = 7        # graceful churn departure; payload: peer id
-_REJOIN = 8           # graceful churn rejoin; payload: peer id
-_SAMPLE_CAPACITY = 9
-_SAMPLE_RATES = 10
-_SAMPLE_FAVORED = 11
+_SAMPLE_CAPACITY = 7
+_SAMPLE_RATES = 8
+_SAMPLE_FAVORED = 9
 
 
 class ArrayEngine:
@@ -159,9 +161,6 @@ class ArrayEngine:
         "_e_bkf",
         "_churn_active",
         "_p_down",
-        "_mean_online",
-        "_mean_offline",
-        "_suppliers_rejoin",
         "_admission_random",
         "_churn_rng",
         "_lookup_rng",
@@ -175,6 +174,7 @@ class ArrayEngine:
         "_suppliers_by_class",
         "_dir_entries",
         "_lifecycle_enabled",
+        "_tracks_sessions",
         "_lifecycle_model",
         "_lifecycle_rejoin",
         "_recovery",
@@ -220,7 +220,8 @@ class ArrayEngine:
         # object engine's) ----------------------------------------------
         self.streams = RandomStreams(config.master_seed)
         probes = config.probes
-        if config.lifecycle != "none" and probes is None:
+        self._tracks_sessions = LIFECYCLE_MODELS[config.lifecycle].interrupts_sessions
+        if self._tracks_sessions and probes is None:
             probes = DEFAULT_PROBES + ("continuity",)
         self.metrics = MetricsPipeline(ladder, probes=probes)
         self.ledger = CapacityLedger(ladder)
@@ -246,9 +247,6 @@ class ArrayEngine:
         self._e_bkf = config.e_bkf
         self._churn_active = config.down_probability > 0.0
         self._p_down = config.down_probability
-        self._mean_online = config.supplier_mean_online_seconds
-        self._mean_offline = config.supplier_mean_offline_seconds
-        self._suppliers_rejoin = config.suppliers_rejoin
         self._admission_random = self.streams.admission.random
         self._churn_rng = self.streams.churn
         self._lookup_rng = self.streams.lookup
@@ -299,7 +297,7 @@ class ArrayEngine:
         # --- lifecycle dynamics (attached before seed registration) ----
         self._lifecycle_enabled = config.lifecycle != "none"
         if self._lifecycle_enabled:
-            self._lifecycle_model = make_lifecycle(config)
+            self._lifecycle_model = make_lifecycle(config, self.streams)
             self._lifecycle_rejoin = config.lifecycle_rejoin
             self._recovery = config.lifecycle_recovery
         self.sessions = SessionTable()
@@ -360,8 +358,6 @@ class ArrayEngine:
             self._attempt_recovery,
             self._on_lifecycle_departure,
             self._on_lifecycle_return,
-            self._on_departure,
-            self._on_rejoin,
             self._sample_capacity,
             self._sample_rates,
             self._sample_favored,
@@ -572,7 +568,7 @@ class ArrayEngine:
 
         if transport is None and not self._churn_active:
             # specialized copy of the probe loop below: the population-scale
-            # scenarios disable message tracking and graceful churn, and two
+            # scenarios disable message tracking and probe loss, and two
             # per-candidate None-checks are measurable at 100k+ peers
             for candidate in chosen:
                 candidate_level = level[candidate]
@@ -672,7 +668,7 @@ class ArrayEngine:
                 suppliers=list(enlisted),
                 delay_slots=delay_slots,
             )
-        if self._lifecycle_enabled:
+        if self._tracks_sessions:
             slot = self.sessions.alloc(
                 pid, tuple(enlisted), now, self._show_seconds
             )
@@ -810,64 +806,11 @@ class ArrayEngine:
         self._suppliers_by_class[peer_class].append(pid)
         self.lookup.register_supplier(self._media_id, pid, peer_class)
         self._arm_idle_timer(pid)
-        self._schedule_departure(pid)
         if self._lifecycle_enabled:
             self._lifecycle_activate(pid)
         if self.trace:
             self.trace.record(
                 "supplier_joined",
-                self.now,
-                peer=pid,
-                peer_class=peer_class,
-                capacity=self.ledger.sessions,
-            )
-
-    def _schedule_departure(self, pid: int) -> None:
-        if self._mean_online is None:
-            return
-        delay = self._churn_rng.expovariate(1.0 / self._mean_online)
-        self._push(self.now + delay, _DEPARTURE, pid)
-
-    def _on_departure(self, pid: int) -> None:
-        peers = self.peers
-        if peers.departed[pid]:
-            return
-        if peers.level[pid] < 0:  # busy: graceful churn defers
-            self._push(self.now + 300.0, _DEPARTURE, pid)
-            return
-        peer_class = peers.peer_class[pid]
-        peers.departed[pid] = 1
-        peers.departures[pid] += 1
-        peers.idle_generation[pid] += 1
-        self.ledger.remove_supplier(peer_class)
-        self.lookup.unregister_supplier(self._media_id, pid)
-        self.metrics.on_supplier_departure(peer_class)
-        if self.trace:
-            self.trace.record(
-                "supplier_departed",
-                self.now,
-                peer=pid,
-                peer_class=peer_class,
-                capacity=self.ledger.sessions,
-            )
-        if self._suppliers_rejoin:
-            delay = self._churn_rng.expovariate(1.0 / self._mean_offline)
-            self._push(self.now + delay, _REJOIN, pid)
-
-    def _on_rejoin(self, pid: int) -> None:
-        peers = self.peers
-        if not peers.departed[pid]:
-            return
-        peer_class = peers.peer_class[pid]
-        peers.departed[pid] = 0
-        self.ledger.add_supplier(peer_class)
-        self.lookup.register_supplier(self._media_id, pid, peer_class)
-        self.metrics.on_supplier_rejoin(peer_class)
-        self._arm_idle_timer(pid)
-        self._schedule_departure(pid)
-        if self.trace:
-            self.trace.record(
-                "supplier_rejoined",
                 self.now,
                 peer=pid,
                 peer_class=peer_class,
@@ -934,6 +877,14 @@ class ArrayEngine:
     def _on_lifecycle_departure(self, pid: int) -> None:
         peers = self.peers
         if peers.departed[pid]:
+            return
+        if not self._tracks_sessions and peers.level[pid] < 0:
+            # busy under a model that lets sessions finish: re-check later
+            self._push(
+                self.now + LifecycleDynamics.DEPARTURE_RETRY_SECONDS,
+                _LC_DEPARTURE,
+                pid,
+            )
             return
         peer_class = peers.peer_class[pid]
         peers.departed[pid] = 1

@@ -10,6 +10,11 @@ exactly the paper's setup:
   ``T_bkf = 10 min`` base backoff, ``E_bkf = 2`` backoff exponent;
 * a 144-hour horizon with all first requests arriving in the first 72 hours.
 
+Every extension knob defaults to the paper's model: no probe loss
+(``down_probability=0``) and no supplier departures (``lifecycle="none"``).
+Supplier departures of every kind, graceful or mid-stream, are one
+``lifecycle`` model choice configured by the ``lifecycle_*`` fields.
+
 :meth:`SimulationConfig.scaled` shrinks the population (keeping the class
 mix and the seed:requester ratio) so benchmarks can run the whole harness at
 1/10 scale by default — every reported curve keeps its shape because the
@@ -82,21 +87,14 @@ class SimulationConfig:
     down_probability: float = 0.0
     #: record control-message statistics
     track_messages: bool = True
-    #: mean online time of a supplier before it departs (None = never, the
-    #: paper's model); departures are graceful — a busy supplier finishes
-    #: its current session first
-    supplier_mean_online_seconds: float | None = None
-    #: mean offline time before a departed supplier rejoins
-    supplier_mean_offline_seconds: float = 4 * HOUR
-    #: whether departed suppliers ever rejoin
-    suppliers_rejoin: bool = True
 
     # ----- session lifecycle (extension; "none" = the paper's model) ------
-    #: lifecycle model scheduling mid-stream supplier departures as queued
-    #: events ("none", "onoff", "sessions", "diurnal", "flash"); see
-    #: :mod:`repro.simulation.lifecycle`
+    #: lifecycle model scheduling supplier departures as queued events
+    #: ("none", "graceful", "onoff", "sessions", "diurnal", "flash");
+    #: "graceful" departures wait for a busy supplier's session to end, the
+    #: others interrupt it; see :mod:`repro.simulation.lifecycle`
     lifecycle: str = "none"
-    #: mean (onoff/diurnal) or median (sessions) online period
+    #: mean (graceful/onoff/diurnal) or median (sessions) online period
     lifecycle_mean_up_seconds: float = 8 * HOUR
     #: mean downtime before a departed supplier returns
     lifecycle_mean_down_seconds: float = 30 * MINUTE
@@ -153,13 +151,6 @@ class SimulationConfig:
             raise ConfigurationError("timer parameters must be positive (E_bkf >= 1)")
         if self.lookup not in ("directory", "chord"):
             raise ConfigurationError(f"unknown lookup substrate {self.lookup!r}")
-        if (
-            self.supplier_mean_online_seconds is not None
-            and self.supplier_mean_online_seconds <= 0
-        ):
-            raise ConfigurationError("supplier mean online time must be > 0")
-        if self.supplier_mean_offline_seconds <= 0:
-            raise ConfigurationError("supplier mean offline time must be > 0")
         if self.lifecycle not in LIFECYCLE_NAMES:
             raise ConfigurationError(
                 f"unknown lifecycle model {self.lifecycle!r}; "
@@ -171,12 +162,6 @@ class SimulationConfig:
                 f"known: {', '.join(RECOVERY_MODES)}"
             )
         if self.lifecycle != "none":
-            if self.supplier_mean_online_seconds is not None:
-                raise ConfigurationError(
-                    "lifecycle models and graceful supplier churn "
-                    "(supplier_mean_online_seconds) are mutually exclusive; "
-                    "pick one departure mechanism"
-                )
             if (
                 self.lifecycle_mean_up_seconds <= 0
                 or self.lifecycle_mean_down_seconds <= 0

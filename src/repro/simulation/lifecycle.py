@@ -1,21 +1,23 @@
 """Session-lifecycle dynamics: event-driven peer departures and returns.
 
-The paper treats peer unavailability as an *admission-time* condition — a
-probed candidate may be "down" (:mod:`repro.simulation.churn`) — and its
-supplier-churn extension is *graceful*: a busy supplier defers departure
-until its session ends.  This module promotes churn to first-class
-scheduled events on the :class:`~repro.simulation.engine.Simulator`: a
-supplier can die **mid-stream**, its active sessions are interrupted, and
-the requesting peers must recover (re-probe, re-admit, resume from their
-buffer position) while the continuity probes charge every stall against
-playback quality.
+The paper treats peer unavailability as an *admission-time* condition: a
+probed candidate may be "down" (``SimulationConfig.down_probability``,
+one draw per probe).  This module makes supplier departures first-class
+scheduled events on the :class:`~repro.simulation.engine.Simulator`.
+Under most models a supplier can die **mid-stream**: its active sessions
+are interrupted, and the requesting peers must recover (re-probe,
+re-admit, resume from their buffer position) while the continuity
+probes charge every stall against playback quality.  The ``graceful``
+model instead lets a busy supplier finish its session first.
 
 Two layers live here:
 
-* **Lifecycle models** (:class:`LifecycleModel`) — deterministic per-peer
-  timing generators answering "when does this supplier next depart?" and
-  "when does it come back?".  Every model derives its draws from private,
-  per-peer RNGs seeded by ``(master seed, peer id)``, so event timings are
+* **Lifecycle models** (:class:`LifecycleModel`) — deterministic timing
+  generators answering "when does this supplier next depart?" and "when
+  does it come back?", plus the class attribute ``interrupts_sessions``
+  saying whether a departure cuts the sessions the supplier serves.
+  Every model but ``graceful`` derives its draws from private, per-peer
+  RNGs seeded by ``(master seed, peer id)``, so event timings are
   reproducible and independent of dispatch interleaving.
 * **:class:`LifecycleDynamics`** — the subsystem that turns a model's
   answers into scheduled departure/return events and drives the
@@ -31,10 +33,15 @@ Models
 ------
 ``none``
     No lifecycle events — the paper's world.
+``graceful``
+    Exponential online and offline periods drawn from the run's shared
+    ``churn`` stream.  A departure waits while the supplier is busy: it
+    is re-checked every ``DEPARTURE_RETRY_SECONDS`` until the session
+    ends, so no session is ever interrupted.
 ``onoff``
-    :class:`~repro.simulation.churn.OnOffChurn`-style alternating
-    exponential up/down periods, turned from probe-time sampling into
-    scheduled departure/return events on the peer's private timeline.
+    Alternating exponential up/down periods on each peer's private,
+    lazily extended timeline, read off as scheduled departure/return
+    events.
 ``sessions``
     A session-duration (trace-like) model: heavy-tailed log-normal online
     periods — the shape measured in real P2P session traces — with
@@ -51,6 +58,8 @@ Models
 
 Recovery modes (``lifecycle_recovery``)
 ---------------------------------------
+These apply to the models whose departures interrupt sessions.
+
 ``resume``
     The requester re-probes ``M`` candidates and, once re-admitted,
     resumes from its buffer position — only the *remaining* transfer is
@@ -66,18 +75,19 @@ Recovery modes (``lifecycle_recovery``)
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from typing import TYPE_CHECKING, ClassVar, Protocol
 
 from repro.errors import ConfigurationError
-from repro.simulation.churn import OnOffChurn
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.simulation.config import SimulationConfig
     from repro.simulation.engine import Simulator
     from repro.simulation.entities import SimPeer
     from repro.simulation.probes import MetricsPipeline
+    from repro.simulation.randoms import RandomStreams
     from repro.simulation.registry import SupplierRegistry
     from repro.simulation.requestpath import RequestPath
     from repro.simulation.trace import TraceRecorder
@@ -85,20 +95,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 __all__ = [
     "LifecycleModel",
     "NoLifecycle",
+    "GracefulLifecycle",
     "OnOffLifecycle",
     "SessionDurationLifecycle",
     "DiurnalLifecycle",
     "FlashLifecycle",
     "LifecycleDynamics",
+    "LIFECYCLE_MODELS",
     "LIFECYCLE_NAMES",
     "RECOVERY_MODES",
     "make_lifecycle",
 ]
 
 HOUR = 3600.0
-
-#: valid values of ``SimulationConfig.lifecycle``
-LIFECYCLE_NAMES: tuple[str, ...] = ("none", "onoff", "sessions", "diurnal", "flash")
 
 #: valid values of ``SimulationConfig.lifecycle_recovery``
 RECOVERY_MODES: tuple[str, ...] = ("resume", "restart", "abandon")
@@ -109,11 +118,20 @@ class LifecycleModel(Protocol):
 
     Implementations must be deterministic per ``(seed, peer_id)`` and must
     not share RNG state across peers, so that scheduled timings do not
-    depend on the order peers are activated in.
+    depend on the order peers are activated in.  The one exception is
+    :class:`GracefulLifecycle`, which draws from the run's shared
+    ``churn`` stream in event order: its draws interleave there with the
+    probe-loss draws (``down_probability``), and the pinned results of
+    graceful runs depend on that order.
     """
 
     #: registry key (also the ``SimulationConfig.lifecycle`` vocabulary)
     name: ClassVar[str]
+    #: whether a departure interrupts the sessions the supplier serves;
+    #: when false, a busy supplier's departure waits for its session to
+    #: end, sessions are not tracked, and the continuity probe is not
+    #: subscribed by default
+    interrupts_sessions: ClassVar[bool]
 
     def next_departure(self, peer_id: int, now: float) -> float | None:
         """When the peer (a supplier active at ``now``) next departs.
@@ -136,6 +154,7 @@ class NoLifecycle:
     """No lifecycle events — every supplier stays up forever (the paper)."""
 
     name = "none"
+    interrupts_sessions = False
 
     def next_departure(self, peer_id: int, now: float) -> float | None:
         """Never departs."""
@@ -146,32 +165,89 @@ class NoLifecycle:
         return None
 
 
-class OnOffLifecycle:
-    """Scheduled departures on an :class:`OnOffChurn`-style timeline.
+class GracefulLifecycle:
+    """Graceful supplier churn: a departure lets the current session end.
 
-    Each peer alternates exponential up/down periods on a private,
-    deterministic, lazily extended timeline (exactly the churn model's
-    construction).  Where :class:`~repro.simulation.churn.OnOffChurn`
-    *samples* that timeline at probe time, this model reads off the next
-    transition so it can be scheduled as an event: a supplier active
-    at ``now`` departs at the end of the up interval containing ``now``
+    Online and offline periods are exponential with means
+    ``mean_up_seconds`` and ``mean_down_seconds``, drawn in event order
+    from ``rng`` — the run's shared ``churn`` stream, which the probe-loss
+    draws also use.  :class:`LifecycleDynamics` re-checks a busy
+    supplier's departure every ``DEPARTURE_RETRY_SECONDS`` instead of
+    interrupting its session.
+    """
+
+    name = "graceful"
+    interrupts_sessions = False
+
+    def __init__(
+        self, mean_up_seconds: float, mean_down_seconds: float, rng: random.Random
+    ) -> None:
+        self._mean_up = mean_up_seconds
+        self._mean_down = mean_down_seconds
+        self._rng = rng
+
+    def next_departure(self, peer_id: int, now: float) -> float | None:
+        return now + self._rng.expovariate(1.0 / self._mean_up)
+
+    def next_return(self, peer_id: int, now: float) -> float | None:
+        return now + self._rng.expovariate(1.0 / self._mean_down)
+
+
+class OnOffLifecycle:
+    """Alternating exponential up/down periods, deterministic per peer.
+
+    Each peer's timeline is generated from a private RNG seeded by
+    ``(seed, peer_id)`` and extends lazily as queries move forward in
+    time, so memory stays proportional to the number of peers ever
+    queried.  Peers start up with probability
+    ``mean_up / (mean_up + mean_down)`` (the stationary distribution),
+    which gives *time-correlated* unavailability.  A supplier active at
+    ``now`` departs at the end of the up interval containing ``now``
     (immediately, if its timeline has it down already — the "down at
     activation" edge), and returns at the end of the down interval.
     """
 
     name = "onoff"
+    interrupts_sessions = True
 
     def __init__(
         self, mean_up_seconds: float, mean_down_seconds: float, seed: int = 0
     ) -> None:
-        self._timeline = OnOffChurn(mean_up_seconds, mean_down_seconds, seed=seed)
+        self._mean_up = mean_up_seconds
+        self._mean_down = mean_down_seconds
+        self._seed = seed
+        # peer_id -> (rng, boundary times list, state of first interval)
+        self._timelines: dict[int, tuple[random.Random, list[float], bool]] = {}
+
+    def next_transition(self, peer_id: int, now: float) -> tuple[bool, float]:
+        """State at ``now`` plus the time of the next up/down flip.
+
+        Returns ``(is_down_now, boundary)`` where ``boundary > now`` is
+        the end of the interval containing ``now``.
+        """
+        timeline = self._timelines.get(peer_id)
+        if timeline is None:
+            rng = random.Random(f"churn:{self._seed}:{peer_id}")
+            availability = self._mean_up / (self._mean_up + self._mean_down)
+            timeline = (rng, [0.0], rng.random() < availability)
+            self._timelines[peer_id] = timeline
+        peer_rng, boundaries, starts_up = timeline
+        while boundaries[-1] <= now:
+            intervals_so_far = len(boundaries) - 1
+            currently_up = starts_up if intervals_so_far % 2 == 0 else not starts_up
+            mean = self._mean_up if currently_up else self._mean_down
+            boundaries.append(boundaries[-1] + peer_rng.expovariate(1.0 / mean))
+        # index of the interval containing ``now`` (its boundary is next)
+        index = bisect.bisect_right(boundaries, now) - 1
+        up_now = starts_up if index % 2 == 0 else not starts_up
+        return not up_now, boundaries[index + 1]
 
     def next_departure(self, peer_id: int, now: float) -> float | None:
-        down, boundary = self._timeline.next_transition(peer_id, now)
+        down, boundary = self.next_transition(peer_id, now)
         return now if down else boundary
 
     def next_return(self, peer_id: int, now: float) -> float | None:
-        down, boundary = self._timeline.next_transition(peer_id, now)
+        down, boundary = self.next_transition(peer_id, now)
         return boundary if down else now
 
 
@@ -187,6 +263,7 @@ class SessionDurationLifecycle:
     """
 
     name = "sessions"
+    interrupts_sessions = True
 
     def __init__(
         self,
@@ -225,6 +302,7 @@ class DiurnalLifecycle:
     """
 
     name = "diurnal"
+    interrupts_sessions = True
 
     #: length of one simulated day
     DAY_SECONDS = 24 * HOUR
@@ -272,6 +350,7 @@ class FlashLifecycle:
     """
 
     name = "flash"
+    interrupts_sessions = True
 
     def __init__(
         self,
@@ -301,17 +380,44 @@ class FlashLifecycle:
         return now + rng.expovariate(1.0 / self._mean_down)
 
 
-def make_lifecycle(config: "SimulationConfig") -> LifecycleModel:
+#: the model classes by ``SimulationConfig.lifecycle`` name, so callers can
+#: read a model's ``interrupts_sessions`` before the run builds it
+LIFECYCLE_MODELS: dict[str, type[LifecycleModel]] = {
+    model.name: model
+    for model in (
+        NoLifecycle,
+        GracefulLifecycle,
+        OnOffLifecycle,
+        SessionDurationLifecycle,
+        DiurnalLifecycle,
+        FlashLifecycle,
+    )
+}
+
+#: valid values of ``SimulationConfig.lifecycle``
+LIFECYCLE_NAMES: tuple[str, ...] = tuple(LIFECYCLE_MODELS)
+
+
+def make_lifecycle(
+    config: "SimulationConfig", streams: "RandomStreams"
+) -> LifecycleModel:
     """Instantiate the lifecycle model a configuration selects.
 
-    Model parameters come from the ``lifecycle_*`` config fields; per-peer
-    RNGs are seeded from the run's master seed, so lifecycle timings are
+    Model parameters come from the ``lifecycle_*`` config fields.  Per-peer
+    RNGs are seeded from the run's master seed; the ``graceful`` model
+    draws from ``streams.churn`` instead.  Either way lifecycle timings are
     part of the run's reproducible randomness.
     """
     name = config.lifecycle
     seed = config.master_seed
     if name == "none":
         return NoLifecycle()
+    if name == "graceful":
+        return GracefulLifecycle(
+            config.lifecycle_mean_up_seconds,
+            config.lifecycle_mean_down_seconds,
+            streams.churn,
+        )
     if name == "onoff":
         return OnOffLifecycle(
             config.lifecycle_mean_up_seconds,
@@ -356,11 +462,16 @@ class LifecycleDynamics:
     otherwise — schedules the peer's return, which re-registers it and
     arms its idle-elevation timer again.
 
-    Unlike the registry's *graceful* supplier churn
-    (``supplier_mean_online_seconds``), lifecycle departures are abrupt:
-    being busy does not defer them.  The two mechanisms are mutually
-    exclusive (enforced at config validation).
+    Whether being busy defers a departure is the model's
+    ``interrupts_sessions``: when it is false (``graceful``) a busy
+    supplier's departure is re-checked every
+    :attr:`DEPARTURE_RETRY_SECONDS` until its session has ended;
+    otherwise the departure is abrupt and interrupts the session.
     """
+
+    #: how long a busy supplier's departure waits before it is re-checked,
+    #: under a model whose departures let sessions finish
+    DEPARTURE_RETRY_SECONDS = 300.0
 
     def __init__(
         self,
@@ -387,6 +498,7 @@ class LifecycleDynamics:
         self._media_id = config.media.media_id
         self._horizon = config.horizon_seconds
         self._rejoin = config.lifecycle_rejoin
+        self._interrupts = model.interrupts_sessions
 
     @property
     def enabled(self) -> bool:
@@ -407,8 +519,14 @@ class LifecycleDynamics:
     # departure / return events
     # ------------------------------------------------------------------
     def _on_departure(self, peer: "SimPeer") -> None:
-        """The peer leaves abruptly, mid-stream if it is serving."""
+        """The peer leaves: abruptly, mid-stream if it is serving, or
+        once its session has ended if the model lets sessions finish."""
         if peer.departed:
+            return
+        if not self._interrupts and peer.admission.busy:
+            self.sim.schedule_in(
+                self.DEPARTURE_RETRY_SECONDS, self._on_departure, peer
+            )
             return
         peer.departed = True
         peer.departures += 1

@@ -427,9 +427,9 @@ class ContinuityProbe(Probe):
       ``playback / (playback + stalls)`` where ``playback`` is the show
       length; 1.0 is stall-free, accumulated here as a per-class mean.
 
-    All counters stay zero when no lifecycle model is active (the probe
-    is then pure overhead-free bookkeeping), so it is *not* part of
-    :data:`DEFAULT_PROBES`; lifecycle-enabled runs subscribe it
+    All counters stay zero unless a lifecycle model interrupts sessions
+    (the probe is then pure overhead-free bookkeeping), so it is *not*
+    part of :data:`DEFAULT_PROBES`; runs under such a model subscribe it
     automatically, and any run can opt in via ``probes=``.
     """
 
@@ -544,10 +544,11 @@ PROBE_NAMES: tuple[str, ...] = tuple(sorted(_PROBES))
 
 #: the full paper evaluation — what ``probes=None`` subscribes.  The
 #: lifecycle-extension ``continuity`` probe is deliberately absent: its
-#: artifacts exist only under a lifecycle model, and keeping it out keeps
-#: default exports schema-identical to the historical collector.  Runs
-#: with ``lifecycle != "none"`` and ``probes=None`` subscribe it
-#: automatically (see :class:`~repro.simulation.system.StreamingSystem`).
+#: artifacts exist only under a lifecycle model that interrupts sessions,
+#: and keeping it out keeps default exports schema-identical to the
+#: historical collector.  Runs under such a model with ``probes=None``
+#: subscribe it automatically (see
+#: :class:`~repro.simulation.system.StreamingSystem`).
 DEFAULT_PROBES: tuple[str, ...] = (
     "capacity",
     "admission_rate",

@@ -53,7 +53,7 @@ class RandomStreams:
 
     @property
     def churn(self) -> random.Random:
-        """Peer up/down availability draws."""
+        """Probe-loss draws and the graceful lifecycle model's periods."""
         return self.stream("churn")
 
     @property

@@ -11,8 +11,9 @@ with the system, end to end:
   backoff and retry;
 * post-session promotion of the requester into the supplier population
   (handed to the :class:`~repro.simulation.registry.SupplierRegistry`);
-* under a session-lifecycle model (:mod:`repro.simulation.lifecycle`),
-  mid-stream interruption and recovery: sessions are tracked as
+* under a session-lifecycle model whose departures interrupt sessions
+  (:mod:`repro.simulation.lifecycle`), mid-stream interruption and
+  recovery: sessions are tracked as
   :class:`~repro.streaming.session.ActiveSession` objects keyed by
   supplier, a supplier departure interrupts every session it serves, and
   the requester re-probes, honoring the paper's exponential backoff,
@@ -36,10 +37,10 @@ from repro.core.requesting import (
 )
 from repro.errors import SimulationError
 from repro.simulation.arrivals import generate_arrival_times, make_pattern
-from repro.simulation.churn import NoChurn
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.entities import SimPeer
+from repro.simulation.lifecycle import LIFECYCLE_MODELS
 from repro.simulation.probes import MetricsPipeline
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.registry import SupplierRegistry
@@ -66,7 +67,6 @@ class RequestPath:
         peers: list[SimPeer],
         lookup,
         transport,
-        churn,
         registry: SupplierRegistry,
         trace: TraceRecorder | None = None,
     ) -> None:
@@ -80,17 +80,16 @@ class RequestPath:
         self.peers = peers
         self.lookup = lookup
         self.transport = transport
-        self.churn = churn
         self.registry = registry
         self.trace = trace
 
         # The probe loop runs once per request event and a few times per
         # candidate — the hottest Python in a run.  Everything constant is
         # resolved once here instead of per event: ladder arithmetic,
-        # policy flags, the named RNG streams (their accessors are
-        # dict-backed properties), and whether the churn model can ever
-        # report a candidate down (NoChurn never consumes RNG, so skipping
-        # it is draw-for-draw identical).
+        # policy flags and the named RNG streams (their accessors are
+        # dict-backed properties).  A zero down_probability never draws
+        # the probe-loss coin from the churn stream, so there is no draw
+        # function to call then.
         self._full_rate_units = self.ladder.full_rate_units
         self._offer_units = {
             c: self.ladder.offer_units(c) for c in self.ladder.classes
@@ -98,9 +97,11 @@ class RequestPath:
         self._media_id = self.media.media_id
         self._probe_count = config.probe_candidates
         self._uses_reminders = policy.uses_reminders
-        self._churn_active = not isinstance(churn, NoChurn)
+        self._down_probability = config.down_probability
+        self._churn_random = (
+            streams.churn.random if config.down_probability > 0.0 else None
+        )
         self._admission_rng = streams.admission
-        self._churn_rng = streams.churn
         self._lookup_rng = streams.lookup
         # A session plan's timing depends only on the multiset of supplier
         # classes (OTS_p2p is deterministic in it), and the backoff only on
@@ -108,9 +109,10 @@ class RequestPath:
         # values thousands of times per run.
         self._delay_slots_by_classes: dict[tuple[int, ...], int] = {}
         self._backoff_by_rejections: dict[int, float] = {}
-        # Session-lifecycle state.  When disabled (the default) admissions
-        # take the handle-free fast path and none of this is touched.
-        self._lifecycle_enabled = config.lifecycle != "none"
+        # Session-lifecycle state.  Unless the lifecycle model interrupts
+        # sessions, admissions take the handle-free fast path and none of
+        # this is touched.
+        self._tracks_sessions = LIFECYCLE_MODELS[config.lifecycle].interrupts_sessions
         self._recovery = config.lifecycle_recovery
         self._sessions_by_supplier: dict[int, list[ActiveSession]] = {}
 
@@ -174,7 +176,8 @@ class RequestPath:
         peers = self.peers
         transport = self.transport
         offer_units = self._offer_units
-        churn = self.churn if self._churn_active else None
+        churn_random = self._churn_random
+        down_probability = self._down_probability
         collect_busy = self._uses_reminders
         requester_id = peer.peer_id
         requester_class = peer.peer_class
@@ -186,9 +189,7 @@ class RequestPath:
             supplier = peers[candidate_id]
             if transport is not None:
                 transport.round_trip("probe", requester_id, candidate_id)
-            if churn is not None and churn.is_down(
-                candidate_id, self.sim.now, self._churn_rng
-            ):
+            if churn_random is not None and churn_random() < down_probability:
                 continue
             state = supplier.admission
             if state is None:
@@ -253,7 +254,7 @@ class RequestPath:
             )
         # The transfer takes exactly the show time (aggregate supply rate
         # == R0; see StreamingSession.transfer_seconds).
-        if self._lifecycle_enabled:
+        if self._tracks_sessions:
             session = ActiveSession(
                 requester=peer,
                 suppliers=list(enlisted),
@@ -351,7 +352,7 @@ class RequestPath:
         self.registry.register(peer)
 
     # ------------------------------------------------------------------
-    # session lifecycle: interruption and recovery (lifecycle models only)
+    # session lifecycle: interruption and recovery (models that interrupt)
     # ------------------------------------------------------------------
     def _track(self, session: ActiveSession) -> None:
         """Index the session under each supplier currently serving it."""

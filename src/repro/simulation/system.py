@@ -4,8 +4,7 @@
 wires the three protocol subsystems together:
 
 * :class:`~repro.simulation.registry.SupplierRegistry` — the supply side:
-  supplier registration, graceful churn (depart → rejoin), and the
-  ``T_out`` idle-elevation timers;
+  supplier registration and the ``T_out`` idle-elevation timers;
 * :class:`~repro.simulation.requestpath.RequestPath` — the demand side:
   arrival scheduling, the ``M``-candidate probe loop, admission → OTS_p2p
   session planning, rejection → reminders → exponential backoff, and
@@ -15,10 +14,11 @@ wires the three protocol subsystems together:
 
 A fourth, optional subsystem —
 :class:`~repro.simulation.lifecycle.LifecycleDynamics` — schedules
-mid-stream supplier departures and returns when the configuration selects
-a lifecycle model (``config.lifecycle != "none"``); with the default
-``none`` model it is never constructed and runs are bit-identical to a
-build without it.
+supplier departures and returns when the configuration selects a
+lifecycle model (``config.lifecycle != "none"``): graceful ones that wait
+for a busy supplier's session to end, or mid-stream ones that interrupt
+it.  With the default ``none`` model it is never constructed and runs are
+bit-identical to a build without it.
 
 The system is deterministic for a fixed config: RNG streams are named and
 seeded, candidate ordering is stable, and the event queue breaks ties FIFO.
@@ -33,11 +33,14 @@ from repro.core.capacity import CapacityLedger
 from repro.network.lookup import ChordLookup, DirectoryLookup
 from repro.network.transport import Transport
 from repro.protocols.base import make_policy
-from repro.simulation.churn import BernoulliChurn, NoChurn
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.entities import SimPeer, build_population
-from repro.simulation.lifecycle import LifecycleDynamics, make_lifecycle
+from repro.simulation.lifecycle import (
+    LIFECYCLE_MODELS,
+    LifecycleDynamics,
+    make_lifecycle,
+)
 from repro.simulation.probes import MetricsPipeline
 from repro.simulation.probes import DEFAULT_PROBES
 from repro.simulation.randoms import RandomStreams
@@ -61,20 +64,17 @@ class StreamingSystem:
         self.policy = make_policy(config.protocol)
         self.sim = Simulator()
         self.streams = RandomStreams(config.master_seed)
-        # Lifecycle runs with the default subscription also get the
-        # continuity probe — its artifacts are what the extension measures.
+        # Runs whose lifecycle model interrupts sessions also get the
+        # continuity probe with the default subscription — its artifacts
+        # are what the extension measures.
         probes = config.probes
-        if config.lifecycle != "none" and probes is None:
+        if LIFECYCLE_MODELS[config.lifecycle].interrupts_sessions and probes is None:
             probes = DEFAULT_PROBES + ("continuity",)
         self.metrics = MetricsPipeline(self.ladder, probes=probes)
         self.ledger = CapacityLedger(self.ladder)
         self.trace = trace
 
         self.transport = Transport() if config.track_messages else None
-        if config.down_probability > 0.0:
-            self.churn = BernoulliChurn(config.down_probability)
-        else:
-            self.churn = NoChurn()
 
         self.peers, self._requesters = build_population(
             config, self.streams.population
@@ -89,8 +89,6 @@ class StreamingSystem:
             sim=self.sim,
             config=config,
             policy=self.policy,
-            streams=self.streams,
-            metrics=self.metrics,
             ledger=self.ledger,
             lookup=self.lookup,
             trace=trace,
@@ -104,7 +102,6 @@ class StreamingSystem:
             peers=self.peers,
             lookup=self.lookup,
             transport=self.transport,
-            churn=self.churn,
             registry=self.registry,
             trace=trace,
         )
@@ -122,7 +119,7 @@ class StreamingSystem:
             self.lifecycle = LifecycleDynamics(
                 sim=self.sim,
                 config=config,
-                model=make_lifecycle(config),
+                model=make_lifecycle(config, self.streams),
                 metrics=self.metrics,
                 ledger=self.ledger,
                 lookup=self.lookup,

@@ -37,7 +37,10 @@ Invariants checked
 **Trace invariants** (when a trace was recorded; they read only each
 peer's class)
 
-* T1  no supplier is enlisted into two overlapping sessions;
+* T1  no supplier is enlisted into two overlapping sessions: an
+      admission holds its suppliers for the show time, an interruption
+      frees them, and a resumption holds its new ones for the
+      ``remaining_seconds`` it records;
 * T2  every admission's suppliers aggregate to exactly ``R0``;
 * T3  backoffs follow ``T_bkf · E_bkf**(i-1)``;
 * T4  event times are within the horizon and non-decreasing.
@@ -223,18 +226,25 @@ def _audit_trace(
     peer_classes = [peer.peer_class for peer in _audited_peers(system)]
 
     busy_until: dict[int, float] = {}
+    # each requester's current suppliers, freed if its session is interrupted
+    serving: dict[int, list[int]] = {}
     previous_time = 0.0
     for event in trace.events:
         report.checks_run += 1
         time = event["t"]
+        kind = event["kind"]
         if time < previous_time:
             report.add("T4", f"event at {time} after event at {previous_time}")
         previous_time = max(previous_time, time)
         if time > config.horizon_seconds + 1e-9:
             report.add("T4", f"event at {time} beyond horizon")
 
-        if event["kind"] == "admission":
-            units = 0
+        if kind == "admission" or kind == "session_resumed":
+            # a resumed session holds its new suppliers only for the
+            # transfer that remains
+            hold = (
+                show_seconds if kind == "admission" else event["remaining_seconds"]
+            )
             for supplier_id in event["suppliers"]:
                 if busy_until.get(supplier_id, -1.0) > time + 1e-9:
                     report.add(
@@ -242,15 +252,24 @@ def _audit_trace(
                         f"supplier {supplier_id} enlisted at {time} while busy "
                         f"until {busy_until[supplier_id]}",
                     )
-                busy_until[supplier_id] = time + show_seconds
-                units += ladder.offer_units(peer_classes[supplier_id])
+                busy_until[supplier_id] = time + hold
+            serving[event["peer"]] = event["suppliers"]
+        elif kind == "session_interrupted":
+            for supplier_id in serving.pop(event["peer"], ()):
+                busy_until[supplier_id] = time
+
+        if kind == "admission":
+            units = sum(
+                ladder.offer_units(peer_classes[supplier_id])
+                for supplier_id in event["suppliers"]
+            )
             if units != ladder.full_rate_units:
                 report.add(
                     "T2",
                     f"admission of peer {event['peer']} at {time} aggregates "
                     f"{units} units, needs {ladder.full_rate_units}",
                 )
-        elif event["kind"] == "rejection":
+        elif kind == "rejection":
             expected = config.t_bkf_seconds * config.e_bkf ** (
                 event["rejections"] - 1
             )

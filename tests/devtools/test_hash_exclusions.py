@@ -43,28 +43,32 @@ class TestHashBehavior:
 
 
 class TestSpecHashPins:
-    """Spec hashes are cache keys on disk, so they must never drift.
+    """Spec hashes are cache keys on disk, so they must never drift by accident.
 
     Every literal was taken while configs still carried an execution
     field the hash always excluded: the first two under an event-queue
     field (``metropolis_100k`` chose a non-default queue), the
     ``megacity_1m`` one under an engine field the scenario overrode.
-    Deleting those fields moved none of them.
+    Deleting those fields moved none of them.  Deleting the three graceful
+    supplier-churn fields, which the hash did cover (graceful churn is now
+    the ``graceful`` lifecycle model), moved all three on purpose: each
+    literal is the sha256 of the earlier canonical JSON with exactly those
+    three keys removed.
     """
 
     def test_default_config_hash(self):
         assert config_hash(SimulationConfig()) == (
-            "973a7a582c709f3625e8ba3c491c3bb58a61d311bd143d54e4f3c64ab2e19c2f"
+            "223d7856138c121b90e22685bca2806499fcc6b9b6e3b51270e3b4128b17a476"
         )
 
     def test_population_scenario_hash(self):
         config = get_scenario("metropolis_100k").build_config(scale=0.02)
         assert config_hash(config) == (
-            "454b6122da2367f0415b80080f48a53875aa89fb927d3e0c235c0061c287e253"
+            "cc6e04caabfcf9ef6dd481e42031d72ec83df781d2398a5ee34f3364ecfeff41"
         )
 
     def test_megacity_scenario_hash(self):
         config = get_scenario("megacity_1m").build_config(scale=0.02)
         assert config_hash(config) == (
-            "3da8213111ab3e28093809a72241033536b00dea6466451425539cc81ece0133"
+            "c4b6f724651a4f37d447acc83d56194423b3e1b6c2f95114eee985933c1b5c2f"
         )

@@ -87,15 +87,15 @@ def test_randomized_config_parity():
 
     Eight seeded draws across the dimensions that steer engine control
     flow: arrival pattern, level-representable protocol, lookup service,
-    probe loss, churn, lifecycle model + recovery, message accounting and
-    stochastic arrivals.
+    probe loss, lifecycle model + recovery, message accounting and
+    stochastic arrivals.  None of the draws pairs graceful departures
+    with probe loss, whose draws share the churn stream, so a ninth
+    config does.
     """
     rng = random.Random(20020701)
     protocols = sorted(LEVEL_POLICIES)
-    for attempt in range(8):
-        lifecycle = rng.choice(("none", "none", "sessions", "flash", "diurnal"))
-        churn = lifecycle == "none" and rng.random() < 0.5
-        config = SimulationConfig(
+    configs = [
+        SimulationConfig(
             seed_suppliers={1: rng.randint(2, 6)},
             requesting_peers={
                 peer_class: rng.randint(10, 60) for peer_class in (1, 2, 3, 4)
@@ -106,15 +106,25 @@ def test_randomized_config_parity():
             lookup=rng.choice(("directory", "chord")),
             down_probability=rng.choice((0.0, 0.3)),
             track_messages=rng.random() < 0.5,
-            supplier_mean_online_seconds=(
-                8 * 3600.0 if churn else None
+            lifecycle=rng.choice(
+                ("none", "none", "graceful", "sessions", "flash", "diurnal")
             ),
-            suppliers_rejoin=rng.random() < 0.5,
-            lifecycle=lifecycle,
             lifecycle_recovery=rng.choice(RECOVERY_MODES),
             lifecycle_rejoin=rng.random() < 0.5,
             master_seed=rng.randint(1, 2**31),
         )
+        for _attempt in range(8)
+    ]
+    configs.append(
+        SimulationConfig(
+            seed_suppliers={1: 4},
+            requesting_peers={1: 20, 2: 20, 3: 40, 4: 40},
+            down_probability=0.3,
+            lifecycle="graceful",
+            master_seed=17,
+        )
+    )
+    for config in configs:
         assert_engine_parity(config)
 
 

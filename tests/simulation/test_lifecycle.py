@@ -8,16 +8,18 @@ from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import (
+    LIFECYCLE_MODELS,
     LIFECYCLE_NAMES,
     RECOVERY_MODES,
     DiurnalLifecycle,
     FlashLifecycle,
+    GracefulLifecycle,
     NoLifecycle,
     OnOffLifecycle,
     SessionDurationLifecycle,
     make_lifecycle,
 )
-from repro.simulation.churn import OnOffChurn
+from repro.simulation.randoms import RandomStreams
 from repro.simulation.runner import run_simulation
 from repro.simulation.system import StreamingSystem
 
@@ -34,11 +36,26 @@ class TestNoLifecycle:
         assert model.next_return(1, 0.0) is None
 
 
+class TestGracefulLifecycle:
+    def test_draws_follow_the_shared_stream_in_call_order(self):
+        """Every draw comes off the one stream it was given, in call order
+        and whichever peer asks, so the run's event order fixes them."""
+        model = GracefulLifecycle(8 * HOUR, HOUR, RandomStreams(5).churn)
+        reference = RandomStreams(5).churn
+        assert model.next_departure(3, 100.0) == (
+            100.0 + reference.expovariate(1.0 / (8 * HOUR))
+        )
+        assert model.next_return(9, 50.0) == 50.0 + reference.expovariate(1.0 / HOUR)
+        assert model.next_departure(3, 0.0) == reference.expovariate(
+            1.0 / (8 * HOUR)
+        )
+
+
 class TestOnOffLifecycle:
     def test_departure_reads_the_churn_timeline(self):
-        """The model departs exactly where OnOffChurn's timeline flips."""
+        """The model departs exactly where its on/off timeline flips."""
         model = OnOffLifecycle(1000.0, 500.0, seed=7)
-        timeline = OnOffChurn(1000.0, 500.0, seed=7)
+        timeline = OnOffLifecycle(1000.0, 500.0, seed=7)
         for peer in range(20):
             down, boundary = timeline.next_transition(peer, 0.0)
             departure = model.next_departure(peer, 0.0)
@@ -49,7 +66,7 @@ class TestOnOffLifecycle:
 
     def test_down_at_activation_departs_immediately(self):
         model = OnOffLifecycle(100.0, 1000.0, seed=3)
-        timeline = OnOffChurn(100.0, 1000.0, seed=3)
+        timeline = OnOffLifecycle(100.0, 1000.0, seed=3)
         down_peers = [p for p in range(200) if timeline.next_transition(p, 0.0)[0]]
         assert down_peers, "seed 3 should start some peers down"
         peer = down_peers[0]
@@ -64,6 +81,85 @@ class TestOnOffLifecycle:
         times_a = [a.next_departure(p, 0.0) for p in range(10)]
         times_b = [b.next_departure(p, 0.0) for p in reversed(range(10))]
         assert times_a == list(reversed(times_b))
+
+
+def is_down(model: OnOffLifecycle, peer: int, now: float) -> bool:
+    """Whether the peer's on/off timeline has it down at ``now``."""
+    return model.next_transition(peer, now)[0]
+
+
+class TestOnOffTimeline:
+    """The lazily extended per-peer timeline behind :class:`OnOffLifecycle`."""
+
+    def test_state_is_time_consistent(self):
+        model = OnOffLifecycle(mean_up_seconds=100.0, mean_down_seconds=50.0, seed=1)
+        # Same (peer, time) query always answers the same.
+        assert model.next_transition(7, 123.0) == model.next_transition(7, 123.0)
+
+    def test_state_is_correlated_in_time(self):
+        model = OnOffLifecycle(
+            mean_up_seconds=1000.0, mean_down_seconds=1000.0, seed=2
+        )
+        flips = 0
+        for peer in range(50):
+            previous = is_down(model, peer, 0.0)
+            for t in (1.0, 2.0, 3.0):
+                current = is_down(model, peer, t)
+                flips += current != previous
+                previous = current
+        # With 1000 s mean durations, 1 s steps almost never flip.
+        assert flips <= 3
+
+    def test_long_run_availability_near_stationary(self):
+        model = OnOffLifecycle(mean_up_seconds=300.0, mean_down_seconds=100.0, seed=5)
+        downs = 0
+        samples = 0
+        for peer in range(200):
+            for t in range(0, 5000, 250):
+                downs += is_down(model, peer, float(t))
+                samples += 1
+        # stationary down fraction = 100 / 400 = 0.25
+        assert downs / samples == pytest.approx(0.25, abs=0.06)
+
+    def test_down_at_time_zero(self):
+        """Peers drawn down by the stationary coin are down from t=0."""
+        model = OnOffLifecycle(mean_up_seconds=100.0, mean_down_seconds=300.0, seed=8)
+        down_at_zero = [p for p in range(100) if is_down(model, p, 0.0)]
+        # stationary down fraction is 300/400 = 0.75; some peer starts down
+        assert down_at_zero
+        peer = down_at_zero[0]
+        down, boundary = model.next_transition(peer, 0.0)
+        assert down
+        assert boundary > 0.0
+        # ... and the peer is still down just before that first boundary
+        assert is_down(model, peer, boundary - 1e-9)
+
+    def test_lazy_extension_across_a_very_long_horizon(self):
+        """A far-future query extends one peer's timeline, and only its own."""
+        model = OnOffLifecycle(mean_up_seconds=50.0, mean_down_seconds=50.0, seed=8)
+        far = 1e7  # ~100k mean intervals past t=0
+        down, boundary = model.next_transition(3, far)
+        assert isinstance(down, bool)
+        assert boundary > far
+        boundaries = model._timelines[3][1]
+        # the timeline now covers the query point with finite, ordered steps
+        assert boundaries[-1] > far
+        assert all(a < b for a, b in zip(boundaries, boundaries[1:]))
+        # only the queried peer paid for the extension
+        assert set(model._timelines) == {3}
+        # a later nearby query reuses the extended timeline verbatim
+        length_before = len(boundaries)
+        model.next_transition(3, far - 1000.0)
+        assert len(model._timelines[3][1]) == length_before
+
+    def test_queries_are_monotone_safe_in_any_order(self):
+        """Asking about the past after the future answers consistently."""
+        forward = OnOffLifecycle(50.0, 50.0, seed=12)
+        backward = OnOffLifecycle(50.0, 50.0, seed=12)
+        times = [0.0, 123.0, 5000.0, 40.0, 99999.0, 1.0]
+        answers_forward = [forward.next_transition(5, t) for t in times]
+        answers_backward = [backward.next_transition(5, t) for t in reversed(times)]
+        assert answers_forward == list(reversed(answers_backward))
 
 
 class TestSessionDurationLifecycle:
@@ -130,6 +226,7 @@ class TestMakeLifecycle:
         "name, model_type",
         [
             ("none", NoLifecycle),
+            ("graceful", GracefulLifecycle),
             ("onoff", OnOffLifecycle),
             ("sessions", SessionDurationLifecycle),
             ("diurnal", DiurnalLifecycle),
@@ -138,8 +235,17 @@ class TestMakeLifecycle:
     )
     def test_every_name_builds(self, name, model_type):
         config = SimulationConfig(lifecycle=name)
-        assert isinstance(make_lifecycle(config), model_type)
+        streams = RandomStreams(config.master_seed)
+        assert isinstance(make_lifecycle(config, streams), model_type)
         assert name in LIFECYCLE_NAMES
+        assert LIFECYCLE_MODELS[name] is model_type
+
+    def test_only_none_and_graceful_leave_sessions_alone(self):
+        interrupting = {
+            name for name, model in LIFECYCLE_MODELS.items()
+            if model.interrupts_sessions
+        }
+        assert interrupting == set(LIFECYCLE_NAMES) - {"none", "graceful"}
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +263,6 @@ class TestLifecycleConfig:
     def test_recovery_modes_are_closed(self):
         assert set(RECOVERY_MODES) == {"resume", "restart", "abandon"}
 
-    def test_mutually_exclusive_with_graceful_churn(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(
-                lifecycle="onoff", supplier_mean_online_seconds=8 * HOUR
-            )
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -176,8 +276,9 @@ class TestLifecycleConfig:
         ],
     )
     def test_bad_parameters_rejected(self, field, value):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(lifecycle="flash", **{field: value})
+        for lifecycle in ("flash", "graceful"):
+            with pytest.raises(ConfigurationError):
+                SimulationConfig(lifecycle=lifecycle, **{field: value})
 
     def test_parameters_unchecked_when_disabled(self):
         # with lifecycle off the knobs are inert and may hold any value

@@ -112,6 +112,27 @@ class TestLostSessions:
         assert any(v.invariant == "S1" for v in report.violations)
 
 
+#: lifecycle runs whose traces interrupt and resume sessions
+LIFECYCLE_RUNS = {
+    "flash_departure/abandon": ("flash_departure", {"lifecycle_recovery": "abandon"}),
+    "flash_departure/resume": ("flash_departure", {"lifecycle_recovery": "resume"}),
+    "diurnal_churn_week": ("diurnal_churn_week", {}),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("label", sorted(LIFECYCLE_RUNS))
+def test_lifecycle_trace_audits_clean(engine, label):
+    """An interrupted session frees its suppliers; a resumed one holds its
+    new suppliers only for the remaining transfer."""
+    scenario, overrides = LIFECYCLE_RUNS[label]
+    config = get_scenario(scenario).build_config(scale=0.02, **overrides)
+    system, trace = finished_run(engine, config)
+    assert sum(system.metrics.interruptions.values()) > 0
+    report = audit_system(system, trace)
+    assert report.ok, report.summary()
+
+
 class TestViolationsDetected:
     def test_ledger_drift_detected(self, finished_system):
         system, _trace = finished_system
@@ -137,6 +158,38 @@ class TestViolationsDetected:
         # Two overlapping admissions using the same suppliers.
         trace.record("admission", 100.0, peer=9, suppliers=supplier_ids)
         trace.record("admission", 200.0, peer=10, suppliers=supplier_ids)
+        report = audit_system(system, trace)
+        assert any(v.invariant == "T1" for v in report.violations)
+
+    def test_interrupted_suppliers_are_free_at_once(self, finished_system):
+        system, _trace = finished_system
+        trace = TraceRecorder()
+        supplier_ids = [p.peer_id for p in system.peers if p.is_seed][:2]
+        trace.record("admission", 100.0, peer=9, suppliers=supplier_ids)
+        trace.record(
+            "session_interrupted", 200.0, peer=9, departed=supplier_ids[0],
+            remaining_seconds=3500.0,
+        )
+        trace.record("admission", 300.0, peer=10, suppliers=supplier_ids)
+        report = audit_system(system, trace)
+        assert not any(v.invariant == "T1" for v in report.violations)
+
+    def test_busy_supplier_after_resume_detected(self, finished_system):
+        system, _trace = finished_system
+        trace = TraceRecorder()
+        supplier_ids = [p.peer_id for p in system.peers if p.is_seed][:2]
+        trace.record("admission", 100.0, peer=9, suppliers=supplier_ids)
+        trace.record(
+            "session_interrupted", 200.0, peer=9, departed=supplier_ids[0],
+            remaining_seconds=3500.0,
+        )
+        # resumed onto the same suppliers: busy again until 3000 + 3500,
+        # past the original admission's show time
+        trace.record(
+            "session_resumed", 3000.0, peer=9, suppliers=supplier_ids,
+            remaining_seconds=3500.0,
+        )
+        trace.record("admission", 4000.0, peer=10, suppliers=supplier_ids)
         report = audit_system(system, trace)
         assert any(v.invariant == "T1" for v in report.violations)
 
