@@ -67,7 +67,7 @@ from repro.simulation.lifecycle import (
     LifecycleModel,
     make_lifecycle,
 )
-from repro.simulation.probes import MetricsPipeline, Probe
+from repro.simulation.probes import MetricsPipeline
 from repro.simulation.runner import SimulationResult, run_simulation
 from repro.simulation.system import StreamingSystem
 from repro.analysis.experiments import run_experiment
@@ -105,9 +105,8 @@ __all__ = [
     "StreamingSystem",
     "SimulationResult",
     "run_simulation",
-    # metric probes
+    # metrics
     "MetricsPipeline",
-    "Probe",
     # session-lifecycle dynamics
     "LifecycleModel",
     "LifecycleDynamics",

@@ -84,7 +84,7 @@ _CLASS_SCALARS = (
     "admission_rate_percent",
 )
 #: class-keyed payload of the lifecycle extension's continuity probe —
-#: present only in records of lifecycle-enabled runs
+#: present only in records of runs that subscribed ``continuity``
 _CLASS_CONTINUITY = (
     "interruptions",
     "recovered_sessions",
@@ -177,8 +177,8 @@ class RecordMetrics:
         if name in _CLASS_COUNTERS:
             return self._class_map(name)
         if name in _CLASS_CONTINUITY:
-            # records of lifecycle-free runs carry no continuity payload;
-            # mirror the live pipeline's zeros for unsubscribed probes
+            # a record carries these only when ``continuity`` was
+            # subscribed; without it they read as zeros
             if name in self._data:
                 return self._class_map(name)
             return {c: 0 for c in self._classes()}

@@ -21,8 +21,8 @@ simulated system over 144 hours.  This package is that simulator:
   subsystems over the shared substrates (the object engine);
 * :mod:`repro.simulation.arrayengine` — the struct-of-arrays engine that
   runs every level-representable policy;
-* :mod:`repro.simulation.probes` — the metric probes behind Figures 4–9
-  and Table 1;
+* :mod:`repro.simulation.probes` — the metrics collector behind Figures
+  4–9 and Table 1: event counters plus the subscribed probes' series;
 * :mod:`repro.simulation.runner` — one-call experiment execution, which
   picks the engine from the admission policy;
 * :mod:`repro.simulation.trace` — optional structured event traces;

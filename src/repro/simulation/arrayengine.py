@@ -52,7 +52,7 @@ leaving the power-of-two lattice, so this engine refuses it
 it on the object engine.
 
 Everything that is *not* per-peer or per-event hot state is reused from
-the object engine unchanged: :class:`MetricsPipeline`,
+the object engine unchanged: the :class:`MetricsPipeline` collector,
 :class:`CapacityLedger`, :class:`Transport`, the lookup substrates, the
 lifecycle models, ``plan_session`` and the backoff/reminder math.
 """

@@ -373,6 +373,14 @@ class RequestPath:
                 if not sessions:
                     del self._sessions_by_supplier[supplier.peer_id]
 
+    def streaming_requesters(self) -> set[int]:
+        """The requesters of the tracked sessions streaming now."""
+        return {
+            session.requester.peer_id
+            for sessions in self._sessions_by_supplier.values()
+            for session in sessions
+        }
+
     def _on_tracked_session_end(self, session: ActiveSession) -> None:
         """A lifecycle-tracked session delivered its final byte."""
         self._untrack(session)

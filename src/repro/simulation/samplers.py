@@ -2,10 +2,11 @@
 
 :class:`Samplers` drives the three measurement clocks of a run — the
 hourly capacity and rate samples and the 3-hourly favored-class snapshot —
-feeding the :class:`~repro.simulation.probes.MetricsPipeline` that backs
-Figures 4–9.  Sampling is pure observation: nothing here mutates protocol
-state, so the subsystem can be rewired or silenced without changing a
-run's dynamics (only its recorded series).
+feeding the :class:`~repro.simulation.probes.MetricsPipeline` collector
+that backs Figures 4–9; the collector's subscribed probe names decide
+which clocks run.  Sampling is pure observation: nothing here mutates
+protocol state, so the subsystem can be rewired or silenced without
+changing a run's dynamics (only its recorded series).
 
 One of the three collaborators behind the
 :class:`~repro.simulation.system.StreamingSystem` facade.
@@ -43,7 +44,7 @@ class Samplers:
     def start(self) -> None:
         """Take the t=0 samples; each sampler then reschedules itself.
 
-        Only the clocks some subscribed probe consumes are started at all —
+        Only the clocks a subscribed probe reads are started at all —
         an unsubscribed artifact costs neither its samples nor its events
         (the Figure-7 snapshot in particular walks the whole supplier
         population every 3 simulated hours).

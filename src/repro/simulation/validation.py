@@ -21,10 +21,12 @@ Invariants checked
 **State invariants** (from the final system state)
 
 * S1  every admitted non-seed peer is now a supplier, except the
-      requesters of lost sessions: the lifecycle extension never promotes
-      a requester whose session it loses (under ``abandon``, or when the
-      recovery backoff passes the horizon), so the number of unpromoted
-      admitted peers must equal the number of lost sessions exactly;
+      requesters still streaming at the horizon (promoted only when the
+      transfer ends) and those of lost sessions: the lifecycle extension
+      never promotes a requester whose session it loses (under
+      ``abandon``, or when the recovery backoff passes the horizon), so
+      the number of other unpromoted admitted peers must equal the number
+      of lost sessions exactly;
 * S2  every supplier has valid admission state;
 * S3  the capacity ledger equals a recount over the supplier population;
 * S4  per-peer bookkeeping is consistent (admitted ⇒ first request;
@@ -53,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.simulation.arrayengine import ArrayEngine
+from repro.simulation.lifecycle import LIFECYCLE_MODELS
 from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 
@@ -135,20 +138,48 @@ def _audited_peers(system: StreamingSystem | ArrayEngine) -> Iterable:
     return system.peers
 
 
+def _streaming_at_horizon(
+    system: StreamingSystem | ArrayEngine, requesters: list
+) -> set[int]:
+    """The ids of the admitted ``requesters`` still streaming at the horizon.
+
+    An untracked session (``none``, ``graceful``) ends a show after its
+    admission.  A tracked one ends later by each recovery's latency (by a
+    whole show under ``restart``), so it is live while the engine still
+    holds it: an allocated session slot, or a session the request path
+    still tracks.
+    """
+    config = system.config
+    if not LIFECYCLE_MODELS[config.lifecycle].interrupts_sessions:
+        show = system.media.show_seconds
+        return {
+            peer.peer_id
+            for peer in requesters
+            if peer.admitted_time + show > config.horizon_seconds
+        }
+    if isinstance(system, ArrayEngine):
+        sessions = system.sessions
+        free = set(sessions.free_slots)
+        return {
+            pid for slot, pid in enumerate(sessions.requester) if slot not in free
+        }
+    return system.request_path.streaming_requesters()
+
+
 def _audit_state(
     system: StreamingSystem | ArrayEngine, report: AuditReport
 ) -> None:
     ladder = system.ladder
     metrics = system.metrics
 
-    unpromoted: list[int] = []
+    admitted_requesters: list = []  # admitted, but not suppliers
     recount_units = 0
     recount_suppliers = 0
     for peer in _audited_peers(system):
         report.checks_run += 1
         admitted = peer.admitted_time is not None  # never true of a seed
         if admitted and not peer.is_supplier:
-            unpromoted.append(peer.peer_id)
+            admitted_requesters.append(peer)
         if peer.is_supplier and not peer.departed:
             recount_suppliers += 1
             recount_units += ladder.offer_units(peer.peer_class)
@@ -178,13 +209,17 @@ def _audit_state(
                 )
 
     report.checks_run += 1
+    streaming = _streaming_at_horizon(system, admitted_requesters)
+    unpromoted = [
+        peer.peer_id for peer in admitted_requesters if peer.peer_id not in streaming
+    ]
     lost = sum(metrics.sessions_lost.values())
     if len(unpromoted) != lost:
         shown = ", ".join(str(pid) for pid in unpromoted[:5])
         more = ", ..." if len(unpromoted) > 5 else ""
         report.add(
             "S1",
-            f"{len(unpromoted)} admitted peer(s) are not suppliers "
+            f"{len(unpromoted)} admitted peer(s) are neither suppliers nor streaming "
             f"[{shown}{more}] but {lost} session(s) were lost; only a lost "
             "session leaves its requester unpromoted",
         )

@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.orchestration.runspec import RunSpec, config_from_dict, config_to_dict
 from repro.orchestration.store import ResultStore
 from repro.orchestration.study import RunRecord, Study
+from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
 
 
@@ -151,18 +152,58 @@ class TestStudyRun:
         ]
 
     def test_metrics_view_matches_live_collector(self):
-        record = Study.from_config(small_config()).run()[0]
-        live = record.result.metrics
-        view = record.metrics
-        assert view.final_capacity() == live.final_capacity()
-        assert view.admitted == live.admitted
-        assert (
-            view.mean_rejections_before_admission()
-            == live.mean_rejections_before_admission()
-        )
-        assert [
-            (p.hour, p.value) for p in view.capacity_series
-        ] == [(p.hour, p.value) for p in live.capacity_series]
+        """Every accessor a record's view shares with the live collector
+        reads the same numbers, on a lifecycle-free and a lifecycle run."""
+
+        def same(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+            if isinstance(a, list):
+                return [(p.hour, p.value) for p in a] == [
+                    (p.hour, p.value) for p in b
+                ]
+            return a == b or (math.isnan(a) and math.isnan(b))
+
+        flash = get_scenario("flash_departure").build_config(scale=0.02)
+        for config in (small_config(), flash):
+            record = Study.from_config(config).run()[0]
+            live = record.result.metrics
+            view = record.metrics
+            for name in (
+                "capacity_series",
+                "capacity_fractional_series",
+                "supplier_count_series",
+                "overall_admission_rate_series",
+                "continuity_series",
+                "admission_rate_series",
+                "buffering_delay_series",
+                "favored_series",
+                "first_requests",
+                "requests",
+                "rejections",
+                "admitted",
+                "reminders_left",
+                "supplier_departures",
+                "supplier_rejoins",
+                "interruptions",
+                "recovered_sessions",
+                "recovery_retries",
+                "sessions_lost",
+                "interrupted_completions",
+                "stall_seconds_sum",
+            ):
+                assert same(getattr(view, name), getattr(live, name)), name
+            for name in (
+                "mean_rejections_before_admission",
+                "mean_buffering_delay_slots",
+                "mean_waiting_seconds",
+                "mean_recovery_latency_seconds",
+                "playback_continuity_index",
+                "admission_rate_percent",
+                "final_capacity",
+            ):
+                assert same(getattr(view, name)(), getattr(live, name)()), name
+        assert sum(live.interruptions.values()) > 0  # the flash run interrupts
 
 
 class TestRunRecordRoundTrip:

@@ -4,12 +4,14 @@
 scenario at scale 0.02; of ``paper_default``, ``heavy_churn``,
 ``flaky_network`` and ``flash_departure`` under every other
 level-representable policy (the array engine's level arithmetic differs
-by policy); and of ``flash_departure`` under each recovery mode.  The
-pins were captured on the object engine.  At that scale every scenario
-but ``sparse_seeds`` admits peers, so the pins cover the request path,
-not only arrivals.  A mismatch means a change moved the behaviour of
-a run; a refactor must never do that.  Re-pin only on purpose, and say
-why.
+by policy); of ``flash_departure`` under each recovery mode; and of
+``flash_departure`` subscribed to each single metrics probe, because the
+subscription decides which sampler clocks run, and sampler events count
+in the event total and take sequence numbers.  The pins were captured on
+the object engine.  At that scale every scenario but ``sparse_seeds``
+admits peers, so the pins cover the request path, not only arrivals.  A
+mismatch means a change moved the behaviour of a run; a refactor must
+never do that.  Re-pin only on purpose, and say why.
 """
 
 import hashlib

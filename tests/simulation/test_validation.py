@@ -231,3 +231,41 @@ class TestReportMechanics:
         report.add("S1", "boom")
         assert not report.ok
         assert "boom" in report.summary()
+
+
+def _scenario_config(name, **overrides):
+    return get_scenario(name).build_config(scale=0.02, **overrides)
+
+
+#: runs that end with requesters still streaming, or with lost sessions
+#: and no continuity probe subscribed
+UNPROMOTED_RUNS = {
+    "pattern1/72h": lambda: SimulationConfig(
+        arrival_pattern=1, horizon_seconds=72 * HOUR
+    ).scaled(0.02),
+    "heavy_churn/37h": lambda: _scenario_config(
+        "heavy_churn", horizon_seconds=37 * HOUR, arrival_window_seconds=37 * HOUR
+    ),
+    "flash_departure/37h": lambda: _scenario_config(
+        "flash_departure",
+        horizon_seconds=37 * HOUR,
+        arrival_window_seconds=37 * HOUR,
+    ),
+    "diurnal_churn_week": lambda: _scenario_config(
+        "diurnal_churn_week", horizon_seconds=7 * 24 * HOUR
+    ),
+    "flash_departure/abandon/capacity-only": lambda: _scenario_config(
+        "flash_departure", lifecycle_recovery="abandon", probes=("capacity",)
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("label", sorted(UNPROMOTED_RUNS))
+def test_s1_spares_live_and_lost_sessions(engine, label):
+    """A requester still streaming at the horizon is promoted only when its
+    transfer ends, and a lost session counts whatever the subscription."""
+    system = engine(UNPROMOTED_RUNS[label]())
+    system.run()
+    report = audit_system(system)
+    assert report.ok, report.summary()
