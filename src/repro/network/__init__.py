@@ -9,17 +9,15 @@ interface that the simulator consumes:
 * :mod:`repro.network.directory` — the Napster-style central directory;
 * :mod:`repro.network.chord` — a from-scratch Chord DHT (consistent-hash
   ring, finger tables, iterative lookups) plus a supplier index on top;
-* :mod:`repro.network.topology` — latency models (constant, random
-  geometric graph) used by the transport;
-* :mod:`repro.network.transport` — a message-cost model that charges
-  latency for probes so experiments can account for signalling overhead.
+* :mod:`repro.network.transport` — per-kind control-message counters the
+  engines bump, summarised into counts, bytes and latency so experiments
+  can account for signalling overhead.
 """
 
 from repro.network.lookup import LookupService, DirectoryLookup, ChordLookup
 from repro.network.directory import CentralDirectory
 from repro.network.chord import ChordRing, ChordNode, SupplierIndex
-from repro.network.topology import ConstantLatency, GeometricLatency, LatencyModel
-from repro.network.transport import Transport, MessageStats
+from repro.network.transport import Transport
 
 __all__ = [
     "LookupService",
@@ -29,9 +27,5 @@ __all__ = [
     "ChordRing",
     "ChordNode",
     "SupplierIndex",
-    "LatencyModel",
-    "ConstantLatency",
-    "GeometricLatency",
     "Transport",
-    "MessageStats",
 ]

@@ -308,12 +308,13 @@ class SupplierIndex:
     def _harvest(self, start_key: int, want: int) -> list[tuple[int, int]]:
         """Collect up to ``want`` entries walking the ring from ``start_key``."""
         found: list[tuple[int, int]] = []
+        prefix = f"{self.media_id}/"
         node = self.ring.find_successor(start_key)
         visited = 0
         while len(found) < want and visited < len(self.ring):
             for entries in node.storage.values():
                 for entry_name, value in entries:
-                    if entry_name.startswith(f"{self.media_id}/"):
+                    if entry_name.startswith(prefix):
                         found.append(value)  # (peer_id, peer_class)
             node = node.successor
             visited += 1

@@ -14,7 +14,7 @@ from typing import Protocol
 
 from repro.network.chord import ChordRing, SupplierIndex
 from repro.network.directory import CentralDirectory
-from repro.network.transport import Transport
+from repro.network.transport import DHT_HOP, Transport
 
 __all__ = ["LookupService", "DirectoryLookup", "ChordLookup"]
 
@@ -40,9 +40,6 @@ class LookupService(Protocol):
 class DirectoryLookup:
     """Napster-style lookup: one round trip to a central directory."""
 
-    #: peer id used to represent the directory server in latency accounting
-    DIRECTORY_PEER_ID = -1
-
     def __init__(self, transport: Transport | None = None) -> None:
         self.directory = CentralDirectory()
         self.transport = transport
@@ -50,13 +47,13 @@ class DirectoryLookup:
     def register_supplier(self, media_id: str, peer_id: int, peer_class: int) -> None:
         """Register with the central directory (one control message)."""
         if self.transport is not None:
-            self.transport.send("lookup", peer_id, self.DIRECTORY_PEER_ID)
+            self.transport.send("lookup")
         self.directory.register(media_id, peer_id, peer_class)
 
     def unregister_supplier(self, media_id: str, peer_id: int) -> None:
         """Unregister from the central directory."""
         if self.transport is not None:
-            self.transport.send("lookup", peer_id, self.DIRECTORY_PEER_ID)
+            self.transport.send("lookup")
         self.directory.unregister(media_id, peer_id)
 
     def candidates(
@@ -64,7 +61,7 @@ class DirectoryLookup:
     ) -> list[tuple[int, int]]:
         """One query round trip, then uniform sampling at the server."""
         if self.transport is not None:
-            self.transport.round_trip("lookup", requester_id, self.DIRECTORY_PEER_ID)
+            self.transport.round_trip("lookup")
         return self.directory.sample_candidates(media_id, count, rng)
 
 
@@ -94,26 +91,24 @@ class ChordLookup:
             self._indexes[media_id] = SupplierIndex(self.ring, media_id)
         return self._indexes[media_id]
 
-    def _charge_hops(self, requester_id: int, hops_before: int) -> None:
+    def _charge_hops(self, hops_before: int) -> None:
+        """One ``dht_hop`` message per routing hop, at least one per operation."""
         if self.transport is None:
             return
         hops = self.ring.lookup_hops - hops_before
-        for _ in range(max(hops, 1)):
-            self.transport.send("dht_hop", requester_id, self.DIRECTORY_PEER_ID)
-
-    DIRECTORY_PEER_ID = -2  # distinct sink id for DHT-hop latency accounting
+        self.transport.counts[DHT_HOP] += max(hops, 1)
 
     def register_supplier(self, media_id: str, peer_id: int, peer_class: int) -> None:
         """Publish the supplier's index entry into the DHT."""
         before = self.ring.lookup_hops
         self._index(media_id).register(peer_id, peer_class)
-        self._charge_hops(peer_id, before)
+        self._charge_hops(before)
 
     def unregister_supplier(self, media_id: str, peer_id: int) -> None:
         """Withdraw the supplier's index entry from the DHT."""
         before = self.ring.lookup_hops
         self._index(media_id).unregister(peer_id)
-        self._charge_hops(peer_id, before)
+        self._charge_hops(before)
 
     def candidates(
         self, media_id: str, count: int, requester_id: int, rng: random.Random
@@ -121,5 +116,5 @@ class ChordLookup:
         """Sample candidates by routing to random ring positions."""
         before = self.ring.lookup_hops
         result = self._index(media_id).sample_candidates(count, rng)
-        self._charge_hops(requester_id, before)
+        self._charge_hops(before)
         return result

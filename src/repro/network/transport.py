@@ -1,113 +1,156 @@
 """Message-cost accounting for control traffic.
 
-The protocol's control messages (candidate probes, grants, reminders, DHT
-hops) are requests/responses that in a real deployment would each cost a
-round trip.  The simulator executes them synchronously — their latency is
-negligible against the paper's minutes-scale timers — but this transport
-records *what would have been sent*, so experiments can report signalling
-overhead (e.g. the probing-traffic cost of large ``M`` that the paper calls
-out in Section 5.2(6)).
+The protocol's control messages (directory queries, candidate probes,
+reminders, session set-up and tear-down, DHT hops) are requests and
+responses that in a real deployment would each cost a one-way delay.  The
+simulator executes them synchronously — their latency is negligible
+against the paper's minutes-scale timers — but this transport records
+*what would have been sent*, so experiments can report signalling overhead
+(e.g. the probing-traffic cost of large ``M`` that the paper calls out in
+Section 5.2(6)).
 
-:class:`Transport` therefore does two things:
+:class:`Transport` is one preallocated count per message kind, in the
+order of :data:`MESSAGE_KINDS`.  The array engine bumps those counts
+inline by index; the cold callers (supplier registration, the Chord
+lookup, the object engine) call :meth:`Transport.send` and
+:meth:`Transport.round_trip`, which look the index up by kind name.
+:meth:`Transport.snapshot` derives bytes and latency from the counts.
 
-* tallies per-message-kind counts and bytes into :class:`MessageStats`;
-* accumulates the latency a message *would* incur under the configured
-  :class:`~repro.network.topology.LatencyModel`.
+Why one constant per message is exact: every message costs
+:data:`ONE_WAY_SECONDS` unless it goes from a peer to itself, and none
+does.  A requester is never a supplier while it probes, so no probe,
+reminder or session message names the same peer at both ends; directory
+and DHT traffic goes to sinks with the ids −1 and −2, below every peer id.
+The latency total is therefore :data:`ONE_WAY_SECONDS` added once per
+message, which :func:`repeated_sum` replays exactly from the count.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from math import floor, frexp, ldexp
 
-from repro.network.topology import ConstantLatency, LatencyModel
+__all__ = [
+    "MESSAGE_BYTES",
+    "MESSAGE_KINDS",
+    "ONE_WAY_SECONDS",
+    "Transport",
+    "repeated_sum",
+]
 
-__all__ = ["MessageStats", "Transport"]
+#: Every kind of control message the simulation sends, in name order —
+#: the order of :attr:`Transport.counts` and of the snapshot's keys.
+MESSAGE_KINDS = (
+    "dht_hop",
+    "lookup",
+    "lookup_reply",
+    "probe",
+    "probe_reply",
+    "reminder",
+    "session_end",
+    "session_interrupt",
+    "session_resume",
+    "session_start",
+)
+
+(
+    DHT_HOP,
+    LOOKUP,
+    LOOKUP_REPLY,
+    PROBE,
+    PROBE_REPLY,
+    REMINDER,
+    SESSION_END,
+    SESSION_INTERRUPT,
+    SESSION_RESUME,
+    SESSION_START,
+) = range(len(MESSAGE_KINDS))
+
+_KIND_INDEX = {kind: index for index, kind in enumerate(MESSAGE_KINDS)}
 
 #: Nominal control-message sizes in bytes, for overhead reporting.
-DEFAULT_MESSAGE_BYTES = {
-    "probe": 64,
-    "grant": 32,
-    "deny": 32,
-    "busy": 32,
-    "reminder": 48,
-    "session_start": 128,
-    "session_end": 32,
-    "lookup": 64,
-    "dht_hop": 64,
-}
+MESSAGE_BYTES = tuple(
+    {"reminder": 48, "session_end": 32, "session_start": 128}.get(kind, 64)
+    for kind in MESSAGE_KINDS
+)
+
+#: One-way delay charged to every message.
+ONE_WAY_SECONDS = 0.05
 
 
-@dataclass
-class MessageStats:
-    """Aggregate control-traffic accounting."""
+def repeated_sum(step: float, n: int) -> float:
+    """The float that ``x += step``, applied ``n`` times from 0.0, yields.
 
-    count_by_kind: Counter = field(default_factory=Counter)
-    bytes_by_kind: Counter = field(default_factory=Counter)
-    total_latency_seconds: float = 0.0
-
-    @property
-    def total_messages(self) -> int:
-        """Total number of control messages recorded."""
-        return sum(self.count_by_kind.values())
-
-    @property
-    def total_bytes(self) -> int:
-        """Total control bytes recorded."""
-        return sum(self.bytes_by_kind.values())
-
-    def snapshot(self) -> dict[str, float]:
-        """Plain-dict summary for metrics and reports."""
-        return {
-            "messages": self.total_messages,
-            "bytes": self.total_bytes,
-            "latency_seconds": self.total_latency_seconds,
-            **{f"count_{kind}": count for kind, count in sorted(self.count_by_kind.items())},
-        }
+    Replayed one binade at a time instead of one addition at a time.
+    Every float in the binade ``[2**(e-1), 2**e)`` is a multiple of its
+    ulp ``2**(e-53)``, so while a sum stays inside the binade each
+    addition rounds ``step`` to the same multiple of that ulp: ``k``
+    steps add exactly ``k`` times the rounded step.  A step whose rounding
+    is a tie (which then depends on the sum's last bit) or that would
+    reach the next binade is taken as one real addition.  ``step`` must be
+    positive.  (Not ``sum()``: since Python 3.12 it compensates float
+    sums, so it would not reproduce a sequential loop.)
+    """
+    total = 0.0
+    remaining = n
+    while remaining:
+        _, exponent = frexp(total)
+        ulps = step / ldexp(1.0, exponent - 53)  # exact: a power-of-two scale
+        if total == 0.0 or ulps - floor(ulps) == 0.5:
+            total += step
+            remaining -= 1
+            continue
+        units = round(ulps)
+        if units == 0:
+            return total  # each further step rounds away to nothing
+        position = int(ldexp(total, 53 - exponent))  # total in ulps, exact
+        # steps that keep the sum strictly below 2**exponent
+        steps = min(remaining, (2**53 - 1 - position) // units)
+        if steps == 0:
+            total += step
+            remaining -= 1
+            continue
+        total = ldexp(float(position + steps * units), exponent - 53)
+        remaining -= steps
+    return total
 
 
 class Transport:
-    """Synchronous message layer with cost accounting.
+    """Per-kind control-message counts, and the summary derived from them.
 
-    Parameters
-    ----------
-    latency:
-        Model pricing each one-way message; defaults to a small constant.
-    message_bytes:
-        Mapping of message kind to nominal size; unknown kinds count as 64 B.
+    ``counts[i]`` is the number of :data:`MESSAGE_KINDS` ``[i]`` messages
+    sent so far.  Hot callers bump it directly by index (the module's
+    ``PROBE``, ``SESSION_START``, ... constants).
     """
 
-    def __init__(
-        self,
-        latency: LatencyModel | None = None,
-        message_bytes: dict[str, int] | None = None,
-    ) -> None:
-        self.latency = latency if latency is not None else ConstantLatency()
-        self.message_bytes = dict(DEFAULT_MESSAGE_BYTES)
-        if message_bytes:
-            self.message_bytes.update(message_bytes)
-        self.stats = MessageStats()
-        self._reply_kinds: dict[str, str] = {}
+    __slots__ = ("counts",)
 
-    def send(self, kind: str, src: int, dst: int) -> float:
-        """Record a one-way message; returns the latency it would incur."""
-        delay = self.latency.one_way_seconds(src, dst)
-        self.stats.count_by_kind[kind] += 1
-        self.stats.bytes_by_kind[kind] += self.message_bytes.get(kind, 64)
-        self.stats.total_latency_seconds += delay
-        return delay
+    def __init__(self) -> None:
+        self.counts = [0] * len(MESSAGE_KINDS)
 
-    def round_trip(self, kind: str, src: int, dst: int) -> float:
-        """Record a request/response pair; returns the round-trip latency.
+    def send(self, kind: str) -> None:
+        """Record one one-way message of ``kind`` (``KeyError`` if unknown)."""
+        self.counts[_KIND_INDEX[kind]] += 1
 
-        Every candidate probe is one of these, so the reply-kind string is
-        interned per kind instead of concatenated per call.
+    def round_trip(self, kind: str) -> None:
+        """Record a ``kind`` request and its ``kind_reply`` response."""
+        request, reply = _KIND_INDEX[kind], _KIND_INDEX[kind + "_reply"]
+        self.counts[request] += 1
+        self.counts[reply] += 1
+
+    def snapshot(self) -> dict[str, float]:
+        """Plain-dict summary for metrics and reports.
+
+        ``messages``, ``bytes`` and ``latency_seconds``, then
+        ``count_<kind>`` for every kind sent at least once, in name order.
         """
-        reply = self._reply_kinds.get(kind)
-        if reply is None:
-            reply = self._reply_kinds[kind] = kind + "_reply"
-        return self.send(kind, src, dst) + self.send(reply, dst, src)
-
-    def reset(self) -> None:
-        """Clear all recorded statistics."""
-        self.stats = MessageStats()
+        counts = self.counts
+        messages = sum(counts)  # ints: exact in any order
+        summary: dict[str, float] = {
+            "messages": messages,
+            "bytes": sum(count * size for count, size in zip(counts, MESSAGE_BYTES)),
+            "latency_seconds": repeated_sum(ONE_WAY_SECONDS, messages),
+        }
+        for kind, count in zip(MESSAGE_KINDS, counts):
+            if count:
+                summary[f"count_{kind}"] = count
+        return summary

@@ -37,13 +37,15 @@ Determinism guarantees, both modes:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
+from typing import TYPE_CHECKING
 
 from repro.errors import BatchWorkerError
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import SimulationResult, run_simulation
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["run_batch"]
 
@@ -140,6 +142,10 @@ def _run_pooled(
     that breaks there was broken by its one config, which is charged an
     attempt; the config charged ``retries`` times is the culprit.
     """
+    # imported here, not at module level: the pool machinery loads
+    # multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(jobs, len(config_list))
     # Batch tasks so a large grid (hundreds of specs) does not pay one
     # round of pickling/IPC per run; results carry their index, so any
@@ -190,6 +196,9 @@ def _drain(
     config order.  An exception inside a simulation is raised as
     :class:`~repro.errors.BatchWorkerError` naming its config.
     """
+    from concurrent.futures import FIRST_EXCEPTION, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     futures = {}
     broken: list[Chunk] = []
     for pool, chunk in tasks:

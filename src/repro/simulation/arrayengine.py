@@ -53,8 +53,11 @@ it on the object engine.
 
 Everything that is *not* per-peer or per-event hot state is reused from
 the object engine unchanged: the :class:`MetricsPipeline` collector,
-:class:`CapacityLedger`, :class:`Transport`, the lookup substrates, the
-lifecycle models, ``plan_session`` and the backoff/reminder math.
+:class:`CapacityLedger`, the lookup substrates, the lifecycle models,
+``plan_session`` and the backoff/reminder math.  :class:`Transport` is
+shared too, but this engine never calls it per message: it bumps the
+transport's per-kind ``counts`` list inline, one bump per send site (a
+whole session's suppliers, or a whole probe loop's candidates, at once).
 """
 
 from __future__ import annotations
@@ -68,7 +71,18 @@ from repro.core.model import SupplierOffer
 from repro.core.requesting import backoff_delay
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.lookup import ChordLookup, DirectoryLookup
-from repro.network.transport import Transport
+from repro.network.transport import (
+    LOOKUP,
+    LOOKUP_REPLY,
+    PROBE,
+    PROBE_REPLY,
+    REMINDER,
+    SESSION_END,
+    SESSION_INTERRUPT,
+    SESSION_RESUME,
+    SESSION_START,
+    Transport,
+)
 from repro.protocols.base import make_policy
 from repro.simulation.arrivals import generate_arrival_times, make_pattern
 from repro.simulation.arraystate import (
@@ -141,6 +155,7 @@ class ArrayEngine:
         "metrics",
         "ledger",
         "transport",
+        "_messages",
         "lookup",
         "peers",
         "sessions",
@@ -226,6 +241,10 @@ class ArrayEngine:
         self.metrics = MetricsPipeline(ladder, probes=probes)
         self.ledger = CapacityLedger(ladder)
         self.transport = Transport() if config.track_messages else None
+        # the transport's per-kind counts, bumped inline (None: untracked)
+        self._messages = (
+            self.transport.counts if self.transport is not None else None
+        )
 
         # --- resolved per-event constants ------------------------------
         self._num_classes = ladder.num_classes
@@ -497,15 +516,14 @@ class ArrayEngine:
         """
         classes = self.peers.peer_class
         entries = self._dir_entries
-        transport = self.transport
+        messages = self._messages
         if entries is not None:
             # central directory fast path: identical stdlib sampling calls
             # on the directory's own array (DirectoryLookup.candidates →
             # CentralDirectory.sample_candidates), minus the tuple-building
-            if transport is not None:
-                transport.round_trip(
-                    "lookup", pid, DirectoryLookup.DIRECTORY_PEER_ID
-                )
+            if messages is not None:
+                messages[LOOKUP] += 1
+                messages[LOOKUP_REPLY] += 1
             population = len(entries)
             if not population:
                 return None
@@ -566,10 +584,10 @@ class ArrayEngine:
             [] if collect_busy else None
         )
 
-        if transport is None and not self._churn_active:
-            # specialized copy of the probe loop below: the population-scale
-            # scenarios disable message tracking and probe loss, and two
-            # per-candidate None-checks are measurable at 100k+ peers
+        if not self._churn_active:
+            # specialized copy of the probe loop below: most scenarios
+            # disable probe loss, and its per-candidate check is measurable
+            # at 100k+ peers
             for candidate in chosen:
                 candidate_level = level[candidate]
                 if candidate_level < 0:
@@ -592,39 +610,46 @@ class ArrayEngine:
                     deficit -= offer_units[classes[candidate]]
                     if deficit == 0:
                         break
-            return enlisted, contacted_busy, deficit
-
-        churn_random = self._churn_rng.random if self._churn_active else None
-        p_down = self._p_down
-        for candidate in chosen:
-            if transport is not None:
-                transport.round_trip("probe", pid, candidate)
-            if churn_random is not None and churn_random() < p_down:
-                continue
-            candidate_level = level[candidate]
-            if candidate_level < 0:
-                # busy: record a favored-class contact (and, for reminder
-                # policies, the report the reject path may remind)
-                if requester_class <= -candidate_level:
-                    favored_flag[candidate] = 1
-                    if collect_busy:
-                        contacted_busy.append(
-                            (-offer_units[classes[candidate]], candidate)
-                        )
-                continue
-            if candidate_level == 0:
-                raise SimulationError(
-                    f"candidate {candidate} has no admission state"
-                )
-            # grant test: Pa[rc] = min(1, 2**(level - rc)); the power of
-            # two equals the object engine's stored float exactly
-            if requester_class <= candidate_level or (
-                admission_random() < pow_half[requester_class - candidate_level]
-            ):
-                enlisted.append(candidate)
-                deficit -= offer_units[classes[candidate]]
-                if deficit == 0:
-                    break
+        else:
+            churn_random = self._churn_rng.random
+            p_down = self._p_down
+            for candidate in chosen:
+                if churn_random() < p_down:
+                    continue
+                candidate_level = level[candidate]
+                if candidate_level < 0:
+                    # busy: record a favored-class contact (and, for
+                    # reminder policies, the report the reject path may
+                    # remind)
+                    if requester_class <= -candidate_level:
+                        favored_flag[candidate] = 1
+                        if collect_busy:
+                            contacted_busy.append(
+                                (-offer_units[classes[candidate]], candidate)
+                            )
+                    continue
+                if candidate_level == 0:
+                    raise SimulationError(
+                        f"candidate {candidate} has no admission state"
+                    )
+                # grant test: Pa[rc] = min(1, 2**(level - rc)); the power
+                # of two equals the object engine's stored float exactly
+                if requester_class <= candidate_level or (
+                    admission_random()
+                    < pow_half[requester_class - candidate_level]
+                ):
+                    enlisted.append(candidate)
+                    deficit -= offer_units[classes[candidate]]
+                    if deficit == 0:
+                        break
+        if messages is not None:
+            # one probe round trip per candidate visited, up to the one
+            # that filled the deficit — lost probes (down candidates) too
+            probed = (
+                chosen.index(enlisted[-1]) + 1 if deficit == 0 else len(chosen)
+            )
+            messages[PROBE] += probed
+            messages[PROBE_REPLY] += probed
         return enlisted, contacted_busy, deficit
 
     def _admit(self, pid: int, enlisted: list[int]) -> None:
@@ -636,7 +661,6 @@ class ArrayEngine:
         reminder_min = peers.reminder_min_class
         idle_generation = peers.idle_generation
         sessions_served = peers.sessions_served
-        transport = self.transport
         now = self.now
         for sid in enlisted:
             # on_session_start: flip idle +L to busy -L, clear bookkeeping
@@ -645,8 +669,8 @@ class ArrayEngine:
             reminder_min[sid] = 0
             idle_generation[sid] += 1
             sessions_served[sid] += 1
-            if transport is not None:
-                transport.send("session_start", pid, sid)
+        if self._messages is not None:
+            self._messages[SESSION_START] += num_suppliers
 
         peers.admitted_time[pid] = now
         peers.buffering_delay_slots[pid] = delay_slots
@@ -728,7 +752,7 @@ class ArrayEngine:
             if shortfall > 0:
                 contacted_busy.sort()
                 reminder_min = peers.reminder_min_class
-                transport = self.transport
+                messages = self._messages
                 for neg_units, sid in contacted_busy:
                     units = -neg_units
                     if units <= shortfall:
@@ -736,8 +760,8 @@ class ArrayEngine:
                         if current == 0 or peer_class < current:
                             reminder_min[sid] = peer_class
                         self.metrics.on_reminder(peer_class)
-                        if transport is not None:
-                            transport.send("reminder", pid, sid)
+                        if messages is not None:
+                            messages[REMINDER] += 1
                         shortfall -= units
                     if shortfall == 0:
                         break
@@ -783,12 +807,11 @@ class ArrayEngine:
 
     def _on_session_end(self, payload: tuple[int, list[int]]) -> None:
         pid, enlisted = payload
-        transport = self.transport
         for sid in enlisted:
             self._release_supplier(sid)
             self._arm_idle_timer(sid)
-            if transport is not None:
-                transport.send("session_end", pid, sid)
+        if self._messages is not None:
+            self._messages[SESSION_END] += len(enlisted)
         self._promote(pid)
 
     def _promote(self, pid: int) -> None:
@@ -959,12 +982,12 @@ class ArrayEngine:
         sessions = self.sessions
         self._untrack(slot)
         pid = sessions.requester[slot]
-        transport = self.transport
-        for sid in sessions.suppliers[slot]:
+        suppliers = sessions.suppliers[slot]
+        for sid in suppliers:
             self._release_supplier(sid)
             self._arm_idle_timer(sid)
-            if transport is not None:
-                transport.send("session_end", pid, sid)
+        if self._messages is not None:
+            self._messages[SESSION_END] += len(suppliers)
         show = self._show_seconds
         stall = sessions.stall_seconds[slot]
         self.metrics.on_session_complete(
@@ -986,15 +1009,15 @@ class ArrayEngine:
             0.0, sessions.remaining_seconds[slot] - elapsed
         )
         pid = sessions.requester[slot]
-        transport = self.transport
+        messages = self._messages
         for sid in sessions.suppliers[slot]:
             # free every enlisted supplier — including the departed one,
             # whose busy level must not survive into its next online period
             self._release_supplier(sid)
             if sid != departed_pid:
                 self._arm_idle_timer(sid)
-                if transport is not None:
-                    transport.send("session_interrupt", pid, sid)
+                if messages is not None:
+                    messages[SESSION_INTERRUPT] += 1
         sessions.interruptions[slot] += 1
         sessions.interrupted_at[slot] = now
         sessions.recovery_attempts[slot] = 0
@@ -1060,15 +1083,14 @@ class ArrayEngine:
         level = peers.level
         favored_flag = peers.favored_while_busy
         reminder_min = peers.reminder_min_class
-        transport = self.transport
         for sid in enlisted:
             level[sid] = -level[sid]
             favored_flag[sid] = 0
             reminder_min[sid] = 0
             peers.idle_generation[sid] += 1
             peers.sessions_served[sid] += 1
-            if transport is not None:
-                transport.send("session_resume", pid, sid)
+        if self._messages is not None:
+            self._messages[SESSION_RESUME] += len(enlisted)
         latency = now - sessions.interrupted_at[slot]
         stall = latency + self.media.slots_to_seconds(delay_slots)
         sessions.stall_seconds[slot] += stall

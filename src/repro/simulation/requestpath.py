@@ -179,7 +179,6 @@ class RequestPath:
         churn_random = self._churn_random
         down_probability = self._down_probability
         collect_busy = self._uses_reminders
-        requester_id = peer.peer_id
         requester_class = peer.peer_class
         deficit = self._full_rate_units
         enlisted: list[SimPeer] = []
@@ -188,7 +187,7 @@ class RequestPath:
         for candidate_id, candidate_class in candidates:
             supplier = peers[candidate_id]
             if transport is not None:
-                transport.round_trip("probe", requester_id, candidate_id)
+                transport.round_trip("probe")
             if churn_random is not None and churn_random() < down_probability:
                 continue
             state = supplier.admission
@@ -231,7 +230,7 @@ class RequestPath:
             supplier.bump_idle_generation()
             supplier.sessions_served += 1
             if self.transport is not None:
-                self.transport.send("session_start", peer.peer_id, supplier.peer_id)
+                self.transport.send("session_start")
 
         peer.admitted_time = self.sim.now
         peer.buffering_delay_slots = delay_slots
@@ -318,7 +317,7 @@ class RequestPath:
                 supplier.admission.on_reminder(peer.peer_class)
                 self.metrics.on_reminder(peer.peer_class)
                 if self.transport is not None:
-                    self.transport.send("reminder", peer.peer_id, report.peer_id)
+                    self.transport.send("reminder")
 
         delay = self._backoff_by_rejections.get(peer.rejections)
         if delay is None:
@@ -347,7 +346,7 @@ class RequestPath:
             supplier.bump_idle_generation()
             self.registry.arm_idle_timer(supplier)
             if self.transport is not None:
-                self.transport.send("session_end", peer.peer_id, supplier.peer_id)
+                self.transport.send("session_end")
         peer.promote(self.policy.make_supplier_state(peer.peer_class, self.ladder))
         self.registry.register(peer)
 
@@ -390,7 +389,7 @@ class RequestPath:
             supplier.bump_idle_generation()
             self.registry.arm_idle_timer(supplier)
             if self.transport is not None:
-                self.transport.send("session_end", peer.peer_id, supplier.peer_id)
+                self.transport.send("session_end")
         show = self.media.show_seconds
         self.metrics.on_session_complete(
             peer.peer_class,
@@ -430,9 +429,7 @@ class RequestPath:
             if supplier is not departed:
                 self.registry.arm_idle_timer(supplier)
                 if self.transport is not None:
-                    self.transport.send(
-                        "session_interrupt", peer.peer_id, supplier.peer_id
-                    )
+                    self.transport.send("session_interrupt")
         session.interruptions += 1
         session.interrupted_at = now
         session.recovery_attempts = 0
@@ -508,9 +505,7 @@ class RequestPath:
             supplier.bump_idle_generation()
             supplier.sessions_served += 1
             if self.transport is not None:
-                self.transport.send(
-                    "session_resume", peer.peer_id, supplier.peer_id
-                )
+                self.transport.send("session_resume")
         latency = now - session.interrupted_at
         # The stall the viewer sees: waiting for re-admission plus the
         # resumed session's buffering delay before playback restarts.

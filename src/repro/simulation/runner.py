@@ -92,7 +92,7 @@ def run_simulation(
         events_processed = system.sim.events_processed
     wall = time.perf_counter() - start  # detlint: ignore[no-wallclock]
     message_stats = (
-        system.transport.stats.snapshot() if system.transport is not None else None
+        system.transport.snapshot() if system.transport is not None else None
     )
     return SimulationResult(
         config=config,

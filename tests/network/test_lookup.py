@@ -36,7 +36,7 @@ class TestLookupAdapters:
     def test_transport_charged_for_operations(self, lookup):
         lookup.register_supplier("video", 100, 1)
         lookup.candidates("video", 4, requester_id=999, rng=random.Random(1))
-        assert lookup.transport.stats.total_messages > 0
+        assert lookup.transport.snapshot()["messages"] > 0
 
     def test_empty_media_yields_no_candidates(self, lookup):
         assert lookup.candidates("ghost", 4, 1, random.Random(1)) == []
@@ -46,10 +46,11 @@ class TestDirectorySpecifics:
     def test_directory_charges_one_round_trip_per_query(self):
         lookup = DirectoryLookup(transport=Transport())
         lookup.register_supplier("v", 1, 1)
-        before = lookup.transport.stats.total_messages
+        before = lookup.transport.snapshot()
         lookup.candidates("v", 4, requester_id=9, rng=random.Random(1))
-        after = lookup.transport.stats.total_messages
-        assert after - before == 2  # query + reply
+        after = lookup.transport.snapshot()
+        assert after["messages"] - before["messages"] == 2  # query + reply
+        assert after["count_lookup_reply"] == 1
 
 
 class TestChordSpecifics:
@@ -57,6 +58,9 @@ class TestChordSpecifics:
         lookup = ChordLookup(node_peer_ids=list(range(30)), transport=Transport())
         for peer_id in range(100, 140):
             lookup.register_supplier("v", peer_id, 1)
-        before = lookup.transport.stats.count_by_kind["dht_hop"]
+        before = lookup.transport.snapshot()["count_dht_hop"]
+        hops_before = lookup.ring.lookup_hops
         lookup.candidates("v", 8, requester_id=9, rng=random.Random(1))
-        assert lookup.transport.stats.count_by_kind["dht_hop"] >= before
+        hops = lookup.ring.lookup_hops - hops_before
+        after = lookup.transport.snapshot()["count_dht_hop"]
+        assert after - before == max(hops, 1)  # one message per routing hop

@@ -52,7 +52,7 @@ def assert_engine_parity(config, *, trace: bool = False) -> None:
     )
     assert result.events_processed == oracle.sim.events_processed
     oracle_messages = (
-        oracle.transport.stats.snapshot() if oracle.transport is not None else None
+        oracle.transport.snapshot() if oracle.transport is not None else None
     )
     assert result.message_stats == oracle_messages
     if trace:
@@ -185,6 +185,37 @@ def test_numpy_loads_only_for_vectorized_arrivals(scenario_name, loads_numpy):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == str(loads_numpy)
+
+
+_POOL_PROBE = """
+import sys
+import repro
+pool_modules = ("concurrent.futures.process", "multiprocessing")
+config = repro.get_scenario("quickstart").build_config(scale=0.02)
+repro.run_simulation(config)
+assert not any(m in sys.modules for m in pool_modules), "serial run loaded the pool"
+repro.Study.from_scenario("quickstart", scale=0.02).protocols("dac", "ndac").run(jobs=2)
+print(all(m in sys.modules for m in pool_modules))
+"""
+
+
+def test_process_pool_loads_only_for_parallel_runs():
+    """``import repro`` and a serial run leave the process pool unloaded.
+
+    Importing ``concurrent.futures.process`` pulls in ``multiprocessing``,
+    a cost every fresh interpreter would otherwise pay at import time.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        f"{SRC}{os.pathsep}{env['PYTHONPATH']}"
+        if env.get("PYTHONPATH") else str(SRC)
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"
 
 
 class TestVectorizedArrivals:

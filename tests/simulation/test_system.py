@@ -94,9 +94,9 @@ class TestEndToEnd:
     def test_message_stats_recorded(self):
         system = StreamingSystem(small_config())
         system.run()
-        stats = system.transport.stats
-        assert stats.count_by_kind["probe"] > 0
-        assert stats.count_by_kind["session_start"] > 0
+        stats = system.transport.snapshot()
+        assert stats["count_probe"] == stats["count_probe_reply"] > 0
+        assert stats["count_session_start"] > 0
 
     def test_tracking_disabled_skips_transport(self):
         system = StreamingSystem(small_config(track_messages=False))
