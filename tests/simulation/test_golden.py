@@ -4,12 +4,21 @@
 scenario at scale 0.02; of ``paper_default``, ``heavy_churn``,
 ``flaky_network`` and ``flash_departure`` under every other
 level-representable policy (the array engine's level arithmetic differs
-by policy); of ``flash_departure`` under each recovery mode; and of
-``flash_departure`` subscribed to each single metrics probe, because the
-subscription decides which sampler clocks run, and sampler events count
-in the event total and take sequence numbers.  The pins were captured on
-the object engine.  At that scale every scenario but ``sparse_seeds``
-admits peers, so the pins cover the request path, not only arrivals.  A
+by policy); of ``flash_departure`` under each recovery mode; of
+``unstable_suppliers_100k`` under the ``onoff`` model, without rejoin
+and under ``abandon`` recovery, paths of the lifecycle models no other
+pin reaches; of ``unstable_suppliers_100k`` and ``diurnal_churn_week``
+under ``dac-linear-elevation``, which runs the lifecycle models on the
+object engine; and of ``flash_departure`` subscribed to each single
+metrics probe, because the subscription decides which sampler clocks
+run, and sampler events count in the event total and take sequence
+numbers.  The pins were captured on the object engine, except those five
+lifecycle variants, which were captured through ``run_simulation``
+while the models still drew each answer lazily at query time.  The
+engines share the lifecycle models, so only these pins, not the parity
+suite, catch a change to a model's draws.  At that scale every scenario
+but ``sparse_seeds`` admits peers, so the pins cover the request path,
+not only arrivals.  A
 mismatch means a change moved the behaviour of a run; a refactor must
 never do that.  Re-pin only on purpose, and say why.
 """

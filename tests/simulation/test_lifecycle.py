@@ -1,16 +1,23 @@
 """Session-lifecycle dynamics: models, mid-stream recovery, record round trips."""
 
+import bisect
+import gc
 import json
+import math
+import random
+import types
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios import get_scenario
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import (
     LIFECYCLE_MODELS,
     LIFECYCLE_NAMES,
     RECOVERY_MODES,
+    TIMELINE_BLOCK,
     DiurnalLifecycle,
     FlashLifecycle,
     GracefulLifecycle,
@@ -24,6 +31,275 @@ from repro.simulation.runner import run_simulation
 from repro.simulation.system import StreamingSystem
 
 HOUR = 3600.0
+DAY = 24 * HOUR
+
+
+# ----------------------------------------------------------------------
+# the reference: models that draw each answer lazily, at query time
+# ----------------------------------------------------------------------
+class LazyOnOff:
+    """``OnOffLifecycle`` extending each peer's timeline only past ``now``."""
+
+    def __init__(self, mean_up_seconds, mean_down_seconds, seed=0):
+        self._mean_up = mean_up_seconds
+        self._mean_down = mean_down_seconds
+        self._seed = seed
+        self._timelines = {}
+
+    def next_transition(self, peer_id, now):
+        timeline = self._timelines.get(peer_id)
+        if timeline is None:
+            rng = random.Random(f"churn:{self._seed}:{peer_id}")
+            availability = self._mean_up / (self._mean_up + self._mean_down)
+            timeline = (rng, [0.0], rng.random() < availability)
+            self._timelines[peer_id] = timeline
+        peer_rng, boundaries, starts_up = timeline
+        while boundaries[-1] <= now:
+            intervals_so_far = len(boundaries) - 1
+            currently_up = starts_up if intervals_so_far % 2 == 0 else not starts_up
+            mean = self._mean_up if currently_up else self._mean_down
+            boundaries.append(boundaries[-1] + peer_rng.expovariate(1.0 / mean))
+        index = bisect.bisect_right(boundaries, now) - 1
+        up_now = starts_up if index % 2 == 0 else not starts_up
+        return not up_now, boundaries[index + 1]
+
+    def next_departure(self, peer_id, now):
+        down, boundary = self.next_transition(peer_id, now)
+        return now if down else boundary
+
+    def next_return(self, peer_id, now):
+        down, boundary = self.next_transition(peer_id, now)
+        return boundary if down else now
+
+
+class LazySessions:
+    """``SessionDurationLifecycle`` drawing from a per-peer RNG per query."""
+
+    def __init__(self, median_up_seconds, mean_down_seconds, sigma=1.0, seed=0):
+        self._mu = math.log(median_up_seconds)
+        self._sigma = sigma
+        self._mean_down = mean_down_seconds
+        self._seed = seed
+        self._rngs = {}
+
+    def _rng(self, peer_id):
+        rng = self._rngs.get(peer_id)
+        if rng is None:
+            rng = random.Random(f"lifecycle:sessions:{self._seed}:{peer_id}")
+            self._rngs[peer_id] = rng
+        return rng
+
+    def next_departure(self, peer_id, now):
+        return now + self._rng(peer_id).lognormvariate(self._mu, self._sigma)
+
+    def next_return(self, peer_id, now):
+        return now + self._rng(peer_id).expovariate(1.0 / self._mean_down)
+
+
+class LazyDiurnal:
+    """``DiurnalLifecycle`` drawing from a per-peer RNG per query."""
+
+    DAY_SECONDS = 24 * HOUR
+    NIGHT_END_SECONDS = 8 * HOUR
+
+    def __init__(self, mean_up_seconds, mean_down_seconds, night_factor=0.25, seed=0):
+        self._mean_up = mean_up_seconds
+        self._mean_down = mean_down_seconds
+        self._night_factor = night_factor
+        self._seed = seed
+        self._rngs = {}
+
+    def _rng(self, peer_id):
+        rng = self._rngs.get(peer_id)
+        if rng is None:
+            rng = random.Random(f"lifecycle:diurnal:{self._seed}:{peer_id}")
+            self._rngs[peer_id] = rng
+        return rng
+
+    def next_departure(self, peer_id, now):
+        time_of_day = now % self.DAY_SECONDS
+        factor = self._night_factor if time_of_day < self.NIGHT_END_SECONDS else 1.0
+        return now + self._rng(peer_id).expovariate(1.0 / (self._mean_up * factor))
+
+    def next_return(self, peer_id, now):
+        return now + self._rng(peer_id).expovariate(1.0 / self._mean_down)
+
+
+def engine_walk(model, peer, activation, horizon, rejoin=True):
+    """Every answer about ``peer``, asked for the way both engines ask."""
+    answers = []
+    now = activation
+    while True:
+        departure = model.next_departure(peer, now)
+        answers.append(departure)
+        if departure is None or departure > horizon or not rejoin:
+            return answers
+        now = max(departure, now)
+        back = model.next_return(peer, now)
+        answers.append(back)
+        if back is None or back > horizon:
+            return answers
+        now = max(back, now)
+
+
+def model_pair(kind, up, down, horizon, seed):
+    """The drawn-timeline model and its lazy reference, same parameters."""
+    if kind == "sessions":
+        return (
+            SessionDurationLifecycle(up, down, sigma=1.0, seed=seed, horizon=horizon),
+            LazySessions(up, down, sigma=1.0, seed=seed),
+        )
+    if kind == "diurnal":
+        return (
+            DiurnalLifecycle(up, down, night_factor=0.25, seed=seed, horizon=horizon),
+            LazyDiurnal(up, down, night_factor=0.25, seed=seed),
+        )
+    return (
+        OnOffLifecycle(up, down, seed=seed, horizon=horizon),
+        LazyOnOff(up, down, seed=seed),
+    )
+
+
+class TestDrawnTimelinesMatchLazyDraws:
+    """Drawing a peer's timeline at activation changes no answer."""
+
+    @pytest.mark.parametrize("kind", ["sessions", "diurnal", "onoff"])
+    @pytest.mark.parametrize(
+        "up, down, horizon, peers, rejoin, longest_at_least",
+        [
+            pytest.param(6 * HOUR, 2700.0, 144 * HOUR, 300, True, 20, id="rejoin"),
+            pytest.param(6 * HOUR, 2700.0, 144 * HOUR, 300, False, 1, id="no-rejoin"),
+            pytest.param(
+                60.0, 30.0, 8 * HOUR, 20, True, 2 * TIMELINE_BLOCK + 1,
+                id="longer-than-a-block",
+            ),
+        ],
+    )
+    def test_engine_walk_answers_equal_the_lazy_ones(
+        self, kind, up, down, horizon, peers, rejoin, longest_at_least
+    ):
+        model, reference = model_pair(kind, up, down, horizon, seed=17)
+        # activations fall in the first eighth of the run, so timelines
+        # are long; each still walks to the horizon
+        starts = random.Random(f"activations:{kind}")
+        longest = 0
+        for peer in range(peers):
+            activation = starts.uniform(0.0, horizon / 8)
+            answers = engine_walk(model, peer, activation, horizon, rejoin)
+            assert answers == engine_walk(reference, peer, activation, horizon, rejoin)
+            longest = max(longest, len(answers))
+        assert longest >= longest_at_least
+
+    @pytest.mark.parametrize("kind", ["sessions", "diurnal", "onoff"])
+    @pytest.mark.parametrize("last", [2, 3], ids=["departure", "return"])
+    def test_an_answer_at_the_horizon_is_followed(self, kind, last):
+        """The engines schedule an event at the horizon itself and ask
+        about the peer there, so its timeline reaches one answer further."""
+        reference = model_pair(kind, HOUR, 600.0, 0.0, seed=17)[1]
+        answers = engine_walk(reference, 0, 0.0, 50 * HOUR)
+        horizon = answers[last]
+        model = model_pair(kind, HOUR, 600.0, horizon, seed=17)[0]
+        assert engine_walk(model, 0, 0.0, horizon) == answers[: last + 2]
+
+    def test_onoff_answers_any_query_time_up_to_the_horizon(self):
+        horizon = 144 * HOUR
+        model, reference = model_pair("onoff", 6 * HOUR, 2700.0, horizon, seed=17)
+        times = random.Random("onoff query times")
+        for peer in range(300):
+            for _ in range(10):
+                now = times.uniform(0.0, horizon)
+                assert model.next_transition(peer, now) == (
+                    reference.next_transition(peer, now)
+                )
+                assert model.next_departure(peer, now) == (
+                    reference.next_departure(peer, now)
+                )
+                assert model.next_return(peer, now) == reference.next_return(peer, now)
+
+
+@pytest.fixture(params=["sessions", "diurnal"])
+def drawn_model(request):
+    """A model that answers only in the engines' query order."""
+    return model_pair(request.param, 600.0, 60.0, 10 * HOUR, seed=3)[0]
+
+
+class TestQueryOrder:
+    """A query the engines never make raises instead of drawing anew."""
+
+    def test_two_departures_in_a_row_raise(self, drawn_model):
+        departure = drawn_model.next_departure(1, 0.0)
+        with pytest.raises(SimulationError):
+            drawn_model.next_departure(1, departure)
+        with pytest.raises(SimulationError):
+            drawn_model.next_departure(1, 0.0)
+
+    def test_return_before_any_departure_raises(self, drawn_model):
+        with pytest.raises(SimulationError):
+            drawn_model.next_return(1, 100.0)
+
+    def test_now_must_be_the_previous_answer(self, drawn_model):
+        departure = drawn_model.next_departure(1, 0.0)
+        with pytest.raises(SimulationError):
+            drawn_model.next_return(1, departure + 1.0)
+        # the refused query moved nothing: the right one still answers
+        assert drawn_model.next_return(1, departure) > departure
+
+    def test_query_past_the_horizon_raises(self, drawn_model):
+        answers = engine_walk(drawn_model, 1, 0.0, 10 * HOUR)
+        assert answers[-1] > 10 * HOUR
+        # the walk stopped after an answer past the horizon; ask the next
+        model = drawn_model
+        ask = model.next_return if len(answers) % 2 else model.next_departure
+        with pytest.raises(SimulationError):
+            ask(1, answers[-1])
+
+    def test_onoff_query_past_the_drawn_timeline_raises(self):
+        model = OnOffLifecycle(600.0, 60.0, seed=3, horizon=10 * HOUR)
+        model.next_transition(1, 0.0)
+        end = model._timelines[1][-1]
+        assert end > 10 * HOUR
+        with pytest.raises(SimulationError):
+            model.next_departure(1, end)
+
+
+def reachable_rngs(root) -> int:
+    """How many ``random.Random`` objects ``root`` holds, however deep."""
+    seen = set()
+    stack = [root]
+    count = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, random.Random):
+            count += 1
+        else:
+            stack.extend(gc.get_referents(obj))
+    return count
+
+
+class TestNoRngOutlivesActivation:
+    """On the builtin lifecycle workloads every timeline fits one block."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["unstable_suppliers_100k", "diurnal_churn_week"]
+    )
+    def test_array_engine_run(self, scenario):
+        engine = ArrayEngine(get_scenario(scenario).build_config(scale=0.02))
+        engine.run()
+        assert sum(engine.metrics.supplier_departures.values()) > 0
+        assert reachable_rngs(engine._lifecycle_model) == 0
+
+    def test_object_engine_run(self):
+        system = StreamingSystem(
+            get_scenario("diurnal_churn_week").build_config(
+                scale=0.02, protocol="dac-linear-elevation"
+            )
+        )
+        system.run()
+        assert sum(system.metrics.supplier_departures.values()) > 0
+        assert reachable_rngs(system.lifecycle.model) == 0
 
 
 # ----------------------------------------------------------------------
@@ -54,8 +330,8 @@ class TestGracefulLifecycle:
 class TestOnOffLifecycle:
     def test_departure_reads_the_churn_timeline(self):
         """The model departs exactly where its on/off timeline flips."""
-        model = OnOffLifecycle(1000.0, 500.0, seed=7)
-        timeline = OnOffLifecycle(1000.0, 500.0, seed=7)
+        model = OnOffLifecycle(1000.0, 500.0, seed=7, horizon=HOUR)
+        timeline = OnOffLifecycle(1000.0, 500.0, seed=7, horizon=HOUR)
         for peer in range(20):
             down, boundary = timeline.next_transition(peer, 0.0)
             departure = model.next_departure(peer, 0.0)
@@ -65,8 +341,8 @@ class TestOnOffLifecycle:
                 assert departure == boundary
 
     def test_down_at_activation_departs_immediately(self):
-        model = OnOffLifecycle(100.0, 1000.0, seed=3)
-        timeline = OnOffLifecycle(100.0, 1000.0, seed=3)
+        model = OnOffLifecycle(100.0, 1000.0, seed=3, horizon=HOUR)
+        timeline = OnOffLifecycle(100.0, 1000.0, seed=3, horizon=HOUR)
         down_peers = [p for p in range(200) if timeline.next_transition(p, 0.0)[0]]
         assert down_peers, "seed 3 should start some peers down"
         peer = down_peers[0]
@@ -75,8 +351,8 @@ class TestOnOffLifecycle:
         assert model.next_return(peer, 0.0) > 0.0
 
     def test_deterministic_per_peer(self):
-        a = OnOffLifecycle(800.0, 200.0, seed=11)
-        b = OnOffLifecycle(800.0, 200.0, seed=11)
+        a = OnOffLifecycle(800.0, 200.0, seed=11, horizon=HOUR)
+        b = OnOffLifecycle(800.0, 200.0, seed=11, horizon=HOUR)
         # interleave queries differently; per-peer timelines must agree
         times_a = [a.next_departure(p, 0.0) for p in range(10)]
         times_b = [b.next_departure(p, 0.0) for p in reversed(range(10))]
@@ -89,16 +365,18 @@ def is_down(model: OnOffLifecycle, peer: int, now: float) -> bool:
 
 
 class TestOnOffTimeline:
-    """The lazily extended per-peer timeline behind :class:`OnOffLifecycle`."""
+    """The per-peer timeline behind :class:`OnOffLifecycle`."""
 
     def test_state_is_time_consistent(self):
-        model = OnOffLifecycle(mean_up_seconds=100.0, mean_down_seconds=50.0, seed=1)
+        model = OnOffLifecycle(
+            mean_up_seconds=100.0, mean_down_seconds=50.0, seed=1, horizon=HOUR
+        )
         # Same (peer, time) query always answers the same.
         assert model.next_transition(7, 123.0) == model.next_transition(7, 123.0)
 
     def test_state_is_correlated_in_time(self):
         model = OnOffLifecycle(
-            mean_up_seconds=1000.0, mean_down_seconds=1000.0, seed=2
+            mean_up_seconds=1000.0, mean_down_seconds=1000.0, seed=2, horizon=10.0
         )
         flips = 0
         for peer in range(50):
@@ -111,7 +389,9 @@ class TestOnOffTimeline:
         assert flips <= 3
 
     def test_long_run_availability_near_stationary(self):
-        model = OnOffLifecycle(mean_up_seconds=300.0, mean_down_seconds=100.0, seed=5)
+        model = OnOffLifecycle(
+            mean_up_seconds=300.0, mean_down_seconds=100.0, seed=5, horizon=5000.0
+        )
         downs = 0
         samples = 0
         for peer in range(200):
@@ -123,7 +403,9 @@ class TestOnOffTimeline:
 
     def test_down_at_time_zero(self):
         """Peers drawn down by the stationary coin are down from t=0."""
-        model = OnOffLifecycle(mean_up_seconds=100.0, mean_down_seconds=300.0, seed=8)
+        model = OnOffLifecycle(
+            mean_up_seconds=100.0, mean_down_seconds=300.0, seed=8, horizon=HOUR
+        )
         down_at_zero = [p for p in range(100) if is_down(model, p, 0.0)]
         # stationary down fraction is 300/400 = 0.75; some peer starts down
         assert down_at_zero
@@ -134,28 +416,35 @@ class TestOnOffTimeline:
         # ... and the peer is still down just before that first boundary
         assert is_down(model, peer, boundary - 1e-9)
 
-    def test_lazy_extension_across_a_very_long_horizon(self):
-        """A far-future query extends one peer's timeline, and only its own."""
-        model = OnOffLifecycle(mean_up_seconds=50.0, mean_down_seconds=50.0, seed=8)
-        far = 1e7  # ~100k mean intervals past t=0
-        down, boundary = model.next_transition(3, far)
+    def test_timeline_is_drawn_through_the_horizon_for_the_queried_peer_only(self):
+        """A first query near the horizon draws one peer's timeline past
+        the horizon, and only its own; a query past that raises."""
+        horizon = 1e5  # ~2,000 mean intervals past t=0
+        model = OnOffLifecycle(
+            mean_up_seconds=50.0, mean_down_seconds=50.0, seed=8, horizon=horizon
+        )
+        near = horizon - 1000.0
+        down, boundary = model.next_transition(3, near)
         assert isinstance(down, bool)
-        assert boundary > far
-        boundaries = model._timelines[3][1]
-        # the timeline now covers the query point with finite, ordered steps
-        assert boundaries[-1] > far
-        assert all(a < b for a, b in zip(boundaries, boundaries[1:]))
-        # only the queried peer paid for the extension
+        assert boundary > near
+        boundaries = model._timelines[3]
+        # the timeline covers the horizon with finite, ordered steps
+        assert boundaries[-1] > horizon
+        assert all(a <= b for a, b in zip(boundaries, boundaries[1:]))
+        # only the queried peer paid for it, and it kept no RNG
         assert set(model._timelines) == {3}
-        # a later nearby query reuses the extended timeline verbatim
+        assert not model._rngs
+        # a later query up to the horizon reuses the timeline verbatim
         length_before = len(boundaries)
-        model.next_transition(3, far - 1000.0)
-        assert len(model._timelines[3][1]) == length_before
+        model.next_transition(3, horizon)
+        assert len(model._timelines[3]) == length_before
+        with pytest.raises(SimulationError):
+            model.next_transition(3, boundaries[-1])
 
     def test_queries_are_monotone_safe_in_any_order(self):
         """Asking about the past after the future answers consistently."""
-        forward = OnOffLifecycle(50.0, 50.0, seed=12)
-        backward = OnOffLifecycle(50.0, 50.0, seed=12)
+        forward = OnOffLifecycle(50.0, 50.0, seed=12, horizon=1e5)
+        backward = OnOffLifecycle(50.0, 50.0, seed=12, horizon=1e5)
         times = [0.0, 123.0, 5000.0, 40.0, 99999.0, 1.0]
         answers_forward = [forward.next_transition(5, t) for t in times]
         answers_backward = [backward.next_transition(5, t) for t in reversed(times)]
@@ -164,23 +453,30 @@ class TestOnOffTimeline:
 
 class TestSessionDurationLifecycle:
     def test_sigma_zero_gives_fixed_durations(self):
-        model = SessionDurationLifecycle(600.0, 60.0, sigma=0.0, seed=1)
-        assert model.next_departure(4, 100.0) == pytest.approx(700.0)
-        assert model.next_departure(4, 1000.0) == pytest.approx(1600.0)
+        model = SessionDurationLifecycle(
+            600.0, 60.0, sigma=0.0, seed=1, horizon=HOUR
+        )
+        departure = model.next_departure(4, 100.0)
+        assert departure == pytest.approx(700.0)
+        back = model.next_return(4, departure)
+        assert model.next_departure(4, back) == pytest.approx(back + 600.0)
 
     def test_draws_are_sequential_and_private_per_peer(self):
-        a = SessionDurationLifecycle(600.0, 60.0, sigma=1.0, seed=5)
-        b = SessionDurationLifecycle(600.0, 60.0, sigma=1.0, seed=5)
+        a = SessionDurationLifecycle(600.0, 60.0, sigma=1.0, seed=5, horizon=DAY)
+        b = SessionDurationLifecycle(600.0, 60.0, sigma=1.0, seed=5, horizon=DAY)
         # peer 1's second draw is unaffected by interleaved peer-2 traffic
-        a.next_departure(1, 0.0)
         first = a.next_departure(1, 0.0)
-        b.next_departure(1, 0.0)
-        for _ in range(5):
-            b.next_departure(2, 0.0)
+        second = a.next_departure(1, a.next_return(1, first))
         assert b.next_departure(1, 0.0) == first
+        other = b.next_departure(2, 0.0)
+        back = b.next_return(1, first)
+        b.next_return(2, other)
+        assert b.next_departure(1, back) == second
+        # ... and it is the next draw of peer 1's stream, not a repeat
+        assert second - back != first
 
     def test_heavy_tail_spread(self):
-        model = SessionDurationLifecycle(600.0, 60.0, sigma=1.5, seed=9)
+        model = SessionDurationLifecycle(600.0, 60.0, sigma=1.5, seed=9, horizon=HOUR)
         durations = [model.next_departure(p, 0.0) for p in range(500)]
         assert min(durations) < 600.0 < max(durations)
         assert max(durations) > 10 * 600.0  # the tail is heavy
@@ -188,7 +484,9 @@ class TestSessionDurationLifecycle:
 
 class TestDiurnalLifecycle:
     def test_night_draws_are_shorter(self):
-        model = DiurnalLifecycle(10 * HOUR, HOUR, night_factor=0.1, seed=2)
+        model = DiurnalLifecycle(
+            10 * HOUR, HOUR, night_factor=0.1, seed=2, horizon=DAY
+        )
         night = [model.next_departure(p, 0.0) - 0.0 for p in range(300)]
         day = [
             model.next_departure(p, 12 * HOUR) - 12 * HOUR
@@ -197,8 +495,19 @@ class TestDiurnalLifecycle:
         assert sum(night) / len(night) < 0.3 * (sum(day) / len(day))
 
     def test_return_is_time_of_day_independent(self):
-        model = DiurnalLifecycle(10 * HOUR, HOUR, night_factor=0.1, seed=2)
-        assert model.next_return(7, 0.0) > 0.0
+        model = DiurnalLifecycle(
+            10 * HOUR, HOUR, night_factor=0.1, seed=2, horizon=10 * DAY
+        )
+        downtimes = {True: [], False: []}
+        for peer in range(600):
+            departure = model.next_departure(peer, 0.0 if peer % 2 else 12 * HOUR)
+            at_night = departure % DAY < DiurnalLifecycle.NIGHT_END_SECONDS
+            back = model.next_return(peer, departure)
+            downtimes[at_night].append(back - departure)
+        # night or day, a downtime is exponential with the same 1 h mean
+        for sample in downtimes.values():
+            assert len(sample) > 100
+            assert sum(sample) / len(sample) == pytest.approx(HOUR, rel=0.25)
 
 
 class TestFlashLifecycle:
