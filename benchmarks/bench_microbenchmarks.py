@@ -1,9 +1,9 @@
 """Micro-benchmarks of the performance-critical substrates.
 
 These are classical pytest-benchmark timings (many rounds, statistics)
-rather than one-shot experiment reproductions: the event engine, the
-directory's O(1)-update/uniform-sample registry, Chord routing, OTS_p2p,
-and the end-to-end simulator throughput in protocol events per second.
+rather than one-shot experiment reproductions: the directory's
+O(1)-update/uniform-sample registry, Chord routing, OTS_p2p, and the
+end-to-end simulator throughput in protocol events per second.
 They guard against performance regressions that would make the full-scale
 (``REPRO_SCALE=1.0``) harness impractical.
 """
@@ -17,22 +17,7 @@ from repro.core.model import ClassLadder, SupplierOffer
 from repro.network.chord import ChordRing
 from repro.network.directory import CentralDirectory
 from repro.scenarios import get_scenario
-from repro.simulation.engine import Simulator
-from repro.simulation.system import StreamingSystem
-
-
-def test_engine_event_throughput(benchmark):
-    """Schedule + drain 10,000 events through the heap."""
-
-    def run():
-        sim = Simulator()
-        sink = []
-        for i in range(10_000):
-            sim.schedule_at(float(i % 97), sink.append, i)
-        sim.run()
-        return len(sink)
-
-    assert benchmark(run) == 10_000
+from repro.simulation.arrayengine import ArrayEngine
 
 
 def test_directory_sampling(benchmark):
@@ -95,9 +80,9 @@ def test_simulator_end_to_end_throughput(benchmark):
     config = get_scenario("paper_default").build_config(scale=0.02)
 
     def run():
-        system = StreamingSystem(config)
-        system.run()
-        return system.sim.events_processed
+        engine = ArrayEngine(config)
+        engine.run()
+        return engine.events_processed
 
     events = benchmark.pedantic(run, rounds=1, iterations=1)
     assert events > 1_000

@@ -18,7 +18,7 @@ from collections import Counter
 
 from repro.analysis.plots import render_table, sparkline
 from repro.scenarios import get_scenario, scenario_names
-from repro.simulation.system import StreamingSystem
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.validation import audit_system
 
@@ -38,8 +38,8 @@ def main() -> None:
     print("Run:", config.describe())
 
     trace = TraceRecorder(path=args.save) if args.save else TraceRecorder()
-    system = StreamingSystem(config, trace=trace)
-    system.run()
+    engine = ArrayEngine(config, trace=trace)
+    engine.run()
     trace.close()
 
     print(f"\ntrace: {len(trace.events)} events "
@@ -51,7 +51,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. The audit: every model invariant of the paper holds.
     # ------------------------------------------------------------------
-    report = audit_system(system, trace)
+    report = audit_system(engine, trace)
     print(f"\ninvariant audit: {report.summary()}")
 
     # ------------------------------------------------------------------
@@ -97,10 +97,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 5. Who did the work: sessions served per seed supplier.
     # ------------------------------------------------------------------
-    seed_rows = []
-    for peer in system.peers:
-        if peer.is_seed:
-            seed_rows.append([f"seed {peer.peer_id}", str(peer.sessions_served)])
+    seed_rows = [
+        [f"seed {pid}", str(engine.peers.sessions_served[pid])]
+        for pid in range(sum(config.seed_suppliers.values()))
+    ]
     print()
     print(render_table(["supplier", "sessions served"], seed_rows[:10],
                        title="Seed supplier utilisation (first 10)"))

@@ -46,7 +46,7 @@ from repro.core.theorems import theorem1_min_delay_slots
 from repro.core.admission import AdmissionVector, SupplierAdmissionState
 from repro.core.capacity import CapacityLedger, max_capacity_sessions
 from repro.streaming.media import MediaFile
-from repro.streaming.session import ActiveSession, StreamingSession, plan_session
+from repro.streaming.session import StreamingSession, plan_session
 from repro._version import __version__
 from repro.orchestration.batch import run_batch
 from repro.orchestration.runspec import RunSpec
@@ -63,13 +63,11 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import (
     LIFECYCLE_NAMES,
     RECOVERY_MODES,
-    LifecycleDynamics,
     LifecycleModel,
     make_lifecycle,
 )
 from repro.simulation.probes import MetricsPipeline
 from repro.simulation.runner import SimulationResult, run_simulation
-from repro.simulation.system import StreamingSystem
 from repro.analysis.experiments import run_experiment
 
 __all__ = [
@@ -98,18 +96,15 @@ __all__ = [
     # streaming
     "MediaFile",
     "StreamingSession",
-    "ActiveSession",
     "plan_session",
     # simulation
     "SimulationConfig",
-    "StreamingSystem",
     "SimulationResult",
     "run_simulation",
     # metrics
     "MetricsPipeline",
     # session-lifecycle dynamics
     "LifecycleModel",
-    "LifecycleDynamics",
     "make_lifecycle",
     "LIFECYCLE_NAMES",
     "RECOVERY_MODES",

@@ -35,7 +35,6 @@ from repro.core.theorems import theorem1_min_delay_slots, brute_force_min_delay_
 from repro.core.admission import AdmissionVector, SupplierAdmissionState
 from repro.core.requesting import (
     CandidateReport,
-    ProbeOutcome,
     backoff_delay,
     choose_reminder_set,
     greedy_fill,
@@ -60,7 +59,6 @@ __all__ = [
     "AdmissionVector",
     "SupplierAdmissionState",
     "CandidateReport",
-    "ProbeOutcome",
     "greedy_fill",
     "choose_reminder_set",
     "backoff_delay",

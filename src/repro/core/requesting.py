@@ -15,9 +15,12 @@ A requesting peer of class ``c``:
    :func:`choose_reminder_set`), and backs off exponentially
    (:func:`backoff_delay`).
 
-This module is pure decision logic over candidate *reports*; the simulation
-layer gathers the reports (probing peers over the transport) and applies the
-outcome.
+This module is pure decision logic over candidate *reports*.
+:class:`~repro.simulation.arrayengine.ArrayEngine` runs the same steps
+inline over its peer columns, and
+``tests/simulation/test_admission_columns.py`` replays the engine's probes
+through :func:`greedy_fill` and :func:`choose_reminder_set` to check that
+it chose the same suppliers and reminders.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ from repro.errors import ConfigurationError
 __all__ = [
     "CandidateStatus",
     "CandidateReport",
-    "ProbeOutcome",
     "greedy_fill",
     "choose_reminder_set",
     "backoff_delay",
-    "candidate_contact_order",
 ]
 
 
@@ -63,41 +64,6 @@ class CandidateReport:
     units: int
     status: CandidateStatus
     favors_requester: bool = False
-
-
-@dataclass(frozen=True)
-class ProbeOutcome:
-    """The requester's decision after contacting its candidates.
-
-    Attributes
-    ----------
-    admitted:
-        Whether the aggregated granted bandwidth reached ``R0``.
-    enlisted:
-        The granted candidates actually used for the session (their units sum
-        to exactly ``R0`` when ``admitted``); empty otherwise.
-    reminded:
-        Busy candidates that receive a reminder (only when rejected).
-    shortfall_units:
-        ``R0 - granted`` in units at the moment the probe ended (0 when
-        admitted).
-    """
-
-    admitted: bool
-    enlisted: tuple[CandidateReport, ...]
-    reminded: tuple[CandidateReport, ...]
-    shortfall_units: int
-
-
-def candidate_contact_order(
-    candidates: Sequence[CandidateReport],
-) -> list[CandidateReport]:
-    """Order candidates the way the paper prescribes: high class first.
-
-    Ties are broken by peer id so simulations are deterministic for a fixed
-    RNG seed.
-    """
-    return sorted(candidates, key=lambda c: (c.peer_class, c.peer_id))
 
 
 def greedy_fill(

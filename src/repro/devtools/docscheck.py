@@ -9,7 +9,7 @@ rotting:
 * every backticked repository path (``src/repro/...``,
   ``simulation/lifecycle.py``, ...) exists — generated artifacts under
   ``benchmarks/output``/``docs/api`` and friends are exempt;
-* every backticked dotted reference (``repro.simulation.engine``,
+* every backticked dotted reference (``repro.simulation.arrayengine``,
   ``repro.orchestration.run_batch``) imports, either as a module or as
   an attribute of one;
 * every ``--flag`` mentioned on a documented ``python -m repro`` /

@@ -1,7 +1,7 @@
 """detlint — AST-based determinism & invariant analysis for this repo.
 
-The parity suites sample the determinism contracts (a few dozen configs
-per run); detlint enforces them statically over *every* line.  The
+The golden suite samples the determinism contracts (a hundred pinned
+configs); detlint enforces them statically over *every* line.  The
 framework (:mod:`~repro.devtools.staticcheck.framework`) is a small
 pluggable checker harness — per-module AST checkers and whole-project
 cross-checkers, per-path rule scoping, inline

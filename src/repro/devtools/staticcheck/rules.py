@@ -1,7 +1,7 @@
 """The detlint rules: the determinism contracts, checked statically.
 
 Each rule encodes one invariant the reproduction's claims rest on — the
-contracts the parity/regression suites only *sample* dynamically:
+contracts the golden/regression suites only *sample* dynamically:
 
 * :class:`NoGlobalRng` — bit-identical runs require every draw to come
   from an injected ``random.Random`` stream (see
@@ -57,15 +57,12 @@ __all__ = [
     "rule_names",
 ]
 
-#: classes on the hot path of the PR-4/PR-6 engines: allocated or touched
-#: per event at population scale, so attribute storage must be slotted.
+#: classes on the engine's hot path: touched per event at population
+#: scale, so attribute storage must be slotted.
 #: file (repo-relative) -> class names that must declare ``__slots__``.
 HOT_PATH_REGISTRY: dict[str, tuple[str, ...]] = {
-    "src/repro/simulation/engine.py": ("Simulator", "EventHandle"),
-    "src/repro/simulation/entities.py": ("SimPeer",),
     "src/repro/simulation/arraystate.py": ("PeerArrays", "SessionTable"),
     "src/repro/simulation/arrayengine.py": ("ArrayEngine",),
-    "src/repro/streaming/session.py": ("ActiveSession",),
 }
 
 

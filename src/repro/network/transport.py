@@ -11,8 +11,8 @@ Section 5.2(6)).
 
 :class:`Transport` is one preallocated count per message kind, in the
 order of :data:`MESSAGE_KINDS`.  The array engine bumps those counts
-inline by index; the cold callers (supplier registration, the Chord
-lookup, the object engine) call :meth:`Transport.send` and
+inline by index; the cold callers (supplier registration and the
+Chord lookup) call :meth:`Transport.send` and
 :meth:`Transport.round_trip`, which look the index up by kind name.
 :meth:`Transport.snapshot` derives bytes and latency from the counts.
 

@@ -11,6 +11,14 @@ The streaming system needs exactly three things from a policy:
 Both paper protocols and all ablation variants fit this interface; new
 variants register themselves in :data:`POLICY_REGISTRY` so configs can name
 them by string.
+
+The state machines are the readable reference, not the hot path:
+:class:`~repro.simulation.arrayengine.ArrayEngine` reads each class's
+initial lowest favored class off a fresh state and runs the same update
+rules over two small integers per supplier.
+``tests/simulation/test_admission_columns.py`` drives every registered
+policy's state machine and the engine's columns through the same events,
+so a new variant whose vectors the columns cannot represent fails there.
 """
 
 from __future__ import annotations

@@ -1,34 +1,25 @@
-"""Array-backed execution engine: the one every level-representable run takes.
+"""Array-backed execution engine: the one every run takes.
 
-:func:`~repro.simulation.runner.run_simulation` runs every config whose
-policy is in :data:`LEVEL_POLICIES` here, and only the others on the
-object engine (:class:`~repro.simulation.system.StreamingSystem`).  This
-engine runs the same simulation over the struct-of-arrays columns of
-:mod:`repro.simulation.arraystate` instead of per-peer Python objects.
-It exists for one reason: speed, most of all at population scale.  The
-object engine's hot loop is dominated by attribute-dict hops (peer →
-admission state → vector → probability list) and per-event closure
-scheduling; at 100k+ peers that caps throughput far below what the
+:func:`~repro.simulation.runner.run_simulation` runs every config here,
+over the struct-of-arrays columns of :mod:`repro.simulation.arraystate`
+instead of per-peer Python objects.  Peer state lives in flat columns,
+admission vectors in two small integers per supplier, and events in
+``(time, seq, kind, payload)`` tuples on one C-backed heap — no handles,
+no closures, no per-peer objects — because at 100k+ peers attribute-dict
+hops and per-event closures would cap throughput far below what the
 paper's million-user experiments need.
-The array engine keeps *peer state* as flat columns, *admission vectors*
-as single signed integers, and *events* as ``(time, seq, kind, payload)``
-tuples on one C-backed heap — no handles, no closures, no per-peer
-objects.
 
-Parity contract
----------------
-The array engine is **metric-identical** to the object engine for every
-configuration it accepts: same metrics payload, same event count, same
-message statistics, same trace records.  This is achieved by mirroring,
-not approximating:
+Determinism contract
+--------------------
+A run is a pure function of its config: same metrics payload, same event
+count, same message statistics, same trace records.
 
-* every RNG draw happens on the same named stream in the same order
-  (candidate sampling even calls the *same* ``random.sample`` /
-  ``random.shuffle`` the directory would, on the directory's own live
-  entry list);
-* every ``schedule_at`` call site is mirrored by a sequence-number
-  allocation, so simultaneous events keep the object engine's exact FIFO
-  order;
+* every RNG draw happens on a named stream in a fixed order (candidate
+  sampling calls the *same* ``random.sample`` / ``random.shuffle`` the
+  central directory would, on the directory's own live entry list);
+* every scheduled event takes the next sequence number, even one past
+  the horizon that is never stored, so simultaneous events dispatch in
+  FIFO order;
 * requester arrivals — the single biggest event block — never touch the
   heap at all: they are a pre-sorted lane merged into dispatch by
   ``(time, seq)``, and for the deterministic patterns with vectorizable
@@ -36,28 +27,39 @@ not approximating:
   :func:`~repro.simulation.arraystate.vectorized_arrival_times` in one
   numpy sweep — the only place this engine loads numpy.
 
-The parity pins live in ``tests/simulation/test_arrayengine.py``, which
-builds the object engine directly as the oracle, and run in CI next to
-the golden-fingerprint step.
+``tests/simulation/test_golden.py`` pins this contract: the fingerprint
+of every builtin scenario under every admission policy, with every
+pinned run traced and audited by
+:func:`~repro.simulation.validation.audit_system` (S1–S6, T1–T4).
 
-Representable policies
-----------------------
-Collapsing an admission vector to one integer level ``L``
-(``Pa[j] = min(1, 2**(L-j))``) is exact for the policies whose reachable
-vectors all have that shape — initialization (all-ones through a class),
-relax (doubling ⇒ ``L+1``) and tighten (re-init at the reminder class)
-preserve it.  ``dac-linear-elevation`` adds ``0.125`` per elevation step,
-leaving the power-of-two lattice, so this engine refuses it
-(:class:`~repro.errors.ConfigurationError`) and ``run_simulation`` runs
-it on the object engine.
+Admission vectors as tables
+---------------------------
+The readable state machines of :mod:`repro.core.admission` and
+:mod:`repro.protocols` are the reference; a supplier's vector is held as
+its lowest favored class ``F`` (the ``level`` column, negated while
+busy) and its linear step count ``k`` (the ``step`` column).  Requests
+at or above ``F`` are granted outright; below it the grant probability
+is ``grant[k][rc - F]``.  An elevation — ``T_out`` of idleness, or a
+session end with no favored-class request — is one table step,
+``F = min(N, F + gain[k])`` and ``k = next_step[k]``; a tighten resets
+``k`` to 0.  The doubling policies use one row (``0.5 ** d``),
+``gain = [1]`` and ``next_step = [0]``, so ``k`` stays 0 and nothing
+branches on the policy.  ``dac-linear-elevation`` adds 1/8 to every
+sub-one entry per step instead: its rows are built with the state
+machine's own ``min(1.0, v + ELEVATION_STEP)``, so every grant
+probability equals the float the state machine stores, and at most 8
+steps favor every class.  ``tests/simulation/test_admission_columns.py``
+drives every registered policy's state machine and these tables through
+the same random event sequences, and replays the probe loop and the
+reminder placement through :mod:`repro.core.requesting`.
 
-Everything that is *not* per-peer or per-event hot state is reused from
-the object engine unchanged: the :class:`MetricsPipeline` collector,
-:class:`CapacityLedger`, the lookup substrates, the lifecycle models,
-``plan_session`` and the backoff/reminder math.  :class:`Transport` is
-shared too, but this engine never calls it per message: it bumps the
-transport's per-kind ``counts`` list inline, one bump per send site (a
-whole session's suppliers, or a whole probe loop's candidates, at once).
+Everything that is *not* per-peer or per-event hot state is shared with
+the rest of the package unchanged: the :class:`MetricsPipeline`
+collector, :class:`CapacityLedger`, the lookup substrates, the lifecycle
+models, ``plan_session`` and the backoff/reminder math.  The engine
+never calls :class:`Transport` per message: it bumps the transport's
+per-kind ``counts`` list inline, one bump per send site (a whole
+session's suppliers, or a whole probe loop's candidates, at once).
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ from heapq import heappop, heappush
 from math import ceil, log
 
 from repro.core.capacity import CapacityLedger
-from repro.core.model import SupplierOffer
+from repro.core.model import ClassLadder, SupplierOffer
 from repro.core.requesting import backoff_delay
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.network.lookup import ChordLookup, DirectoryLookup
 from repro.network.transport import (
     LOOKUP,
@@ -83,7 +85,8 @@ from repro.network.transport import (
     SESSION_START,
     Transport,
 )
-from repro.protocols.base import make_policy
+from repro.protocols.base import AdmissionPolicy, make_policy
+from repro.protocols.variants import LinearElevationDacPolicy
 from repro.simulation.arrivals import generate_arrival_times, make_pattern
 from repro.simulation.arraystate import (
     VECTORIZABLE_PATTERNS,
@@ -93,8 +96,8 @@ from repro.simulation.arraystate import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import (
+    DEPARTURE_RETRY_SECONDS,
     LIFECYCLE_MODELS,
-    LifecycleDynamics,
     make_lifecycle,
 )
 from repro.simulation.probes import MetricsPipeline
@@ -103,18 +106,7 @@ from repro.simulation.randoms import RandomStreams
 from repro.simulation.trace import TraceRecorder
 from repro.streaming.session import plan_session
 
-__all__ = ["ArrayEngine", "LEVEL_POLICIES"]
-
-#: Admission policies whose vectors the integer ``level`` column represents
-#: exactly, mapped to their initial level: the supplier's ``"own"`` class
-#: (paper rule (a)) or ``"all"`` classes favored from the start.
-LEVEL_POLICIES: dict[str, str] = {
-    "dac": "own",
-    "dac-no-reminder": "own",
-    "dac-no-elevation": "own",
-    "dac-generous-init": "all",
-    "ndac": "all",
-}
+__all__ = ["ArrayEngine"]
 
 # Event kinds, ordered roughly by dispatch frequency.  Payloads are plain
 # ints or small tuples — never objects with identity the loop relies on.
@@ -130,12 +122,41 @@ _SAMPLE_RATES = 8
 _SAMPLE_FAVORED = 9
 
 
+def _elevation_tables(
+    policy: AdmissionPolicy, ladder: ClassLadder
+) -> tuple[list[list[float]], list[int], list[int]]:
+    """``(grant, gain, next_step)`` for the policy's elevation rule.
+
+    ``grant[k][d]`` is ``Pa[F + d]`` of a supplier whose lowest favored
+    class is ``F`` after ``k`` linear steps; an elevation moves ``F`` by
+    ``gain[k]`` (capped at ``N``) and ``k`` to ``next_step[k]``.
+    """
+    n = ladder.num_classes
+    pow_half = [0.5**d for d in range(n + 1)]
+    if not isinstance(policy, LinearElevationDacPolicy):
+        # doubling keeps Pa[F + d] = 0.5 ** d and moves F by one class
+        return [pow_half], [1], [0]
+    step = policy.make_supplier_state(1, ladder).ELEVATION_STEP
+    # rows[k][d]: Pa at d classes below the tighten level after k steps,
+    # from the state machine's own float op, until the farthest class
+    # (d = n - 1) is favored too
+    rows = [pow_half]
+    while rows[-1][n - 1] < 1.0:
+        rows.append([min(1.0, value + step) for value in rows[-1]])
+    # lifted[k]: classes below the tighten level that k steps favor
+    lifted = [sum(1 for value in row[1:n] if value == 1.0) for row in rows]
+    grant = [row[gained:] for row, gained in zip(rows, lifted)]
+    last = len(rows) - 1  # favors every class: never elevated again
+    gain = [lifted[k + 1] - lifted[k] for k in range(last)] + [0]
+    next_step = list(range(1, last + 1)) + [last]
+    return grant, gain, next_step
+
+
 class ArrayEngine:
     """One simulation run over struct-of-arrays state.
 
-    Construction mirrors ``StreamingSystem.__init__`` step for step —
-    the wiring order fixes RNG draws and initial sequence numbers, and is
-    therefore part of the parity contract.  :meth:`run` executes the
+    Construction order fixes RNG draws and initial sequence numbers, so
+    it is part of the determinism contract.  :meth:`run` executes the
     event loop and returns the shared :class:`MetricsPipeline`.
 
     ``__slots__`` because every event handler reads several engine
@@ -166,6 +187,9 @@ class ArrayEngine:
         "_full_rate_units",
         "_offer_units",
         "_init_level",
+        "_grant",
+        "_gain",
+        "_next_step",
         "_media_id",
         "_show_seconds",
         "_probe_count",
@@ -182,7 +206,6 @@ class ArrayEngine:
         "_lookup_getrandbits",
         "_sample_setsize",
         "_sample_selected",
-        "_pow_half",
         "_delay_slots_by_classes",
         "_backoff_by_rejections",
         "_num_seeds",
@@ -206,15 +229,6 @@ class ArrayEngine:
     def __init__(
         self, config: SimulationConfig, trace: TraceRecorder | None = None
     ) -> None:
-        init_mode = LEVEL_POLICIES.get(config.protocol)
-        if init_mode is None:
-            raise ConfigurationError(
-                f"policy {config.protocol!r} is not representable by the "
-                f"array engine's integer admission levels; run it through "
-                f"run_simulation, which uses the object engine for it "
-                f"(level-representable policies: "
-                f"{', '.join(sorted(LEVEL_POLICIES))})"
-            )
         self.config = config
         self.trace = trace
         ladder = config.ladder
@@ -231,8 +245,7 @@ class ArrayEngine:
         self._heap: list[tuple[float, int, int, object]] = []
         self._horizon = config.horizon_seconds
 
-        # --- shared measurement/substrate objects (identical to the
-        # object engine's) ----------------------------------------------
+        # --- shared measurement/substrate objects ----------------------
         self.streams = RandomStreams(config.master_seed)
         probes = config.probes
         self._tracks_sessions = LIFECYCLE_MODELS[config.lifecycle].interrupts_sessions
@@ -253,9 +266,16 @@ class ArrayEngine:
         self._offer_units = [0] * (self._num_classes + 1)
         for c in ladder.classes:
             self._offer_units[c] = ladder.offer_units(c)
+        # initial lowest favored class by supplier class, read off the
+        # policy's own state machine
         self._init_level = [0] * (self._num_classes + 1)
         for c in ladder.classes:
-            self._init_level[c] = self._num_classes if init_mode == "all" else c
+            self._init_level[c] = policy.make_supplier_state(
+                c, ladder
+            ).lowest_favored_class()
+        self._grant, self._gain, self._next_step = _elevation_tables(
+            policy, ladder
+        )
         self._media_id = media.media_id
         self._show_seconds = media.show_seconds
         self._probe_count = config.probe_candidates
@@ -277,13 +297,11 @@ class ArrayEngine:
         k = self._probe_count
         self._sample_setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
         self._sample_selected: set[int] = set()
-        # 0.5 ** d by class distance d — the exact floats the object
-        # engine's admission vectors store
-        self._pow_half = [0.5**d for d in range(self._num_classes + 1)]
         self._delay_slots_by_classes: dict[tuple[int, ...], int] = {}
         self._backoff_by_rejections: dict[int, float] = {}
 
-        # --- population columns (mirrors entities.build_population) ----
+        # --- population columns: seeds by class, then the shuffled
+        # requester class labels ----------------------------------------
         classes: list[int] = []
         for peer_class in sorted(config.seed_suppliers):
             classes.extend([peer_class] * config.seed_suppliers[peer_class])
@@ -323,7 +341,7 @@ class ArrayEngine:
         self._sessions_by_supplier: dict[int, list[int]] = {}
 
         # --- seed suppliers, arrivals, samplers (this order fixes the
-        # initial sequence numbers — same as StreamingSystem) ------------
+        # initial sequence numbers) --------------------------------------
         level = self.peers.level
         init_level = self._init_level
         for pid in range(num_seeds):
@@ -334,7 +352,7 @@ class ArrayEngine:
         if config.deterministic_arrivals and (
             config.arrival_pattern in VECTORIZABLE_PATTERNS
         ):
-            make_pattern(  # keep the object path's validation errors
+            make_pattern(  # keep the scalar path's validation errors
                 config.arrival_pattern, config.arrival_window_seconds
             )
             times = vectorized_arrival_times(
@@ -388,10 +406,9 @@ class ArrayEngine:
     def _push(self, time: float, kind: int, payload: object) -> None:
         """Allocate the next sequence number; enqueue if within horizon.
 
-        Events past the horizon would never be dispatched (the object
-        engine leaves them pending forever), so they are not stored — but
-        their sequence number is still consumed, keeping all later
-        allocations aligned with the object engine's.
+        Events past the horizon would never be dispatched, so they are
+        not stored — but their sequence number is still consumed, so
+        every later allocation is the same whatever the horizon stores.
         """
         self._seq += 1
         if time <= self._horizon:
@@ -479,7 +496,7 @@ class ArrayEngine:
         self.events_processed = events
 
     # ------------------------------------------------------------------
-    # the request path (mirrors RequestPath)
+    # the request path
     # ------------------------------------------------------------------
     def _on_request(self, pid: int) -> None:
         peers = self.peers
@@ -572,10 +589,11 @@ class ArrayEngine:
         chosen.sort(key=classes.__getitem__)
 
         level = self.peers.level
+        step = self.peers.step
         favored_flag = self.peers.favored_while_busy
         offer_units = self._offer_units
         admission_random = self._admission_random
-        pow_half = self._pow_half
+        grant = self._grant
         collect_busy = self._uses_reminders
         requester_class = classes[pid]
         deficit = self._full_rate_units
@@ -604,7 +622,7 @@ class ArrayEngine:
                     )
                 if requester_class <= candidate_level or (
                     admission_random()
-                    < pow_half[requester_class - candidate_level]
+                    < grant[step[candidate]][requester_class - candidate_level]
                 ):
                     enlisted.append(candidate)
                     deficit -= offer_units[classes[candidate]]
@@ -632,11 +650,11 @@ class ArrayEngine:
                     raise SimulationError(
                         f"candidate {candidate} has no admission state"
                     )
-                # grant test: Pa[rc] = min(1, 2**(level - rc)); the power
-                # of two equals the object engine's stored float exactly
+                # grant test: favored classes outright, else the table
+                # entry, which equals the state machine's stored float
                 if requester_class <= candidate_level or (
                     admission_random()
-                    < pow_half[requester_class - candidate_level]
+                    < grant[step[candidate]][requester_class - candidate_level]
                 ):
                     enlisted.append(candidate)
                     deficit -= offer_units[classes[candidate]]
@@ -652,23 +670,29 @@ class ArrayEngine:
             messages[PROBE_REPLY] += probed
         return enlisted, contacted_busy, deficit
 
-    def _admit(self, pid: int, enlisted: list[int]) -> None:
+    def _start_sessions(self, enlisted: list[int]) -> None:
+        """``on_session_start`` of every enlisted supplier, on columns:
+        flip idle +F to busy -F, clear the per-session bookkeeping and
+        cancel any pending idle timer."""
         peers = self.peers
-        delay_slots = self._buffering_delay_slots(enlisted)
-        num_suppliers = len(enlisted)
         level = peers.level
         favored_flag = peers.favored_while_busy
         reminder_min = peers.reminder_min_class
         idle_generation = peers.idle_generation
         sessions_served = peers.sessions_served
-        now = self.now
         for sid in enlisted:
-            # on_session_start: flip idle +L to busy -L, clear bookkeeping
             level[sid] = -level[sid]
             favored_flag[sid] = 0
             reminder_min[sid] = 0
             idle_generation[sid] += 1
             sessions_served[sid] += 1
+
+    def _admit(self, pid: int, enlisted: list[int]) -> None:
+        peers = self.peers
+        delay_slots = self._buffering_delay_slots(enlisted)
+        num_suppliers = len(enlisted)
+        now = self.now
+        self._start_sessions(enlisted)
         if self._messages is not None:
             self._messages[SESSION_START] += num_suppliers
 
@@ -786,24 +810,34 @@ class ArrayEngine:
             heappush(self._heap, (retry_at, seq, _REQUEST, pid))
 
     def _release_supplier(self, sid: int) -> None:
-        """``on_session_end`` + ``bump_idle_generation`` on columns.
+        """``on_session_end`` plus an idle-generation bump, on columns.
 
         Paper rule (c): tighten to the highest reminder class if any
-        reminders arrived, elevate one level if no favored-class request
+        reminders arrived, elevate one step if no favored-class request
         did, otherwise keep the vector.
         """
         peers = self.peers
-        level = -peers.level[sid]  # busy -L → magnitude L
+        level = -peers.level[sid]  # busy -F → magnitude F
         reminded = peers.reminder_min_class[sid]
         if reminded:
             level = reminded
-        elif not peers.favored_while_busy[sid]:
-            if level < self._num_classes:
-                level += 1
+            peers.step[sid] = 0
+        elif not peers.favored_while_busy[sid] and level < self._num_classes:
+            level = self._elevate(sid, level)
         peers.level[sid] = level
         peers.favored_while_busy[sid] = 0
         peers.reminder_min_class[sid] = 0
         peers.idle_generation[sid] += 1
+
+    def _elevate(self, sid: int, level: int) -> int:
+        """One elevation table step of supplier ``sid``, whose lowest
+        favored class ``level`` is below ``N``: advance its step and
+        return ``min(N, level + gain[k])``."""
+        step = self.peers.step
+        k = step[sid]
+        step[sid] = self._next_step[k]
+        level += self._gain[k]
+        return level if level < self._num_classes else self._num_classes
 
     def _on_session_end(self, payload: tuple[int, list[int]]) -> None:
         pid, enlisted = payload
@@ -815,13 +849,16 @@ class ArrayEngine:
         self._promote(pid)
 
     def _promote(self, pid: int) -> None:
-        """The served requester becomes a supplier (fresh initial vector)."""
+        """The served requester becomes a supplier (fresh initial vector).
+
+        Its ``step`` is still 0: only a supplier's step ever moves.
+        """
         peers = self.peers
         peers.level[pid] = self._init_level[peers.peer_class[pid]]
         self._register(pid)
 
     # ------------------------------------------------------------------
-    # the supplier registry (mirrors SupplierRegistry)
+    # the supplier population and its idle-elevation timers
     # ------------------------------------------------------------------
     def _register(self, pid: int) -> None:
         peer_class = self.peers.peer_class[pid]
@@ -866,15 +903,15 @@ class ArrayEngine:
         level = peers.level[pid]
         if level <= 0 or peers.departed[pid]:
             return
-        changed = level < self._num_classes
-        if changed:
-            peers.level[pid] = level + 1
+        if level < self._num_classes:  # the vector changes
+            level = self._elevate(pid, level)
+            peers.level[pid] = level
             if self.trace:
                 self.trace.record(
                     "idle_elevation",
                     self.now,
                     peer=pid,
-                    lowest_favored=level + 1,
+                    lowest_favored=level,
                 )
             self._arm_idle_timer(pid)
 
@@ -889,7 +926,7 @@ class ArrayEngine:
         }
 
     # ------------------------------------------------------------------
-    # lifecycle dynamics (mirrors LifecycleDynamics)
+    # lifecycle dynamics: departures, returns, busy re-checks
     # ------------------------------------------------------------------
     def _lifecycle_activate(self, pid: int) -> None:
         at = self._lifecycle_model.next_departure(pid, self.now)
@@ -904,9 +941,7 @@ class ArrayEngine:
         if not self._tracks_sessions and peers.level[pid] < 0:
             # busy under a model that lets sessions finish: re-check later
             self._push(
-                self.now + LifecycleDynamics.DEPARTURE_RETRY_SECONDS,
-                _LC_DEPARTURE,
-                pid,
+                self.now + DEPARTURE_RETRY_SECONDS, _LC_DEPARTURE, pid
             )
             return
         peer_class = peers.peer_class[pid]
@@ -1080,15 +1115,7 @@ class ArrayEngine:
         peers = self.peers
         pid = sessions.requester[slot]
         delay_slots = self._buffering_delay_slots(enlisted)
-        level = peers.level
-        favored_flag = peers.favored_while_busy
-        reminder_min = peers.reminder_min_class
-        for sid in enlisted:
-            level[sid] = -level[sid]
-            favored_flag[sid] = 0
-            reminder_min[sid] = 0
-            peers.idle_generation[sid] += 1
-            peers.sessions_served[sid] += 1
+        self._start_sessions(enlisted)
         if self._messages is not None:
             self._messages[SESSION_RESUME] += len(enlisted)
         latency = now - sessions.interrupted_at[slot]
@@ -1117,7 +1144,7 @@ class ArrayEngine:
             )
 
     # ------------------------------------------------------------------
-    # samplers (mirrors Samplers; t=0 samples run inline at construction)
+    # samplers (the t=0 samples run inline at construction)
     # ------------------------------------------------------------------
     def _sample_capacity(self, _payload: object = None) -> None:
         self.metrics.sample_capacity(self.now, self.ledger)

@@ -1,36 +1,38 @@
 """Struct-of-arrays state columns for the array execution engine.
 
-The object engine (:mod:`repro.simulation.system`) keeps one
-:class:`~repro.simulation.entities.SimPeer` plus one
-:class:`~repro.core.admission.SupplierAdmissionState` per peer — at a
-million peers that is millions of heap objects and attribute-dict hops on
-the hottest path in the repository.  This module holds the same state as
-*columns*: one array per field, indexed by peer id, owned by
-:class:`~repro.simulation.arrayengine.ArrayEngine`.
+:class:`~repro.simulation.arrayengine.ArrayEngine` holds the per-peer
+state of a run — the :class:`~repro.core.admission.SupplierAdmissionState`
+machine of every supplier plus each peer's counters and measurements —
+as *columns*: one array per field, indexed by peer id.  At a million
+peers that replaces millions of heap objects and attribute-dict hops on
+the hottest path in the repository.
 
 Two deliberate layout choices:
 
-* **Hybrid columns.**  Mutable hot fields (admission level, per-session
-  flags, counters) are plain Python ``list``/``bytearray`` columns: the
-  engine reads and writes them one scalar at a time inside the event
-  loop, and CPython list indexing is the fastest scalar access there is.
-  Write-only measurement fields (``admitted_time`` and friends) are
-  typed :class:`array.array` columns — unboxed, so a million-peer run
-  stores them in a few bytes per peer, and never read in the loop.
-* **Integer admission levels.**  Every admission vector reachable under
-  the level-representable policies is ``Pa[j] = min(1, 2**(L-j))`` for a
-  single integer level ``L`` (see ``LEVEL_POLICIES`` in
-  :mod:`repro.simulation.arrayengine`), so the whole
-  ``SupplierAdmissionState`` collapses into one signed entry of the
-  ``level`` column: ``0`` means "no admission state yet" (plain
-  requester), ``+L`` an idle supplier favoring classes ``1..L``, ``-L``
-  the same supplier while busy serving a session.
+* **Hybrid columns.**  Mutable hot fields (admission level and step,
+  per-session flags, counters) are plain Python ``list``/``bytearray``
+  columns: the engine reads and writes them one scalar at a time inside
+  the event loop, and CPython list indexing is the fastest scalar access
+  there is.  Write-only measurement fields (``admitted_time`` and
+  friends) are typed :class:`array.array` columns — unboxed, so a
+  million-peer run stores them in a few bytes per peer, and never read
+  in the loop.
+* **Two small integers per admission vector.**  Every vector a
+  registered policy can reach is fixed by the level ``L`` set at
+  initialization or at the last tighten, and the number ``k`` of linear
+  elevation steps since: ``Pa[j] = 1`` for ``j <= L``, else
+  ``min(1, 2**(L-j) + k/8)`` under ``dac-linear-elevation``; ``k`` stays
+  0 under the doubling policies, where a relax moves ``L`` instead.  The
+  ``level`` column stores the lowest favored class ``F`` (``L`` plus the
+  classes ``k`` steps lifted to 1) signed: ``0`` means "no admission
+  state yet" (plain requester), ``+F`` an idle supplier favoring classes
+  ``1..F``, ``-F`` the same supplier while busy serving a session.  The
+  ``step`` column stores ``k``, at most 8.
 
 :class:`SessionTable` plays the same trick for the lifecycle extension's
-in-flight sessions (:class:`~repro.streaming.session.ActiveSession` in
-the object engine): slot-indexed columns with a LIFO free list so
+in-flight sessions: slot-indexed columns with a LIFO free list so
 interrupted/completed sessions recycle their slots, and a per-slot
-generation counter standing in for event-handle cancellation.
+generation counter standing in for event cancellation.
 
 :func:`vectorized_arrival_times` reproduces the deterministic arrival
 placement of :mod:`repro.simulation.arrivals` bit-for-bit for the
@@ -63,7 +65,11 @@ class PeerArrays:
     ``peer_class``
         Static class of every peer.
     ``level``
-        Signed admission level: 0 = no supplier state, +L idle, -L busy.
+        Signed lowest favored class: 0 = no supplier state, +F idle,
+        -F busy.
+    ``step``
+        Linear elevation steps since the last tighten or promotion (0
+        under the doubling policies, and for every non-supplier).
     ``favored_while_busy`` / ``reminder_min_class``
         Per-session DAC bookkeeping: whether a favored-class request
         arrived while busy, and the highest (numerically smallest)
@@ -71,10 +77,9 @@ class PeerArrays:
         ``SupplierAdmissionState``'s flag and reminder list.
     ``idle_generation``
         Idle-timer generation counter; bumping it invalidates any
-        pending elevation timeout, mirroring
-        ``SimPeer.bump_idle_generation``.
+        pending elevation timeout.
     ``rejections`` / ``sessions_served`` / ``departures`` / ``departed``
-        The counters and the churn flag of ``SimPeer``.
+        Per-peer counters, and whether a supplier is offline.
     ``first_request_time``
         ``None`` until the peer's first request event fires.
 
@@ -87,6 +92,7 @@ class PeerArrays:
     __slots__ = (
         "peer_class",
         "level",
+        "step",
         "favored_while_busy",
         "reminder_min_class",
         "idle_generation",
@@ -104,6 +110,7 @@ class PeerArrays:
         n = len(peer_classes)
         self.peer_class = list(peer_classes)
         self.level = [0] * n
+        self.step = bytearray(n)
         self.favored_while_busy = bytearray(n)
         self.reminder_min_class = [0] * n
         self.idle_generation = [0] * n
@@ -127,8 +134,8 @@ class SessionTable:
     stay cache-resident) or grows every column by one; ``free`` retires a
     slot and bumps its ``generation`` so any event still carrying the old
     ``(slot, generation)`` pair is recognized as stale.  The engine also
-    bumps ``generation`` directly on interruption — the array analogue of
-    cancelling the object engine's scheduled end-event handle.
+    bumps ``generation`` directly on interruption, which cancels the
+    session's scheduled end event.
     """
 
     __slots__ = (

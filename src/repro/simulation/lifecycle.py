@@ -3,35 +3,31 @@
 The paper treats peer unavailability as an *admission-time* condition: a
 probed candidate may be "down" (``SimulationConfig.down_probability``,
 one draw per probe).  This module makes supplier departures first-class
-scheduled events on the :class:`~repro.simulation.engine.Simulator`.
+scheduled events of the :class:`~repro.simulation.arrayengine.ArrayEngine`.
 Under most models a supplier can die **mid-stream**: its active sessions
 are interrupted, and the requesting peers must recover (re-probe,
 re-admit, resume from their buffer position) while the continuity
 probes charge every stall against playback quality.  The ``graceful``
 model instead lets a busy supplier finish its session first.
 
-Two layers live here:
+The models here (:class:`LifecycleModel`) are deterministic timing
+generators answering "when does this supplier next depart?" and "when
+does it come back?", plus the class attribute ``interrupts_sessions``
+saying whether a departure cuts the sessions the supplier serves.  Every
+model but ``graceful`` derives its draws from private, per-peer RNGs
+seeded by ``(master seed, peer id)``, so event timings are reproducible
+and independent of dispatch interleaving.  The engine asks a peer in one
+fixed order (see :class:`LifecycleModel`), so its answers are fixed once
+it first becomes a supplier: ``sessions``, ``diurnal`` and ``onoff``
+draw each peer's timeline then, up to the horizon, store it as an
+``array('d')`` and let the RNG go.  The engine turns the answers into
+scheduled departure and return events and drives the supply-side
+bookkeeping: capacity ledger, lookup registration, idle timers, and the
+interruption and recovery of the sessions a departed supplier served.
 
-* **Lifecycle models** (:class:`LifecycleModel`) — deterministic timing
-  generators answering "when does this supplier next depart?" and "when
-  does it come back?", plus the class attribute ``interrupts_sessions``
-  saying whether a departure cuts the sessions the supplier serves.
-  Every model but ``graceful`` derives its draws from private, per-peer
-  RNGs seeded by ``(master seed, peer id)``, so event timings are
-  reproducible and independent of dispatch interleaving.  The engines
-  ask a peer in one fixed order (see :class:`LifecycleModel`), so its
-  answers are fixed once it first becomes a supplier: ``sessions``,
-  ``diurnal`` and ``onoff`` draw each peer's timeline then, up to the
-  horizon, store it as an ``array('d')`` and let the RNG go.
-* **:class:`LifecycleDynamics`** — the subsystem that turns a model's
-  answers into scheduled departure/return events and drives the
-  supply-side bookkeeping (capacity ledger, lookup registration, idle
-  timers) plus the session interruptions handled by
-  :class:`~repro.simulation.requestpath.RequestPath`.
-
-With the default :class:`NoLifecycle` model the subsystem schedules
-nothing, draws nothing, and runs are bit-identical to a build without it
-(pinned by ``tests/simulation/test_golden.py``).
+With the default :class:`NoLifecycle` model the engine schedules
+nothing, draws nothing, and runs are bit-identical to a build without
+lifecycle events (pinned by ``tests/simulation/test_golden.py``).
 
 Models
 ------
@@ -89,13 +85,7 @@ from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.simulation.config import SimulationConfig
-    from repro.simulation.engine import Simulator
-    from repro.simulation.entities import SimPeer
-    from repro.simulation.probes import MetricsPipeline
     from repro.simulation.randoms import RandomStreams
-    from repro.simulation.registry import SupplierRegistry
-    from repro.simulation.requestpath import RequestPath
-    from repro.simulation.trace import TraceRecorder
 
 __all__ = [
     "LifecycleModel",
@@ -105,7 +95,7 @@ __all__ = [
     "SessionDurationLifecycle",
     "DiurnalLifecycle",
     "FlashLifecycle",
-    "LifecycleDynamics",
+    "DEPARTURE_RETRY_SECONDS",
     "LIFECYCLE_MODELS",
     "LIFECYCLE_NAMES",
     "RECOVERY_MODES",
@@ -116,6 +106,10 @@ HOUR = 3600.0
 
 #: valid values of ``SimulationConfig.lifecycle_recovery``
 RECOVERY_MODES: tuple[str, ...] = ("resume", "restart", "abandon")
+
+#: how long a busy supplier's departure waits before it is re-checked,
+#: under a model whose departures let sessions finish
+DEPARTURE_RETRY_SECONDS = 300.0
 
 #: the most answers a model draws for one peer at a time.  A peer whose
 #: timeline passes the horizon within one block keeps no RNG; a longer
@@ -134,7 +128,7 @@ class LifecycleModel(Protocol):
     probe-loss draws (``down_probability``), and the pinned results of
     graceful runs depend on that order.
 
-    Both engines ask a peer in one fixed order: :meth:`next_departure`
+    The engine asks a peer in one fixed order: :meth:`next_departure`
     when it first becomes a supplier, then :meth:`next_return` at the
     departure time it was given, :meth:`next_departure` at the return
     time, and so on.  Each query's ``now`` is the time the previous
@@ -192,9 +186,9 @@ class GracefulLifecycle:
     Online and offline periods are exponential with means
     ``mean_up_seconds`` and ``mean_down_seconds``, drawn in event order
     from ``rng`` — the run's shared ``churn`` stream, which the probe-loss
-    draws also use.  :class:`LifecycleDynamics` re-checks a busy
-    supplier's departure every ``DEPARTURE_RETRY_SECONDS`` instead of
-    interrupting its session.
+    draws also use.  The engine re-checks a busy supplier's departure
+    every :data:`DEPARTURE_RETRY_SECONDS` instead of interrupting its
+    session.
     """
 
     name = "graceful"
@@ -307,7 +301,7 @@ class _DrawnTimeline:
     The shared half of :class:`SessionDurationLifecycle` and
     :class:`DiurnalLifecycle`, which differ only in :meth:`_up`, the
     online-period draw.  A peer's first :meth:`next_departure` draws its
-    answers from its private RNG, in the order the engines ask for them:
+    answers from its private RNG, in the order the engine asks for them:
     each is the previous answer plus one draw, an online period for a
     departure and an exponential downtime for a return, up to the first
     answer past the horizon.  They are stored as an ``array('d')``
@@ -315,7 +309,7 @@ class _DrawnTimeline:
     most :data:`TIMELINE_BLOCK` answers are drawn at a time, so only a
     peer whose timeline is longer than that keeps its RNG, to draw the
     next block when the engine reaches the end.  A query out of the
-    engines' order raises :class:`~repro.errors.SimulationError`.
+    engine's order raises :class:`~repro.errors.SimulationError`.
     """
 
     name: ClassVar[str]
@@ -364,7 +358,7 @@ class _DrawnTimeline:
             asked = "return" if kind else "departure"
             raise SimulationError(
                 f"{self.name} lifecycle asked for the {asked} of peer "
-                f"{peer_id} at {now}, out of the engines' query order"
+                f"{peer_id} at {now}, out of the engine's query order"
             )
         index += 1
         if index == len(timeline):
@@ -571,124 +565,3 @@ def make_lifecycle(
         f"unknown lifecycle model {name!r}; known: {', '.join(LIFECYCLE_NAMES)}"
     )
 
-
-class LifecycleDynamics:
-    """Scheduled supplier departures and returns.
-
-    The registry calls :meth:`on_supplier_active` whenever a peer enters
-    (or re-enters) the supplier population; the dynamics then schedule the
-    peer's next departure per the model.  A departure removes the supplier
-    from the capacity ledger and the lookup substrate, interrupts every
-    session it is serving (delegated to
-    :meth:`RequestPath.on_supplier_departed`), and — unless the model says
-    otherwise — schedules the peer's return, which re-registers it and
-    arms its idle-elevation timer again.
-
-    Whether being busy defers a departure is the model's
-    ``interrupts_sessions``: when it is false (``graceful``) a busy
-    supplier's departure is re-checked every
-    :attr:`DEPARTURE_RETRY_SECONDS` until its session has ended;
-    otherwise the departure is abrupt and interrupts the session.
-    """
-
-    #: how long a busy supplier's departure waits before it is re-checked,
-    #: under a model whose departures let sessions finish
-    DEPARTURE_RETRY_SECONDS = 300.0
-
-    def __init__(
-        self,
-        *,
-        sim: "Simulator",
-        config: "SimulationConfig",
-        model: LifecycleModel,
-        metrics: "MetricsPipeline",
-        ledger,
-        lookup,
-        registry: "SupplierRegistry",
-        request_path: "RequestPath",
-        trace: "TraceRecorder | None" = None,
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.model = model
-        self.metrics = metrics
-        self.ledger = ledger
-        self.lookup = lookup
-        self.registry = registry
-        self.request_path = request_path
-        self.trace = trace
-        self._media_id = config.media.media_id
-        self._horizon = config.horizon_seconds
-        self._rejoin = config.lifecycle_rejoin
-        self._interrupts = model.interrupts_sessions
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the configured model can ever schedule an event."""
-        return not isinstance(self.model, NoLifecycle)
-
-    # ------------------------------------------------------------------
-    # activation (registry hook)
-    # ------------------------------------------------------------------
-    def on_supplier_active(self, peer: "SimPeer") -> None:
-        """A peer entered the supplier population; schedule its departure."""
-        at = self.model.next_departure(peer.peer_id, self.sim.now)
-        if at is None or at > self._horizon:
-            return
-        self.sim.schedule_at(max(at, self.sim.now), self._on_departure, peer)
-
-    # ------------------------------------------------------------------
-    # departure / return events
-    # ------------------------------------------------------------------
-    def _on_departure(self, peer: "SimPeer") -> None:
-        """The peer leaves: abruptly, mid-stream if it is serving, or
-        once its session has ended if the model lets sessions finish."""
-        if peer.departed:
-            return
-        if not self._interrupts and peer.admission.busy:
-            self.sim.schedule_in(
-                self.DEPARTURE_RETRY_SECONDS, self._on_departure, peer
-            )
-            return
-        peer.departed = True
-        peer.departures += 1
-        peer.bump_idle_generation()  # kill any pending elevation timer
-        self.ledger.remove_supplier(peer.peer_class)
-        self.lookup.unregister_supplier(self._media_id, peer.peer_id)
-        self.metrics.on_supplier_departure(peer.peer_class)
-        if self.trace:
-            self.trace.record(
-                "supplier_departed",
-                self.sim.now,
-                peer=peer.peer_id,
-                peer_class=peer.peer_class,
-                capacity=self.ledger.sessions,
-            )
-        # Interrupting sessions runs *after* the departure bookkeeping so
-        # recovery probes can no longer discover the departed supplier.
-        self.request_path.on_supplier_departed(peer)
-        if not self._rejoin:
-            return
-        at = self.model.next_return(peer.peer_id, self.sim.now)
-        if at is None or at > self._horizon:
-            return
-        self.sim.schedule_at(max(at, self.sim.now), self._on_return, peer)
-
-    def _on_return(self, peer: "SimPeer") -> None:
-        """A departed peer comes back online with its old vector."""
-        if not peer.departed:
-            return
-        peer.departed = False
-        self.ledger.add_supplier(peer.peer_class)
-        self.lookup.register_supplier(self._media_id, peer.peer_id, peer.peer_class)
-        self.metrics.on_supplier_rejoin(peer.peer_class)
-        self.registry.arm_idle_timer(peer)
-        if self.trace:
-            self.trace.record(
-                "supplier_rejoined",
-                self.sim.now,
-                peer=peer.peer_id,
-                peer_class=peer.peer_class,
-                capacity=self.ledger.sessions,
-            )
-        self.on_supplier_active(peer)

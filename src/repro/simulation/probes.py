@@ -1,12 +1,12 @@
 """The metrics collector behind every figure and table of the paper.
 
-:class:`MetricsPipeline` is one flat collector: counters the engines bump
+:class:`MetricsPipeline` is one flat collector: counters the engine bumps
 on every request, admission and lifecycle event, and series the sampler
 clocks append to.  Its artifacts are subscribed by name
 (``SimulationConfig.probes``), so a study records only the series it
 needs, the admission path skips the untouched accumulators, and
-:class:`~repro.simulation.samplers.Samplers` never even schedules the
-sampler events of an unsubscribed clock (the Figure-7 snapshot walks the
+:class:`~repro.simulation.arrayengine.ArrayEngine` never even schedules
+the sampler events of an unsubscribed clock (the Figure-7 snapshot walks the
 whole supplier population and is the single most expensive observation):
 
 =====================  ==================  ================================
@@ -85,7 +85,7 @@ PROBE_NAMES: tuple[str, ...] = (
 #: the full paper evaluation — what ``probes=None`` subscribes.  The
 #: ``continuity`` probe is absent, so lifecycle-free exports keep the
 #: historical schema; runs under a lifecycle model that interrupts
-#: sessions add it (see :class:`~repro.simulation.system.StreamingSystem`).
+#: sessions add it (see :class:`~repro.simulation.arrayengine.ArrayEngine`).
 DEFAULT_PROBES: tuple[str, ...] = (
     "capacity",
     "admission_rate",
@@ -174,7 +174,7 @@ class MetricsPipeline:
         self.favored_series = {c: [] for c in classes}
 
     # ------------------------------------------------------------------
-    # sampler subscriptions (drive which clocks Samplers schedules)
+    # sampler subscriptions (drive which clocks the engine schedules)
     # ------------------------------------------------------------------
     @property
     def wants_capacity_samples(self) -> bool:
@@ -276,7 +276,7 @@ class MetricsPipeline:
             self.interrupted_completions[peer_class] += 1
 
     # ------------------------------------------------------------------
-    # periodic samplers (driven by the streaming system)
+    # periodic samplers (driven by the engine's sampler clocks)
     # ------------------------------------------------------------------
     def sample_capacity(self, now_seconds: float, ledger: "CapacityLedger") -> None:
         """Record the Figure-4 sample (its clock runs only with ``capacity``)."""

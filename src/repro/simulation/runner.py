@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.core.capacity import max_capacity_sessions
 from repro.simulation.config import SimulationConfig
 from repro.simulation.probes import MetricsPipeline
-from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 
 __all__ = ["SimulationResult", "run_simulation"]
@@ -65,39 +64,26 @@ def run_simulation(
 ) -> SimulationResult:
     """Build and run one streaming system; returns its results.
 
-    The admission policy picks the engine.  Every level-representable
-    policy (:data:`~repro.simulation.arrayengine.LEVEL_POLICIES`) runs on
-    the struct-of-arrays :class:`~repro.simulation.arrayengine.ArrayEngine`;
-    any other policy (today only ``dac-linear-elevation``) runs on the
-    per-peer object walk of
-    :class:`~repro.simulation.system.StreamingSystem`.  Both produce
-    identical results for every config the array engine accepts (the
-    parity suite uses the object engine as its oracle), so everything
-    downstream of this call is engine-agnostic.  The array engine is
+    Every admission policy runs on the struct-of-arrays
+    :class:`~repro.simulation.arrayengine.ArrayEngine`.  The engine is
     imported on first use, which keeps compiling its large module out of
     ``import repro``.
     """
-    from repro.simulation.arrayengine import LEVEL_POLICIES, ArrayEngine
+    from repro.simulation.arrayengine import ArrayEngine
 
     # wall time is measured for reporting (events/sec) only; it never
     # steers the simulation, so the wall-clock ban does not apply here
     start = time.perf_counter()  # detlint: ignore[no-wallclock]
-    if config.protocol in LEVEL_POLICIES:
-        system = ArrayEngine(config, trace=trace)
-        metrics = system.run()
-        events_processed = system.events_processed
-    else:
-        system = StreamingSystem(config, trace=trace)
-        metrics = system.run()
-        events_processed = system.sim.events_processed
+    engine = ArrayEngine(config, trace=trace)
+    metrics = engine.run()
     wall = time.perf_counter() - start  # detlint: ignore[no-wallclock]
     message_stats = (
-        system.transport.snapshot() if system.transport is not None else None
+        engine.transport.snapshot() if engine.transport is not None else None
     )
     return SimulationResult(
         config=config,
         metrics=metrics,
-        events_processed=events_processed,
+        events_processed=engine.events_processed,
         wall_seconds=wall,
         message_stats=message_stats,
     )

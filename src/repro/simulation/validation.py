@@ -2,19 +2,17 @@
 
 A simulation can silently drift from the paper's model (a supplier serving
 two sessions, a session using more than ``R0``, a peer admitted without
-ever requesting).  :func:`audit_system` sweeps a finished run — a
-:class:`~repro.simulation.system.StreamingSystem` or an
-:class:`~repro.simulation.arrayengine.ArrayEngine`, whichever ran — and
-its optional trace, and returns a structured report of every violated
-invariant.  The integration suite asserts the report is empty, and long
-experiment campaigns can audit cheaply instead of re-deriving everything
-from traces.
+ever requesting).  :func:`audit_system` sweeps a finished
+:class:`~repro.simulation.arrayengine.ArrayEngine` run and its optional
+trace, and returns a structured report of every violated invariant.  The
+golden suite audits every pinned run, the integration suite asserts the
+report is empty, and long experiment campaigns can audit cheaply instead
+of re-deriving everything from traces.
 
-Each invariant is written once: the array engine's columns are read
-back as rows with the ``SimPeer`` attributes the audit uses.  There a
-nonzero admission ``level`` means supplier, a NaN ``admitted_time``
-means not admitted, and the ``departed`` flag excludes a peer from the
-ledger recount.
+The engine's columns are read back as one row per peer.  There a nonzero
+admission ``level`` means supplier, a NaN ``admitted_time`` means not
+admitted, and the ``departed`` flag excludes a peer from the ledger
+recount.
 
 Invariants checked
 ------------------
@@ -50,13 +48,12 @@ peer's class)
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.lifecycle import LIFECYCLE_MODELS
-from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 
 __all__ = ["Violation", "AuditReport", "audit_system"]
@@ -95,9 +92,8 @@ class AuditReport:
         return "\n".join(lines)
 
 
-class _ArrayPeer(NamedTuple):
-    """The :class:`SimPeer` attributes the state audit reads, for one row
-    of the array engine's columns."""
+class _AuditedPeer(NamedTuple):
+    """What the state audit reads of one peer, from the engine's columns."""
 
     peer_id: int
     peer_class: int
@@ -111,14 +107,14 @@ class _ArrayPeer(NamedTuple):
     num_suppliers_served_by: int | None
 
 
-def _array_peers(engine: ArrayEngine) -> Iterator[_ArrayPeer]:
+def _audited_peers(engine: ArrayEngine) -> Iterator[_AuditedPeer]:
     peers = engine.peers
     num_classes = engine.ladder.num_classes
     for pid in range(len(peers)):
         level = peers.level[pid]
         admitted_time = peers.admitted_time[pid]
         admitted = admitted_time == admitted_time  # NaN until admitted
-        yield _ArrayPeer(
+        yield _AuditedPeer(
             pid,
             peers.peer_class[pid],
             level != 0,
@@ -131,23 +127,13 @@ def _array_peers(engine: ArrayEngine) -> Iterator[_ArrayPeer]:
         )
 
 
-def _audited_peers(system: StreamingSystem | ArrayEngine) -> Iterable:
-    """Every peer, as a ``SimPeer`` or its array-engine equivalent."""
-    if isinstance(system, ArrayEngine):
-        return _array_peers(system)
-    return system.peers
-
-
-def _streaming_at_horizon(
-    system: StreamingSystem | ArrayEngine, requesters: list
-) -> set[int]:
+def _streaming_at_horizon(system: ArrayEngine, requesters: list) -> set[int]:
     """The ids of the admitted ``requesters`` still streaming at the horizon.
 
     An untracked session (``none``, ``graceful``) ends a show after its
     admission.  A tracked one ends later by each recovery's latency (by a
     whole show under ``restart``), so it is live while the engine still
-    holds it: an allocated session slot, or a session the request path
-    still tracks.
+    holds it: an allocated session slot.
     """
     config = system.config
     if not LIFECYCLE_MODELS[config.lifecycle].interrupts_sessions:
@@ -157,18 +143,12 @@ def _streaming_at_horizon(
             for peer in requesters
             if peer.admitted_time + show > config.horizon_seconds
         }
-    if isinstance(system, ArrayEngine):
-        sessions = system.sessions
-        free = set(sessions.free_slots)
-        return {
-            pid for slot, pid in enumerate(sessions.requester) if slot not in free
-        }
-    return system.request_path.streaming_requesters()
+    sessions = system.sessions
+    free = set(sessions.free_slots)
+    return {pid for slot, pid in enumerate(sessions.requester) if slot not in free}
 
 
-def _audit_state(
-    system: StreamingSystem | ArrayEngine, report: AuditReport
-) -> None:
+def _audit_state(system: ArrayEngine, report: AuditReport) -> None:
     ladder = system.ladder
     metrics = system.metrics
 
@@ -251,14 +231,12 @@ def _audit_state(
 
 
 def _audit_trace(
-    system: StreamingSystem | ArrayEngine,
-    trace: TraceRecorder,
-    report: AuditReport,
+    system: ArrayEngine, trace: TraceRecorder, report: AuditReport
 ) -> None:
     ladder = system.ladder
     config = system.config
     show_seconds = system.media.show_seconds
-    peer_classes = [peer.peer_class for peer in _audited_peers(system)]
+    peer_classes = system.peers.peer_class
 
     busy_until: dict[int, float] = {}
     # each requester's current suppliers, freed if its session is interrupted
@@ -317,9 +295,9 @@ def _audit_trace(
 
 
 def audit_system(
-    system: StreamingSystem | ArrayEngine, trace: TraceRecorder | None = None
+    system: ArrayEngine, trace: TraceRecorder | None = None
 ) -> AuditReport:
-    """Audit a finished run, on either engine, against the model invariants."""
+    """Audit a finished run against the model invariants."""
     report = AuditReport()
     _audit_state(system, report)
     if trace is not None:

@@ -9,14 +9,10 @@ A :class:`StreamingSession` binds together:
   downloading (and is promoted to supplier).
 
 Sessions are *plans*: they carry no clocks of their own.  The simulator
-instantiates one per admission and schedules its end event from
-:attr:`StreamingSession.transfer_seconds`.
-
-:class:`ActiveSession` is the mutable in-flight counterpart used by the
-session-lifecycle extension (:mod:`repro.simulation.lifecycle`): it pins
-the live supplier set, the scheduled end event and the requester's buffer
-position, so a mid-stream supplier departure can interrupt the session and
-the recovery path can resume it from where the buffer left off.
+plans one per supplier-class multiset for the buffering delay, and keeps
+the in-flight sessions of the lifecycle extension (who serves them, how
+much transfer remains) as columns of
+:class:`~repro.simulation.arraystate.SessionTable`.
 """
 
 from __future__ import annotations
@@ -30,75 +26,7 @@ from repro.core.schedule import TransmissionSchedule, min_start_delay_slots
 from repro.errors import InfeasibleSessionError
 from repro.streaming.media import MediaFile
 
-__all__ = ["StreamingSession", "ActiveSession", "plan_session"]
-
-
-class ActiveSession:
-    """One in-flight streaming session, interruptible mid-stream.
-
-    Where :class:`StreamingSession` is a static *plan*, an
-    ``ActiveSession`` is the running instance the lifecycle-aware request
-    path tracks: who is serving it right now, when its current leg
-    started, how much transfer remains (the requester's buffer position),
-    and the stall bookkeeping the continuity probes consume.  ``requester``
-    and ``suppliers`` are the simulation's peer objects; this class never
-    inspects them, so it stays free of simulation-layer imports.
-
-    Attributes
-    ----------
-    requester / suppliers:
-        The admitted requesting peer and the peers currently serving it.
-    resumed_at:
-        Simulated time the current leg started (admission or last resume).
-    remaining_seconds:
-        Transfer time still owed when the current leg started.  Under the
-        ``resume`` recovery mode an interruption subtracts the elapsed
-        leg; under ``restart`` it resets to the full transfer time.
-    end_handle:
-        Cancellable handle of the scheduled session-end event.
-    interrupted_at:
-        When the session was last interrupted (``None`` while streaming).
-    interruptions / recovery_attempts / stall_seconds:
-        Continuity bookkeeping: stalls suffered, failed recovery probes
-        since the last interruption, and accumulated stall time.
-    """
-
-    __slots__ = (
-        "requester",
-        "suppliers",
-        "resumed_at",
-        "remaining_seconds",
-        "end_handle",
-        "interrupted_at",
-        "interruptions",
-        "recovery_attempts",
-        "stall_seconds",
-    )
-
-    def __init__(
-        self,
-        requester,
-        suppliers: list,
-        resumed_at: float,
-        remaining_seconds: float,
-    ) -> None:
-        self.requester = requester
-        self.suppliers = suppliers
-        self.resumed_at = resumed_at
-        self.remaining_seconds = remaining_seconds
-        self.end_handle = None
-        self.interrupted_at: float | None = None
-        self.interruptions = 0
-        self.recovery_attempts = 0
-        self.stall_seconds = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ActiveSession(requester={getattr(self.requester, 'peer_id', '?')}, "
-            f"suppliers={len(self.suppliers)}, "
-            f"remaining={self.remaining_seconds:.0f}s, "
-            f"interruptions={self.interruptions})"
-        )
+__all__ = ["StreamingSession", "plan_session"]
 
 
 @dataclass(frozen=True)

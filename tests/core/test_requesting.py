@@ -7,7 +7,6 @@ from repro.core.requesting import (
     CandidateReport,
     CandidateStatus,
     backoff_delay,
-    candidate_contact_order,
     choose_reminder_set,
     greedy_fill,
 )
@@ -23,22 +22,6 @@ def report(peer_id, peer_class, status, favors=False, ladder=None):
         status=status,
         favors_requester=favors,
     )
-
-
-class TestContactOrder:
-    def test_high_class_first(self):
-        reports = [
-            report(1, 3, CandidateStatus.GRANTED),
-            report(2, 1, CandidateStatus.GRANTED),
-            report(3, 2, CandidateStatus.GRANTED),
-        ]
-        ordered = candidate_contact_order(reports)
-        assert [r.peer_class for r in ordered] == [1, 2, 3]
-
-    def test_ties_broken_by_peer_id(self):
-        reports = [report(9, 2, CandidateStatus.GRANTED),
-                   report(4, 2, CandidateStatus.GRANTED)]
-        assert [r.peer_id for r in candidate_contact_order(reports)] == [4, 9]
 
 
 class TestGreedyFill:

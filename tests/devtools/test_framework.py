@@ -25,7 +25,7 @@ class TestRuleScope:
 
     def test_include_prefix(self):
         scope = RuleScope(include=("src/repro/simulation/",))
-        assert scope.applies("src/repro/simulation/engine.py")
+        assert scope.applies("src/repro/simulation/arrayengine.py")
         assert not scope.applies("benchmarks/bench_x.py")
 
     def test_exclude_wins_over_include(self):

@@ -11,8 +11,8 @@ from repro.scenarios import (
     scenario_for_pattern,
     scenario_names,
 )
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
-from repro.simulation.system import StreamingSystem
 
 
 class TestRegistry:
@@ -108,13 +108,13 @@ class TestRoundTrip:
     """Every registered scenario builds a valid config and simulates."""
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_builds_and_runs_ten_sim_seconds(self, name):
+    def test_builds_and_runs_to_the_horizon(self, name):
         config = get_scenario(name).build_config(scale=0.004)
-        system = StreamingSystem(config)  # __post_init__ validated the config
-        system.sim.run(until=10.0)
-        assert system.sim.now == 10.0
+        engine = ArrayEngine(config)  # __post_init__ validated the config
         # t=0 samplers ran, so every scenario produces a live metrics feed
-        assert system.metrics.capacity_series
+        assert engine.metrics.capacity_series
+        engine.run()
+        assert engine.now == config.horizon_seconds
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_configs_are_deterministic(self, name):

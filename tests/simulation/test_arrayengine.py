@@ -1,18 +1,12 @@
-"""Array-engine parity suite: struct-of-arrays engine vs. the object oracle.
+"""Array-engine seams: lazy imports, vectorized arrivals, session slots.
 
-``run_simulation`` runs every level-representable config on the array
-engine, whose one promise is *bit-identical results*: same metrics
-payload, same event count, same message statistics, same trace as the
-object engine (:class:`StreamingSystem`, built directly here as the
-oracle).  These tests pin that promise on every builtin scenario, on
-randomized property-style configurations, and on the targeted seams
-(vectorized arrivals, session-slot recycling, lifecycle recovery) where
-an off-by-one would hide.
+The engine's behaviour on whole runs is pinned by
+``tests/simulation/test_golden.py``; these tests cover the seams where an
+off-by-one would hide: the bit-identical vectorized arrival times, the
+session table's slot recycling, and which modules a run loads.
 """
 
-import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,135 +14,12 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios import all_scenarios, get_scenario
-from repro.simulation.arrayengine import LEVEL_POLICIES, ArrayEngine
 from repro.simulation.arrivals import generate_arrival_times, make_pattern
 from repro.simulation.arraystate import (
     VECTORIZABLE_PATTERNS,
     SessionTable,
     vectorized_arrival_times,
 )
-from repro.simulation.config import SimulationConfig
-from repro.simulation.lifecycle import RECOVERY_MODES
-from repro.simulation.runner import run_simulation
-from repro.simulation.system import StreamingSystem
-from repro.simulation.trace import TraceRecorder
-
-
-def assert_engine_parity(config, *, trace: bool = False) -> None:
-    """``run_simulation`` equals a directly built ``StreamingSystem``.
-
-    Metrics are compared as canonical JSON text so NaN-valued means stay
-    comparable (NaN != NaN under ``==``).
-    """
-    assert config.protocol in LEVEL_POLICIES, "parity covers array-engine runs"
-    object_trace = TraceRecorder() if trace else None
-    array_trace = TraceRecorder() if trace else None
-    oracle = StreamingSystem(config, trace=object_trace)
-    oracle_metrics = oracle.run()
-    result = run_simulation(config, trace=array_trace)
-    assert json.dumps(result.metrics.to_dict(), sort_keys=True) == json.dumps(
-        oracle_metrics.to_dict(), sort_keys=True
-    )
-    assert result.events_processed == oracle.sim.events_processed
-    oracle_messages = (
-        oracle.transport.snapshot() if oracle.transport is not None else None
-    )
-    assert result.message_stats == oracle_messages
-    if trace:
-        assert array_trace.events == object_trace.events
-
-
-def test_all_builtin_scenarios_parity():
-    """Every builtin workload — churn, lifecycle, chord, loss — agrees."""
-    for scenario in all_scenarios():
-        config = scenario.build_config(scale=0.004)
-        assert_engine_parity(config)
-
-
-@pytest.mark.parametrize("recovery", RECOVERY_MODES)
-def test_lifecycle_recovery_parity(recovery):
-    """Mid-stream failure and every recovery mode replay identically."""
-    config = get_scenario("flash_departure").build_config(
-        scale=0.02, lifecycle_recovery=recovery
-    )
-    assert_engine_parity(config)
-
-
-@pytest.mark.parametrize("scenario_name", ["quickstart", "flash_departure"])
-def test_trace_parity(scenario_name):
-    """The array engine emits the identical trace event stream."""
-    config = get_scenario(scenario_name).build_config(scale=0.008)
-    assert_engine_parity(config, trace=True)
-
-
-def test_randomized_config_parity():
-    """Property-style sweep: random small configs agree on both engines.
-
-    Eight seeded draws across the dimensions that steer engine control
-    flow: arrival pattern, level-representable protocol, lookup service,
-    probe loss, lifecycle model + recovery, message accounting and
-    stochastic arrivals.  None of the draws pairs graceful departures
-    with probe loss, whose draws share the churn stream, so a ninth
-    config does.
-    """
-    rng = random.Random(20020701)
-    protocols = sorted(LEVEL_POLICIES)
-    configs = [
-        SimulationConfig(
-            seed_suppliers={1: rng.randint(2, 6)},
-            requesting_peers={
-                peer_class: rng.randint(10, 60) for peer_class in (1, 2, 3, 4)
-            },
-            protocol=rng.choice(protocols),
-            arrival_pattern=rng.randint(1, 4),
-            deterministic_arrivals=rng.random() < 0.75,
-            lookup=rng.choice(("directory", "chord")),
-            down_probability=rng.choice((0.0, 0.3)),
-            track_messages=rng.random() < 0.5,
-            lifecycle=rng.choice(
-                ("none", "none", "graceful", "sessions", "flash", "diurnal")
-            ),
-            lifecycle_recovery=rng.choice(RECOVERY_MODES),
-            lifecycle_rejoin=rng.random() < 0.5,
-            master_seed=rng.randint(1, 2**31),
-        )
-        for _attempt in range(8)
-    ]
-    configs.append(
-        SimulationConfig(
-            seed_suppliers={1: 4},
-            requesting_peers={1: 20, 2: 20, 3: 40, 4: 40},
-            down_probability=0.3,
-            lifecycle="graceful",
-            master_seed=17,
-        )
-    )
-    for config in configs:
-        assert_engine_parity(config)
-
-
-def test_linear_elevation_is_not_level_representable():
-    """The one non-level-representable variant runs on the object engine.
-
-    The array engine refuses it rather than mis-running it, so
-    ``run_simulation`` must route it to ``StreamingSystem``.
-    """
-    config = SimulationConfig(
-        protocol="dac-linear-elevation",
-        seed_suppliers={1: 2},
-        requesting_peers={1: 5, 2: 5, 3: 5, 4: 5},
-        master_seed=3,
-    )
-    assert config.protocol not in LEVEL_POLICIES
-    with pytest.raises(ConfigurationError, match="dac-linear-elevation"):
-        ArrayEngine(config)
-    result = run_simulation(config)
-    oracle = StreamingSystem(config)
-    assert json.dumps(result.metrics.to_dict(), sort_keys=True) == json.dumps(
-        oracle.run().to_dict(), sort_keys=True
-    )
-    assert result.events_processed == oracle.sim.events_processed
 
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -281,9 +152,9 @@ class TestSessionTable:
         assert table.stall_seconds[slot] == 0.0
 
     def test_generation_distinguishes_stale_events(self):
-        # the engine's (slot, generation) pairs stand in for cancelling
-        # the object engine's end-event handles: after release + realloc,
-        # an event carrying the old generation must not match
+        # the engine's (slot, generation) pairs cancel scheduled session
+        # ends: after release + realloc, an event carrying the old
+        # generation must not match
         table = SessionTable()
         slot = table.alloc(1, (2,), 0.0, 60.0)
         stale = (slot, table.generation[slot])
@@ -291,8 +162,3 @@ class TestSessionTable:
         table.alloc(3, (4,), 1.0, 60.0)
         assert table.generation[slot] != stale[1]
 
-
-def test_slot_reuse_parity_under_heavy_churn():
-    """Depart/rejoin churn recycles slots without disturbing parity."""
-    config = get_scenario("heavy_churn").build_config(scale=0.02)
-    assert_engine_parity(config)

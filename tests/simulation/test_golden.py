@@ -22,13 +22,20 @@
 ``dac-linear-elevation``, and every other ``dac-linear-elevation`` run,
 also pin a digest of their trace events.
 
-Every pin was captured on the object engine, except the five
-``unstable_suppliers_100k`` and ``diurnal_churn_week`` variants, which
-were captured through ``run_simulation`` while the lifecycle models
-still drew each answer lazily at query time.  At 0.02 every scenario but
-``sparse_seeds`` admits peers, so those pins cover the request path, not
-only arrivals; at 0.004 and 0.008 a scenario has one seed supplier, and
-only ``megacity_1m`` admits anyone.  A mismatch means a change moved the
+Every pinned run is run once, traced, on
+:class:`~repro.simulation.arrayengine.ArrayEngine`: its fingerprint must
+match, and :func:`~repro.simulation.validation.audit_system` must find
+no violation of S1–S6 or T1–T4.  Tracing only observes, so it leaves the
+fingerprint alone.
+
+Every pin was captured on an object-per-peer implementation of the same
+model (since retired), except the five ``unstable_suppliers_100k`` and
+``diurnal_churn_week`` variants, which were captured through
+``run_simulation`` while the lifecycle models still drew each answer
+lazily at query time.  At 0.02 every scenario but ``sparse_seeds``
+admits peers, so those pins cover the request path, not only arrivals;
+at 0.004 and 0.008 a scenario has one seed supplier, and only
+``megacity_1m`` admits anyone.  A mismatch means a change moved the
 behaviour of a run; a refactor must never do that.  Re-pin only on
 purpose, and say why.
 """
@@ -41,10 +48,12 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios import all_scenarios, get_scenario
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import RECOVERY_MODES
 from repro.simulation.runner import run_simulation
 from repro.simulation.trace import TraceRecorder
+from repro.simulation.validation import audit_system
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_fingerprints.json").read_text()
@@ -108,12 +117,12 @@ def golden_config(run: dict) -> SimulationConfig:
     )
 
 
-def behavior_fingerprint(result) -> str:
-    """sha256 over the run's metrics payload, event count and message stats."""
+def behavior_fingerprint(metrics, events_processed, message_stats) -> str:
+    """sha256 over a run's metrics payload, event count and message stats."""
     payload = {
-        "metrics": result.metrics.to_dict(),
-        "events_processed": result.events_processed,
-        "message_stats": result.message_stats,
+        "metrics": metrics.to_dict(),
+        "events_processed": events_processed,
+        "message_stats": message_stats,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -154,17 +163,39 @@ def test_every_randomized_config_is_pinned():
 @pytest.mark.parametrize("label", sorted(GOLDEN["runs"]))
 def test_golden_fingerprint(label):
     run = GOLDEN["runs"][label]
-    trace = TraceRecorder() if "trace_digest" in run else None
-    result = run_simulation(golden_config(run), trace=trace)
-    admitted = sum(result.metrics.admitted.values())
+    trace = TraceRecorder()
+    engine = ArrayEngine(golden_config(run), trace=trace)
+    metrics = engine.run()
+    admitted = sum(metrics.admitted.values())
     if label in GOLDEN["admits_nobody"]:
         assert admitted == 0
     else:
         assert admitted > 0, f"{label} admits nobody; the pin misses the request path"
-    assert behavior_fingerprint(result) == run["fingerprint"], (
-        f"behaviour drift in {label!r}"
+    message_stats = (
+        engine.transport.snapshot() if engine.transport is not None else None
     )
-    if trace is not None:
+    fingerprint = behavior_fingerprint(
+        metrics, engine.events_processed, message_stats
+    )
+    assert fingerprint == run["fingerprint"], f"behaviour drift in {label!r}"
+    if "trace_digest" in run:
         assert trace_digest(trace) == run["trace_digest"], (
             f"trace drift in {label!r}"
         )
+    report = audit_system(engine, trace)
+    assert report.ok, report.summary()
+
+
+def test_linear_elevation_runs_on_the_array_engine():
+    """``run_simulation`` runs ``dac-linear-elevation`` on the array engine:
+    the step column moves, and the result matches its pin."""
+    run = GOLDEN["runs"]["paper_default/dac-linear-elevation"]
+    config = golden_config(run)
+    engine = ArrayEngine(config)
+    engine.run()
+    assert max(engine.peers.step) > 0
+    result = run_simulation(config)
+    fingerprint = behavior_fingerprint(
+        result.metrics, result.events_processed, result.message_stats
+    )
+    assert fingerprint == run["fingerprint"]

@@ -28,7 +28,6 @@ from repro.simulation.lifecycle import (
 )
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.runner import run_simulation
-from repro.simulation.system import StreamingSystem
 
 HOUR = 3600.0
 DAY = 24 * HOUR
@@ -126,7 +125,7 @@ class LazyDiurnal:
 
 
 def engine_walk(model, peer, activation, horizon, rejoin=True):
-    """Every answer about ``peer``, asked for the way both engines ask."""
+    """Every answer about ``peer``, asked for the way the engine asks."""
     answers = []
     now = activation
     while True:
@@ -193,7 +192,7 @@ class TestDrawnTimelinesMatchLazyDraws:
     @pytest.mark.parametrize("kind", ["sessions", "diurnal", "onoff"])
     @pytest.mark.parametrize("last", [2, 3], ids=["departure", "return"])
     def test_an_answer_at_the_horizon_is_followed(self, kind, last):
-        """The engines schedule an event at the horizon itself and ask
+        """The engine schedules an event at the horizon itself and asks
         about the peer there, so its timeline reaches one answer further."""
         reference = model_pair(kind, HOUR, 600.0, 0.0, seed=17)[1]
         answers = engine_walk(reference, 0, 0.0, 50 * HOUR)
@@ -219,12 +218,12 @@ class TestDrawnTimelinesMatchLazyDraws:
 
 @pytest.fixture(params=["sessions", "diurnal"])
 def drawn_model(request):
-    """A model that answers only in the engines' query order."""
+    """A model that answers only in the engine's query order."""
     return model_pair(request.param, 600.0, 60.0, 10 * HOUR, seed=3)[0]
 
 
 class TestQueryOrder:
-    """A query the engines never make raises instead of drawing anew."""
+    """A query the engine never makes raises instead of drawing anew."""
 
     def test_two_departures_in_a_row_raise(self, drawn_model):
         departure = drawn_model.next_departure(1, 0.0)
@@ -291,15 +290,15 @@ class TestNoRngOutlivesActivation:
         assert sum(engine.metrics.supplier_departures.values()) > 0
         assert reachable_rngs(engine._lifecycle_model) == 0
 
-    def test_object_engine_run(self):
-        system = StreamingSystem(
+    def test_linear_elevation_run(self):
+        engine = ArrayEngine(
             get_scenario("diurnal_churn_week").build_config(
                 scale=0.02, protocol="dac-linear-elevation"
             )
         )
-        system.run()
-        assert sum(system.metrics.supplier_departures.values()) > 0
-        assert reachable_rngs(system.lifecycle.model) == 0
+        engine.run()
+        assert sum(engine.metrics.supplier_departures.values()) > 0
+        assert reachable_rngs(engine._lifecycle_model) == 0
 
 
 # ----------------------------------------------------------------------
@@ -622,18 +621,18 @@ class TestMidStreamRecovery:
         assert latency and all(v > 0 for v in latency)
 
     def test_continuity_probe_rides_the_default_subscription(self):
-        system = StreamingSystem(flash_config())
-        assert "continuity" in system.metrics.probes
-        payload = system.metrics.to_dict()
+        engine = ArrayEngine(flash_config())
+        assert "continuity" in engine.metrics.probes
+        payload = engine.metrics.to_dict()
         for key in ("interruptions", "recovered_sessions", "sessions_lost",
                     "stall_seconds_sum", "playback_continuity_index",
                     "continuity_series"):
             assert key in payload
 
     def test_disabled_lifecycle_keeps_the_historical_export_schema(self):
-        system = StreamingSystem(flash_config(lifecycle="none"))
-        assert "continuity" not in system.metrics.probes
-        assert "interruptions" not in system.metrics.to_dict()
+        engine = ArrayEngine(flash_config(lifecycle="none"))
+        assert "continuity" not in engine.metrics.probes
+        assert "interruptions" not in engine.metrics.to_dict()
 
     def test_abandon_loses_sessions_and_promotions(self):
         resume = run_simulation(flash_config()).metrics
@@ -653,10 +652,15 @@ class TestMidStreamRecovery:
         assert sum(restart.sessions_lost.values()) == 0
 
     def test_ledger_matches_population_after_churning(self):
-        system = StreamingSystem(flash_config())
-        system.run()
-        active = sum(1 for p in system.peers if p.is_active_supplier)
-        assert system.ledger.num_suppliers == active
+        engine = ArrayEngine(flash_config())
+        engine.run()
+        peers = engine.peers
+        active = sum(
+            1
+            for pid in range(len(peers))
+            if peers.level[pid] != 0 and not peers.departed[pid]
+        )
+        assert engine.ledger.num_suppliers == active
 
     def test_onoff_lifecycle_full_run(self):
         config = SimulationConfig(lifecycle="onoff").scaled(0.02)

@@ -1,8 +1,8 @@
 """Message accounting checked against the run's own metrics.
 
 Each identity ties a ``message_stats`` count to the event counters the
-same run recorded, so the checks hold on either engine without a second
-implementation to compare against:
+same run recorded, so the checks need no second implementation to
+compare against:
 
 * every probe gets a reply;
 * every candidate query (a request, a successful recovery or a failed
@@ -27,7 +27,7 @@ CONFIGS = [
     ("flash_departure", None),
     ("heavy_churn", "ndac"),
     ("unstable_suppliers_100k", None),
-    # the object engine
+    # linear elevation: the step column
     ("paper_default", "dac-linear-elevation"),
     ("flash_departure", "dac-linear-elevation"),
 ]

@@ -14,8 +14,8 @@ from repro.simulation.probes import (
     MetricsPipeline,
     validate_probes,
 )
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.runner import run_simulation
-from repro.simulation.system import StreamingSystem
 
 
 class TestSubscriptions:
@@ -148,8 +148,7 @@ class TestEndToEnd:
 
     def test_favored_sampler_skipped_without_favored_probe(self):
         config = SimulationConfig(probes=("capacity",)).scaled(0.004)
-        system = StreamingSystem(config)
-        metrics = system.run()
+        metrics = ArrayEngine(config).run()
         assert metrics.favored_series == {c: [] for c in (1, 2, 3, 4)}
 
     def test_population_scale_scenarios_subscribe_the_fast_path(self):

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
-from repro.simulation.system import StreamingSystem
 
 HOUR = 3600.0
 
@@ -19,8 +19,7 @@ class TestScarceSupply:
             arrival_pattern=1,
             master_seed=3,
         )
-        system = StreamingSystem(config)
-        metrics = system.run()
+        metrics = ArrayEngine(config).run()
         assert sum(metrics.admitted.values()) == 0
         assert sum(metrics.rejections.values()) > 0
         # capacity stays at the seed's floor(0.5) = 0
@@ -33,7 +32,7 @@ class TestScarceSupply:
             arrival_pattern=1,
             master_seed=3,
         )
-        metrics = StreamingSystem(config).run()
+        metrics = ArrayEngine(config).run()
         assert sum(metrics.admitted.values()) == 12
 
 
@@ -47,7 +46,7 @@ class TestSmallM:
             arrival_pattern=1,
             master_seed=3,
         )
-        metrics = StreamingSystem(config).run()
+        metrics = ArrayEngine(config).run()
         assert sum(metrics.admitted.values()) == 0
 
     def test_m2_admits_only_via_class1_pairs(self):
@@ -58,11 +57,13 @@ class TestSmallM:
             arrival_pattern=1,
             master_seed=3,
         )
-        system = StreamingSystem(config)
-        system.run()
-        for peer in system.peers:
-            if peer.num_suppliers_served_by is not None:
-                assert peer.num_suppliers_served_by == 2
+        engine = ArrayEngine(config)
+        engine.run()
+        served_by = engine.peers.num_suppliers_served_by
+        assert any(count != -1 for count in served_by)
+        for count in served_by:
+            if count != -1:  # admitted
+                assert count == 2
 
 
 class TestHorizonEdges:
@@ -76,9 +77,10 @@ class TestHorizonEdges:
             arrival_pattern=1,
             master_seed=3,
         )
-        system = StreamingSystem(config)
-        system.run()
-        assert system.sim.now <= config.horizon_seconds
+        engine = ArrayEngine(config)
+        engine.run()
+        assert engine.now <= config.horizon_seconds
+        assert not engine._heap
 
     def test_sessions_straddling_horizon_do_not_promote(self):
         # A peer admitted within the last show time of the horizon has its
@@ -91,12 +93,11 @@ class TestHorizonEdges:
             arrival_pattern=1,
             master_seed=3,
         )
-        system = StreamingSystem(config)
-        metrics = system.run()
+        engine = ArrayEngine(config)
+        metrics = engine.run()
         admitted = sum(metrics.admitted.values())
-        promoted = sum(
-            1 for p in system.peers if not p.is_seed and p.is_supplier
-        )
+        num_seeds = sum(config.seed_suppliers.values())
+        promoted = sum(1 for level in engine.peers.level[num_seeds:] if level)
         assert promoted <= admitted
 
 
@@ -109,13 +110,10 @@ class TestNoCandidates:
             arrival_pattern=1,
             master_seed=3,
         )
-        system = StreamingSystem(config)
-        for peer in system.peers:
-            if peer.is_seed:
-                system.lookup.unregister_supplier(
-                    system.media.media_id, peer.peer_id
-                )
-        metrics = system.run()
+        engine = ArrayEngine(config)
+        for seed in range(sum(config.seed_suppliers.values())):
+            engine.lookup.unregister_supplier(engine.media.media_id, seed)
+        metrics = engine.run()
         assert sum(metrics.admitted.values()) == 0
         assert sum(metrics.rejections.values()) > 0
 
@@ -134,5 +132,5 @@ class TestPolicyVariantsEndToEnd:
             protocol=protocol,
             master_seed=3,
         )
-        metrics = StreamingSystem(config).run()
+        metrics = ArrayEngine(config).run()
         assert sum(metrics.admitted.values()) == 50

@@ -1,22 +1,14 @@
-"""Unit tests for the post-run invariant auditor.
-
-The clean-run audits run on both engines: ``run_simulation`` takes the
-array engine for every level-representable policy, and the invariants
-must hold on whichever engine ran.
-"""
+"""Unit tests for the post-run invariant auditor."""
 
 import pytest
 
-from repro.core.model import PeerRole
 from repro.scenarios import get_scenario
 from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
-from repro.simulation.system import StreamingSystem
 from repro.simulation.trace import TraceRecorder
 from repro.simulation.validation import AuditReport, audit_system
 
 HOUR = 3600.0
-ENGINES = (StreamingSystem, ArrayEngine)
 
 SMALL = SimulationConfig(
     seed_suppliers={1: 4},
@@ -26,78 +18,64 @@ SMALL = SimulationConfig(
 )
 
 
-def finished_run(engine, config):
+def finished_run(config):
     trace = TraceRecorder()
-    system = engine(config, trace=trace)
-    system.run()
-    return system, trace
+    engine = ArrayEngine(config, trace=trace)
+    engine.run()
+    return engine, trace
 
 
 @pytest.fixture(scope="module")
 def finished_system():
-    return finished_run(StreamingSystem, SMALL)
-
-
-@pytest.fixture(scope="module")
-def finished_runs():
-    """The same run finished on each engine."""
-    return [finished_run(engine, SMALL) for engine in ENGINES]
+    return finished_run(SMALL)
 
 
 class TestCleanRunPasses:
-    def test_state_audit_clean(self, finished_runs):
-        for system, _trace in finished_runs:
-            report = audit_system(system)
-            assert report.ok, report.summary()
-            assert report.checks_run > 100
+    def test_state_audit_clean(self, finished_system):
+        system, _trace = finished_system
+        report = audit_system(system)
+        assert report.ok, report.summary()
+        assert report.checks_run > 100
 
-    def test_trace_audit_clean(self, finished_runs):
-        for system, trace in finished_runs:
-            report = audit_system(system, trace)
-            assert report.ok, report.summary()
+    def test_trace_audit_clean(self, finished_system):
+        system, trace = finished_system
+        report = audit_system(system, trace)
+        assert report.ok, report.summary()
 
-    def test_summary_mentions_checks(self, finished_runs):
-        for system, trace in finished_runs:
-            text = audit_system(system, trace).summary()
-            assert "audit ok" in text
+    def test_summary_mentions_checks(self, finished_system):
+        system, trace = finished_system
+        text = audit_system(system, trace).summary()
+        assert "audit ok" in text
 
     def test_ndac_run_also_clean(self):
-        for engine in ENGINES:
-            system, trace = finished_run(engine, SMALL.replace(protocol="ndac"))
-            assert audit_system(system, trace).ok
+        system, trace = finished_run(SMALL.replace(protocol="ndac"))
+        assert audit_system(system, trace).ok
 
 
 def demote(system, pid):
     """Turn a promoted supplier back into a plain requester."""
-    if isinstance(system, ArrayEngine):
-        system.peers.level[pid] = 0
-    else:
-        system.peers[pid].role = PeerRole.REQUESTING
+    system.peers.level[pid] = 0
 
 
 def promoted_requester(system):
     """A non-seed peer that was admitted and then became a supplier."""
     num_seeds = sum(system.config.seed_suppliers.values())
+    peers = system.peers
     for pid in range(num_seeds, system.config.total_peers):
-        if isinstance(system, ArrayEngine):
-            peers = system.peers
-            if peers.level[pid] != 0 and not peers.departed[pid]:
-                return pid
-        elif system.peers[pid].is_active_supplier:
+        if peers.level[pid] != 0 and not peers.departed[pid]:
             return pid
     raise AssertionError("no promoted requester")
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
 class TestLostSessions:
     """S1 allows exactly one unpromoted admitted peer per lost session."""
 
     @pytest.fixture
-    def abandoned(self, engine):
+    def abandoned(self):
         config = get_scenario("flash_departure").build_config(
             scale=0.02, lifecycle_recovery="abandon"
         )
-        system = engine(config)
+        system = ArrayEngine(config)
         system.run()
         assert sum(system.metrics.sessions_lost.values()) > 0
         return system
@@ -120,14 +98,13 @@ LIFECYCLE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
 @pytest.mark.parametrize("label", sorted(LIFECYCLE_RUNS))
-def test_lifecycle_trace_audits_clean(engine, label):
+def test_lifecycle_trace_audits_clean(label):
     """An interrupted session frees its suppliers; a resumed one holds its
     new suppliers only for the remaining transfer."""
     scenario, overrides = LIFECYCLE_RUNS[label]
     config = get_scenario(scenario).build_config(scale=0.02, **overrides)
-    system, trace = finished_run(engine, config)
+    system, trace = finished_run(config)
     assert sum(system.metrics.interruptions.values()) > 0
     report = audit_system(system, trace)
     assert report.ok, report.summary()
@@ -144,17 +121,18 @@ class TestViolationsDetected:
 
     def test_theorem1_mismatch_detected(self, finished_system):
         system, _trace = finished_system
-        victim = next(p for p in system.peers if p.buffering_delay_slots)
-        original = victim.buffering_delay_slots
-        victim.buffering_delay_slots = original + 1
+        delays = system.peers.buffering_delay_slots
+        victim = next(pid for pid, delay in enumerate(delays) if delay > 0)
+        original = delays[victim]
+        delays[victim] = original + 1
         report = audit_system(system)
-        victim.buffering_delay_slots = original
+        delays[victim] = original
         assert any(v.invariant == "S4" for v in report.violations)
 
     def test_double_booked_supplier_detected(self, finished_system):
         system, _trace = finished_system
         trace = TraceRecorder()
-        supplier_ids = [p.peer_id for p in system.peers if p.is_seed][:2]
+        supplier_ids = [0, 1]  # seeds
         # Two overlapping admissions using the same suppliers.
         trace.record("admission", 100.0, peer=9, suppliers=supplier_ids)
         trace.record("admission", 200.0, peer=10, suppliers=supplier_ids)
@@ -164,7 +142,7 @@ class TestViolationsDetected:
     def test_interrupted_suppliers_are_free_at_once(self, finished_system):
         system, _trace = finished_system
         trace = TraceRecorder()
-        supplier_ids = [p.peer_id for p in system.peers if p.is_seed][:2]
+        supplier_ids = [0, 1]  # seeds
         trace.record("admission", 100.0, peer=9, suppliers=supplier_ids)
         trace.record(
             "session_interrupted", 200.0, peer=9, departed=supplier_ids[0],
@@ -177,7 +155,7 @@ class TestViolationsDetected:
     def test_busy_supplier_after_resume_detected(self, finished_system):
         system, _trace = finished_system
         trace = TraceRecorder()
-        supplier_ids = [p.peer_id for p in system.peers if p.is_seed][:2]
+        supplier_ids = [0, 1]  # seeds
         trace.record("admission", 100.0, peer=9, suppliers=supplier_ids)
         trace.record(
             "session_interrupted", 200.0, peer=9, departed=supplier_ids[0],
@@ -196,8 +174,7 @@ class TestViolationsDetected:
     def test_under_provisioned_session_detected(self, finished_system):
         system, _trace = finished_system
         trace = TraceRecorder()
-        seed = next(p for p in system.peers if p.is_seed)
-        trace.record("admission", 100.0, peer=9, suppliers=[seed.peer_id])
+        trace.record("admission", 100.0, peer=9, suppliers=[0])  # one seed
         report = audit_system(system, trace)
         assert any(v.invariant == "T2" for v in report.violations)
 
@@ -260,12 +237,11 @@ UNPROMOTED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
 @pytest.mark.parametrize("label", sorted(UNPROMOTED_RUNS))
-def test_s1_spares_live_and_lost_sessions(engine, label):
+def test_s1_spares_live_and_lost_sessions(label):
     """A requester still streaming at the horizon is promoted only when its
     transfer ends, and a lost session counts whatever the subscription."""
-    system = engine(UNPROMOTED_RUNS[label]())
+    system = ArrayEngine(UNPROMOTED_RUNS[label]())
     system.run()
     report = audit_system(system)
     assert report.ok, report.summary()

@@ -41,8 +41,8 @@ class TestRepositoryDocs:
                         "simulation", "scenarios", "orchestration", "analysis"):
             assert f"{package}/" in text, f"ARCHITECTURE.md misses {package}/"
         # the PR seams and the lifecycle layer are called out
-        for anchor in ("Simulator", "MetricsPipeline", "Study",
-                       "LifecycleDynamics", "lifecycle.py"):
+        for anchor in ("ArrayEngine", "MetricsPipeline", "Study",
+                       "LifecycleModel", "lifecycle.py"):
             assert anchor in text
 
     def test_experiments_covers_every_cli_command_and_artifact(self):

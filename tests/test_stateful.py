@@ -6,8 +6,7 @@ bug with a minimized reproduction.  Covered components:
 
 * :class:`CentralDirectory` — the O(1) swap-removal registry;
 * :class:`CapacityLedger` — incremental capacity accounting;
-* :class:`ChordRing` — joins/leaves/puts/gets against a dict model;
-* :class:`Simulator` — event ordering against a sorted-list model.
+* :class:`ChordRing` — joins/leaves/puts/gets against a dict model.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.core.capacity import CapacityLedger
 from repro.core.model import ClassLadder
 from repro.network.chord import ChordRing
 from repro.network.directory import CentralDirectory
-from repro.simulation.engine import Simulator
 
 LADDER = ClassLadder(4)
 
@@ -167,46 +165,10 @@ class ChordMachine(RuleBasedStateMachine):
         assert len(seen) == len(nodes)
 
 
-class SimulatorMachine(RuleBasedStateMachine):
-    """Event engine vs a sorted reference of (time, sequence) pairs."""
-
-    def __init__(self):
-        super().__init__()
-        self.sim = Simulator()
-        self.expected: list[tuple[float, int]] = []
-        self.fired: list[tuple[float, int]] = []
-        self.counter = 0
-
-    @rule(delay=st.floats(min_value=0.0, max_value=100.0,
-                          allow_nan=False, allow_infinity=False))
-    def schedule(self, delay):
-        self.counter += 1
-        tag = (self.sim.now + delay, self.counter)
-        self.expected.append(tag)
-        self.sim.schedule_in(delay, self.fired.append, tag)
-
-    @rule()
-    def step(self):
-        if self.sim.step():
-            assert self.fired, "step fired nothing but reported True"
-            tag = self.fired[-1]
-            # The fired event must be the minimum of what was pending.
-            assert tag == min(self.expected)
-            self.expected.remove(tag)
-
-    def teardown(self):
-        self.sim.run()
-        assert sorted(self.fired) == self.fired or all(
-            a[0] <= b[0] for a, b in zip(self.fired, self.fired[1:])
-        )
-
-
 TestDirectoryStateful = DirectoryMachine.TestCase
 TestLedgerStateful = LedgerMachine.TestCase
 TestChordStateful = ChordMachine.TestCase
-TestSimulatorStateful = SimulatorMachine.TestCase
 
-for machine in (TestDirectoryStateful, TestLedgerStateful,
-                TestChordStateful, TestSimulatorStateful):
+for machine in (TestDirectoryStateful, TestLedgerStateful, TestChordStateful):
     machine.settings = settings(max_examples=30, stateful_step_count=30,
                                 deadline=None)
