@@ -36,8 +36,8 @@ def main() -> None:
     print(f"Peers: {config.total_peers}; if every peer eventually supplies, "
           "capacity grows ~15x beyond the seeds.\n")
 
-    # a Study grid over the protocol axis; records are duck-compatible
-    # with live results, so the report code below doesn't care
+    # a Study grid over the protocol axis; records hold the same metrics
+    # type as live results, so the report code below doesn't care
     result_set = (
         Study.from_config(config, scenario=args.scenario)
         .protocols("dac", "ndac")

@@ -66,7 +66,7 @@ from repro.simulation.lifecycle import (
     LifecycleModel,
     make_lifecycle,
 )
-from repro.simulation.probes import MetricsPipeline
+from repro.simulation.probes import MetricsPipeline, RunMetrics
 from repro.simulation.runner import SimulationResult, run_simulation
 from repro.analysis.experiments import run_experiment
 
@@ -103,6 +103,7 @@ __all__ = [
     "run_simulation",
     # metrics
     "MetricsPipeline",
+    "RunMetrics",
     # session-lifecycle dynamics
     "LifecycleModel",
     "make_lifecycle",

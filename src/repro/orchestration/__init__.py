@@ -29,7 +29,6 @@ from repro.orchestration.batch import run_batch
 from repro.orchestration.runspec import RunSpec, config_from_dict, config_to_dict
 from repro.orchestration.study import (
     Aggregate,
-    RecordMetrics,
     ResultSet,
     RunRecord,
     Study,
@@ -53,7 +52,6 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "Aggregate",
-    "RecordMetrics",
     "ResultSet",
     "RunRecord",
     "Study",

@@ -9,9 +9,11 @@ that one primitive:
   regression baselines and cached results stay valid;
 * ``jobs>1`` fans the configs out over a :class:`ProcessPoolExecutor`
   in contiguous chunks.  Configs are picklable frozen dataclasses and
-  workers return the full
-  :class:`~repro.simulation.runner.SimulationResult` (metrics included),
-  so results are byte-equal to the serial path — only wall time changes.
+  workers return the
+  :class:`~repro.simulation.runner.SimulationResult`, whose
+  :class:`~repro.simulation.probes.RunMetrics` pickles as its export
+  payload alone, so results are byte-equal to the serial path — only
+  wall time changes.
 
 Fault tolerance: a dead worker (OOM kill, SIGKILL, interpreter abort)
 used to surface as a bare ``BrokenProcessPool`` that lost the whole

@@ -21,11 +21,12 @@ repeated invocation is served without running a single simulation.
 
 Records carry full provenance (the exact configuration, the package
 version, wall time) plus every scalar and series the paper's reports
-consume.  :attr:`RunRecord.metrics` exposes the serialized metrics with
-the same accessors as a live
-:class:`~repro.simulation.probes.MetricsPipeline`, so the report
-renderers in :mod:`repro.analysis.report` work identically on a record
-loaded from cache and on a freshly computed result.
+consume.  :attr:`RunRecord.metrics` is the run's
+:class:`~repro.simulation.probes.RunMetrics`, the same object a fresh
+:class:`~repro.simulation.runner.SimulationResult` holds, and a record
+loaded from a store rebuilds one from its JSON payload.  So the report
+renderers in :mod:`repro.analysis.report` read a cached record and a
+fresh result through one type.
 """
 
 from __future__ import annotations
@@ -46,188 +47,16 @@ from repro.errors import ConfigurationError
 from repro.orchestration.batch import run_batch
 from repro.orchestration.runspec import RunSpec, config_from_dict, config_to_dict
 from repro.simulation.config import SimulationConfig
-from repro.simulation.probes import SeriesPoint
+from repro.simulation.probes import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.orchestration.store import ResultStore
     from repro.simulation.runner import SimulationResult
 
-__all__ = ["Aggregate", "RecordMetrics", "RunRecord", "ResultSet", "Study"]
+__all__ = ["Aggregate", "RunRecord", "ResultSet", "Study"]
 
 #: the JSON schema identifier stamped into every exported result set
 STUDY_SCHEMA = "repro.study.v1"
-
-_PLAIN_SERIES = (
-    "capacity_series",
-    "capacity_fractional_series",
-    "supplier_count_series",
-    "overall_admission_rate_series",
-)
-_CLASS_SERIES = (
-    "admission_rate_series",
-    "buffering_delay_series",
-    "favored_series",
-)
-_CLASS_COUNTERS = (
-    "first_requests",
-    "requests",
-    "rejections",
-    "admitted",
-    "reminders_left",
-    "supplier_departures",
-    "supplier_rejoins",
-)
-_CLASS_SCALARS = (
-    "mean_rejections_before_admission",
-    "mean_buffering_delay_slots",
-    "mean_waiting_seconds",
-    "admission_rate_percent",
-)
-#: class-keyed payload of the lifecycle extension's continuity probe —
-#: present only in records of runs that subscribed ``continuity``
-_CLASS_CONTINUITY = (
-    "interruptions",
-    "recovered_sessions",
-    "recovery_retries",
-    "sessions_lost",
-    "interrupted_completions",
-    "stall_seconds_sum",
-    "mean_recovery_latency_seconds",
-    "playback_continuity_index",
-)
-
-
-def _restore_metrics(data: dict) -> dict:
-    """Re-int the class keys JSON stringified in a metrics payload."""
-    restored = dict(data)
-    keyed = _CLASS_COUNTERS + _CLASS_SCALARS + _CLASS_SERIES + _CLASS_CONTINUITY
-    for name in keyed:
-        if name in restored:
-            restored[name] = {int(c): v for c, v in restored[name].items()}
-    return restored
-
-
-class RecordMetrics:
-    """Read-only view over a record's serialized metrics payload.
-
-    Mirrors the accessors of a live
-    :class:`~repro.simulation.probes.MetricsPipeline` (series of
-    :class:`SeriesPoint`, per-class counter dicts, derived-scalar
-    methods), so report renderers and downstream analysis accept a
-    :class:`RunRecord` anywhere they accept a simulation result.
-    """
-
-    def __init__(self, data: dict) -> None:
-        self._data = data
-
-    # ---- series ------------------------------------------------------
-    def _series(self, name: str) -> list[SeriesPoint]:
-        return [SeriesPoint(float(h), float(v)) for h, v in self._data[name]]
-
-    def _class_series(self, name: str) -> dict[int, list[SeriesPoint]]:
-        return {
-            int(c): [SeriesPoint(float(h), float(v)) for h, v in points]
-            for c, points in self._data[name].items()
-        }
-
-    @property
-    def capacity_series(self) -> list[SeriesPoint]:
-        """Figure-4 capacity samples."""
-        return self._series("capacity_series")
-
-    @property
-    def capacity_fractional_series(self) -> list[SeriesPoint]:
-        """Fractional (bandwidth-unit) capacity samples."""
-        return self._series("capacity_fractional_series")
-
-    @property
-    def supplier_count_series(self) -> list[SeriesPoint]:
-        """Supplier head-count samples."""
-        return self._series("supplier_count_series")
-
-    @property
-    def overall_admission_rate_series(self) -> list[SeriesPoint]:
-        """Figure-9 overall cumulative admission rate samples."""
-        return self._series("overall_admission_rate_series")
-
-    @property
-    def admission_rate_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-5 per-class cumulative admission rate samples."""
-        return self._class_series("admission_rate_series")
-
-    @property
-    def buffering_delay_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-6 per-class cumulative buffering delay samples."""
-        return self._class_series("buffering_delay_series")
-
-    @property
-    def favored_series(self) -> dict[int, list[SeriesPoint]]:
-        """Figure-7 lowest-favored-class snapshots."""
-        return self._class_series("favored_series")
-
-    # ---- counters and derived scalars --------------------------------
-    def _class_map(self, name: str) -> dict[int, float]:
-        return {int(c): v for c, v in self._data[name].items()}
-
-    def _classes(self) -> list[int]:
-        """The class labels of this record (the counters always carry them)."""
-        return [int(c) for c in self._data["admitted"]]
-
-    def __getattr__(self, name: str):
-        if name in _CLASS_COUNTERS:
-            return self._class_map(name)
-        if name in _CLASS_CONTINUITY:
-            # a record carries these only when ``continuity`` was
-            # subscribed; without it they read as zeros
-            if name in self._data:
-                return self._class_map(name)
-            return {c: 0 for c in self._classes()}
-        raise AttributeError(name)
-
-    # ---- continuity (lifecycle extension; mirrors the live pipeline) --
-    @property
-    def continuity_series(self) -> list[SeriesPoint]:
-        """Hourly mean playback continuity index (empty without the probe)."""
-        if "continuity_series" not in self._data:
-            return []
-        return self._series("continuity_series")
-
-    def mean_recovery_latency_seconds(self) -> dict[int, float]:
-        """Per-class mean interruption-to-re-admission latency."""
-        if "mean_recovery_latency_seconds" in self._data:
-            return self._class_map("mean_recovery_latency_seconds")
-        return {c: float("nan") for c in self._classes()}
-
-    def playback_continuity_index(self) -> dict[int, float]:
-        """Per-class mean playback continuity index (1.0 = stall-free)."""
-        if "playback_continuity_index" in self._data:
-            return self._class_map("playback_continuity_index")
-        return {c: float("nan") for c in self._classes()}
-
-    def mean_rejections_before_admission(self) -> dict[int, float]:
-        """Table 1: per-class mean rejections suffered before admission."""
-        return self._class_map("mean_rejections_before_admission")
-
-    def mean_buffering_delay_slots(self) -> dict[int, float]:
-        """Final per-class mean buffering delay (Figure 6 endpoint)."""
-        return self._class_map("mean_buffering_delay_slots")
-
-    def mean_waiting_seconds(self) -> dict[int, float]:
-        """Per-class mean waiting time from first request to admission."""
-        return self._class_map("mean_waiting_seconds")
-
-    def admission_rate_percent(self) -> dict[int, float]:
-        """Final per-class cumulative admission rate (Figure 5 endpoint)."""
-        return self._class_map("admission_rate_percent")
-
-    def final_capacity(self) -> float:
-        """Last Figure-4 sample (sessions)."""
-        series = self._data["capacity_series"]
-        return float(series[-1][1]) if series else 0.0
-
-    def to_dict(self) -> dict:
-        """The underlying JSON-ready payload."""
-        return self._data
 
 
 @dataclass(frozen=True)
@@ -236,8 +65,8 @@ class RunRecord:
 
     A record is self-describing: it embeds the exact configuration that
     produced it (``config_data``), the package version, the spec hash it
-    is cached under, wall time, the full metrics payload and the
-    transport's message statistics.  ``result`` holds the live
+    is cached under, wall time, the run's metrics and the transport's
+    message statistics.  ``result`` holds the live
     :class:`~repro.simulation.runner.SimulationResult` when the record
     was computed in-process; it is ``None`` for records loaded from a
     :class:`~repro.orchestration.store.ResultStore` and is never
@@ -249,7 +78,7 @@ class RunRecord:
     axes: tuple[tuple[str, object], ...]
     config_data: dict
     scalars: dict[str, float]
-    metrics_data: dict
+    metrics: RunMetrics
     message_stats: dict[str, float] | None
     events_processed: int
     wall_seconds: float
@@ -262,9 +91,8 @@ class RunRecord:
     @classmethod
     def from_result(cls, spec: RunSpec, result: "SimulationResult") -> "RunRecord":
         """Stamp a freshly computed simulation result into a record."""
-        metrics = result.metrics
         scalars = {
-            "final_capacity": metrics.final_capacity(),
+            "final_capacity": result.metrics.final_capacity(),
             "max_capacity": float(result.max_capacity),
             "capacity_fraction_of_max": result.capacity_fraction_of_max,
         }
@@ -274,7 +102,7 @@ class RunRecord:
             axes=spec.axes,
             config_data=config_to_dict(result.config),
             scalars=scalars,
-            metrics_data=metrics.to_dict(),
+            metrics=result.metrics,
             message_stats=dict(result.message_stats)
             if result.message_stats is not None
             else None,
@@ -327,12 +155,7 @@ class RunRecord:
         """
         return dataclasses.replace(self, scenario=spec.scenario, axes=spec.axes)
 
-    # ---- result-like accessors (duck-compatible with SimulationResult)
-    @property
-    def metrics(self) -> RecordMetrics:
-        """Metrics view with the live collector's accessors."""
-        return RecordMetrics(self.metrics_data)
-
+    # ---- the scalars a SimulationResult derives, read back from the record
     @property
     def max_capacity(self) -> int:
         """Capacity ceiling if every peer became a supplier."""
@@ -354,7 +177,7 @@ class RunRecord:
             "axes": [[name, value] for name, value in self.axes],
             "config": self.config_data,
             "scalars": dict(self.scalars),
-            "metrics": self.metrics_data,
+            "metrics": self.metrics.to_dict(),
             "message_stats": self.message_stats,
             "events_processed": self.events_processed,
             "wall_seconds": self.wall_seconds,
@@ -370,7 +193,7 @@ class RunRecord:
             axes=tuple((str(name), value) for name, value in data.get("axes", ())),
             config_data=dict(data["config"]),
             scalars={str(k): float(v) for k, v in data["scalars"].items()},
-            metrics_data=_restore_metrics(data["metrics"]),
+            metrics=RunMetrics(data["metrics"]),
             message_stats=dict(data["message_stats"])
             if data.get("message_stats") is not None
             else None,

@@ -16,8 +16,10 @@ simulated system over 144 hours.  This package is that simulator:
 * :mod:`repro.simulation.lifecycle` — optional supplier departures and
   returns as scheduled events, graceful (``lifecycle="graceful"``) or
   mid-stream;
-* :mod:`repro.simulation.probes` — the metrics collector behind Figures
-  4–9 and Table 1: event counters plus the subscribed probes' series;
+* :mod:`repro.simulation.probes` — the metrics behind Figures 4–9 and
+  Table 1: the collector (event counters plus the subscribed probes'
+  series) and :class:`~repro.simulation.probes.RunMetrics`, the frozen
+  results type read after the run;
 * :mod:`repro.simulation.runner` — one-call experiment execution;
 * :mod:`repro.simulation.trace` — optional structured event traces;
 * :mod:`repro.simulation.validation` — post-run invariant audits.

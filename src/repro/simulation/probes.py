@@ -1,10 +1,11 @@
-"""The metrics collector behind every figure and table of the paper.
+"""The metrics behind every figure and table of the paper: collected, then read.
 
-:class:`MetricsPipeline` is one flat collector: counters the engine bumps
-on every request, admission and lifecycle event, and series the sampler
-clocks append to.  Its artifacts are subscribed by name
-(``SimulationConfig.probes``), so a study records only the series it
-needs, the admission path skips the untouched accumulators, and
+:class:`MetricsPipeline` is the one flat, mutable collector a run writes
+to: counters the engine bumps on every request, admission and lifecycle
+event, and series the sampler clocks append to.  Its artifacts are
+subscribed by name (``SimulationConfig.probes``), so a study records
+only the series it needs, the admission path skips the untouched
+accumulators, and
 :class:`~repro.simulation.arrayengine.ArrayEngine` never even schedules
 the sampler events of an unsubscribed clock (the Figure-7 snapshot walks the
 whole supplier population and is the single most expensive observation):
@@ -39,8 +40,14 @@ The event counters (requests, rejections, admissions, reminders,
 supplier churn, and the lifecycle's interruptions, recoveries and lost
 sessions) count on every run.  Each costs one dict increment, and the
 admission *rate* artifacts and the audit read them under any
-subscription.  An unsubscribed artifact reads as an empty series, a NaN
-mean or a zero accumulator.
+subscription.
+
+When the run ends, :meth:`MetricsPipeline.to_dict` exports the counters,
+series and per-class means, and :class:`RunMetrics` is the frozen object
+built from that payload.  A live ``SimulationResult`` and a stored
+``RunRecord`` both hold one, so the renderers, exports and aggregates
+read one type.  An unsubscribed artifact reads there as an empty series,
+a NaN mean or zero counts.
 
 All cumulative series sample *state so far*, matching the paper's
 "accumulative" plots.
@@ -48,7 +55,7 @@ All cumulative series sample *state so far*, matching the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.model import ClassLadder
@@ -57,7 +64,13 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.capacity import CapacityLedger
 
-__all__ = ["SeriesPoint", "MetricsPipeline", "PROBE_NAMES", "DEFAULT_PROBES"]
+__all__ = [
+    "SeriesPoint",
+    "MetricsPipeline",
+    "RunMetrics",
+    "PROBE_NAMES",
+    "DEFAULT_PROBES",
+]
 
 HOUR = 3600.0
 
@@ -98,8 +111,25 @@ DEFAULT_PROBES: tuple[str, ...] = (
 
 #: the probes whose series the hourly rate clock appends to
 _RATE_PROBES = ("admission_rate", "overall_admission", "buffering_delay", "continuity")
+#: the plain series, ``continuity_series`` exported only with its probe
+_SERIES = (
+    "capacity_series",
+    "capacity_fractional_series",
+    "supplier_count_series",
+    "overall_admission_rate_series",
+    "continuity_series",
+)
 #: the per-class series, exported after the plain ones
 _CLASS_SERIES = ("admission_rate_series", "buffering_delay_series", "favored_series")
+#: the continuity probe's per-class counters and sums, exported only with it
+_CONTINUITY_COUNTS = (
+    "interruptions",
+    "recovered_sessions",
+    "recovery_retries",
+    "sessions_lost",
+    "interrupted_completions",
+    "stall_seconds_sum",
+)
 
 
 def validate_probes(probes: tuple[str, ...]) -> None:
@@ -117,6 +147,14 @@ def validate_probes(probes: tuple[str, ...]) -> None:
 
 def _dump(series: list[SeriesPoint]) -> list[tuple[float, float]]:
     return [(point.hour, point.value) for point in series]
+
+
+def _class_means(sums: dict, counts: dict, subscribed: bool) -> dict[int, float]:
+    """Per-class ``sums / counts``; NaN unsubscribed or without a count."""
+    return {
+        c: sums[c] / count if subscribed and count else float("nan")
+        for c, count in counts.items()
+    }
 
 
 class MetricsPipeline:
@@ -333,58 +371,8 @@ class MetricsPipeline:
                 )
 
     # ------------------------------------------------------------------
-    # derived results
+    # export
     # ------------------------------------------------------------------
-    def _means(self, sums: dict, counts: dict, probe: str) -> dict[int, float]:
-        """Per-class ``sums / counts``; NaN without ``probe`` or a count."""
-        subscribed = probe in self.probes
-        return {
-            c: sums[c] / counts[c] if subscribed and counts[c] else float("nan")
-            for c in self.ladder.classes
-        }
-
-    def mean_rejections_before_admission(self) -> dict[int, float]:
-        """Table 1: per-class mean rejections suffered before admission."""
-        return self._means(
-            self.rejections_before_admission_sum, self.admitted, "table1"
-        )
-
-    def mean_buffering_delay_slots(self) -> dict[int, float]:
-        """Final per-class mean buffering delay (Figure 6 endpoint)."""
-        return self._means(
-            self.buffering_delay_slots_sum, self.admitted, "buffering_delay"
-        )
-
-    def mean_waiting_seconds(self) -> dict[int, float]:
-        """Per-class mean waiting time from first request to admission."""
-        return self._means(self.waiting_seconds_sum, self.admitted, "waiting")
-
-    def mean_recovery_latency_seconds(self) -> dict[int, float]:
-        """Per-class mean interruption-to-re-admission latency."""
-        return self._means(
-            self.recovery_latency_sum, self.recovered_sessions, "continuity"
-        )
-
-    def playback_continuity_index(self) -> dict[int, float]:
-        """Per-class mean playback continuity index (1.0 = stall-free)."""
-        return self._means(self.continuity_sum, self.completed_sessions, "continuity")
-
-    def admission_rate_percent(self) -> dict[int, float]:
-        """Final per-class cumulative admission rate (Figure 5 endpoint).
-
-        Derived from the always-on counters, so it is available under any
-        probe subscription.
-        """
-        first = self.first_requests
-        return {
-            c: 100.0 * self.admitted[c] / first[c] if first[c] else float("nan")
-            for c in self.ladder.classes
-        }
-
-    def final_capacity(self) -> float:
-        """Last Figure-4 sample (sessions); 0.0 without the capacity probe."""
-        return self.capacity_series[-1].value if self.capacity_series else 0.0
-
     def to_dict(self) -> dict:
         """JSON-friendly dump of every counter and series.
 
@@ -396,18 +384,31 @@ class MetricsPipeline:
         appear only when it is subscribed, so lifecycle-free exports
         remain byte-compatible with the historical collector's.
         """
+        probes = self.probes
+        first = self.first_requests
+        admitted = self.admitted
         payload: dict = {
-            "first_requests": dict(self.first_requests),
+            "first_requests": dict(first),
             "requests": dict(self.requests),
             "rejections": dict(self.rejections),
-            "admitted": dict(self.admitted),
+            "admitted": dict(admitted),
             "reminders_left": dict(self.reminders_left),
             "supplier_departures": dict(self.supplier_departures),
             "supplier_rejoins": dict(self.supplier_rejoins),
-            "mean_rejections_before_admission": self.mean_rejections_before_admission(),
-            "mean_buffering_delay_slots": self.mean_buffering_delay_slots(),
-            "mean_waiting_seconds": self.mean_waiting_seconds(),
-            "admission_rate_percent": self.admission_rate_percent(),
+            "mean_rejections_before_admission": _class_means(
+                self.rejections_before_admission_sum, admitted, "table1" in probes
+            ),
+            "mean_buffering_delay_slots": _class_means(
+                self.buffering_delay_slots_sum, admitted, "buffering_delay" in probes
+            ),
+            "mean_waiting_seconds": _class_means(
+                self.waiting_seconds_sum, admitted, "waiting" in probes
+            ),
+            # from the always-on counters, so under any subscription
+            "admission_rate_percent": {
+                c: 100.0 * admitted[c] / first[c] if first[c] else float("nan")
+                for c in first
+            },
             "capacity_series": _dump(self.capacity_series),
             "capacity_fractional_series": _dump(self.capacity_fractional_series),
             "supplier_count_series": _dump(self.supplier_count_series),
@@ -417,7 +418,7 @@ class MetricsPipeline:
         }
         for name in _CLASS_SERIES:
             payload[name] = {c: _dump(s) for c, s in getattr(self, name).items()}
-        if "continuity" in self.probes:
+        if "continuity" in probes:
             payload.update(
                 interruptions=dict(self.interruptions),
                 recovered_sessions=dict(self.recovered_sessions),
@@ -425,8 +426,111 @@ class MetricsPipeline:
                 sessions_lost=dict(self.sessions_lost),
                 interrupted_completions=dict(self.interrupted_completions),
                 stall_seconds_sum=dict(self.stall_seconds_sum),
-                mean_recovery_latency_seconds=self.mean_recovery_latency_seconds(),
-                playback_continuity_index=self.playback_continuity_index(),
+                mean_recovery_latency_seconds=_class_means(
+                    self.recovery_latency_sum, self.recovered_sessions, True
+                ),
+                playback_continuity_index=_class_means(
+                    self.continuity_sum, self.completed_sessions, True
+                ),
                 continuity_series=_dump(self.continuity_series),
             )
         return payload
+
+
+@dataclass(frozen=True)
+class RunMetrics:
+    """A finished run's metrics, read by every figure, table and export.
+
+    Built from a :meth:`MetricsPipeline.to_dict` payload: the live one
+    (``SimulationResult.metrics``) or its JSON copy in a stored record
+    (``RunRecord.metrics``), so a fresh run and a cached record read
+    through this one type.  It reads the collector's names:
+
+    * the series (``capacity_series``, ``admission_rate_series``, ...)
+      as :class:`SeriesPoint` lists, each built on its first read and
+      kept;
+    * the per-class counters and sums of the payload (``admitted``,
+      ``first_requests``, ``interruptions``, ...), as read-only dicts;
+    * the per-class means and the final capacity, through the methods
+      below.
+
+    An artifact the run did not subscribe reads as an empty series, a NaN
+    mean or zero counts.  The object pickles as its payload alone, which
+    is what a pool worker sends back.
+    """
+
+    payload: dict = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # JSON makes the class keys strings; left so, a 10-class ladder
+        # would sort '1', '10', '2' and its record would digest differently
+        object.__setattr__(self, "payload", {
+            name: {int(c): v for c, v in value.items()}
+            if isinstance(value, dict) else value
+            for name, value in self.payload.items()
+        })
+
+    def __reduce__(self):
+        return (RunMetrics, (self.payload,))
+
+    def __getattr__(self, name: str):
+        # reached only for names the instance does not hold yet
+        payload = self.payload
+        if name in _SERIES:
+            value = [SeriesPoint(h, v) for h, v in payload.get(name, ())]
+        elif name in _CLASS_SERIES:
+            value = {
+                c: [SeriesPoint(h, v) for h, v in points]
+                for c, points in payload[name].items()
+            }
+        elif name in payload:
+            return payload[name]
+        elif name in _CONTINUITY_COUNTS:
+            return dict.fromkeys(payload["admitted"], 0)
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        # kept on the instance, so later reads no longer come here
+        object.__setattr__(self, name, value)
+        return value
+
+    def _continuity_means(self, name: str) -> dict[int, float]:
+        """A continuity mean of the payload; NaN without the probe."""
+        if name in self.payload:
+            return self.payload[name]
+        return dict.fromkeys(self.payload["admitted"], float("nan"))
+
+    def mean_rejections_before_admission(self) -> dict[int, float]:
+        """Table 1: per-class mean rejections suffered before admission."""
+        return self.payload["mean_rejections_before_admission"]
+
+    def mean_buffering_delay_slots(self) -> dict[int, float]:
+        """Final per-class mean buffering delay (Figure 6 endpoint)."""
+        return self.payload["mean_buffering_delay_slots"]
+
+    def mean_waiting_seconds(self) -> dict[int, float]:
+        """Per-class mean waiting time from first request to admission."""
+        return self.payload["mean_waiting_seconds"]
+
+    def mean_recovery_latency_seconds(self) -> dict[int, float]:
+        """Per-class mean interruption-to-re-admission latency."""
+        return self._continuity_means("mean_recovery_latency_seconds")
+
+    def playback_continuity_index(self) -> dict[int, float]:
+        """Per-class mean playback continuity index (1.0 = stall-free)."""
+        return self._continuity_means("playback_continuity_index")
+
+    def admission_rate_percent(self) -> dict[int, float]:
+        """Final per-class cumulative admission rate (Figure 5 endpoint);
+        read under any probe subscription."""
+        return self.payload["admission_rate_percent"]
+
+    def final_capacity(self) -> float:
+        """Last Figure-4 sample (sessions); 0.0 without the capacity probe."""
+        series = self.payload["capacity_series"]
+        return series[-1][1] if series else 0.0
+
+    def to_dict(self) -> dict:
+        """The JSON-ready payload (class keys as ints)."""
+        return self.payload

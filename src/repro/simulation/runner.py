@@ -3,8 +3,12 @@
 :func:`run_simulation` is the entry point the benchmarks, examples, the
 CLI and :class:`~repro.orchestration.study.Study` share.  A
 :class:`SimulationResult` packages the run's configuration, metrics and
-bookkeeping.  Grids of runs (protocol comparisons, sweeps, replications)
-are :class:`~repro.orchestration.study.Study` declarations.
+bookkeeping.  Its metrics are a frozen
+:class:`~repro.simulation.probes.RunMetrics`, built from the collector's
+export payload when the run ends: the type a stored
+:class:`~repro.orchestration.study.RunRecord` reads through too.  Grids
+of runs (protocol comparisons, sweeps, replications) are
+:class:`~repro.orchestration.study.Study` declarations.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.core.capacity import max_capacity_sessions
 from repro.simulation.config import SimulationConfig
-from repro.simulation.probes import MetricsPipeline
+from repro.simulation.probes import RunMetrics
 from repro.simulation.trace import TraceRecorder
 
 __all__ = ["SimulationResult", "run_simulation"]
@@ -25,7 +29,7 @@ class SimulationResult:
     """Everything one simulation run produced."""
 
     config: SimulationConfig
-    metrics: MetricsPipeline
+    metrics: RunMetrics
     events_processed: int
     wall_seconds: float
     message_stats: dict[str, float] | None
@@ -75,14 +79,14 @@ def run_simulation(
     # steers the simulation, so the wall-clock ban does not apply here
     start = time.perf_counter()  # detlint: ignore[no-wallclock]
     engine = ArrayEngine(config, trace=trace)
-    metrics = engine.run()
+    pipeline = engine.run()
     wall = time.perf_counter() - start  # detlint: ignore[no-wallclock]
     message_stats = (
         engine.transport.snapshot() if engine.transport is not None else None
     )
     return SimulationResult(
         config=config,
-        metrics=metrics,
+        metrics=RunMetrics(pipeline.to_dict()),
         events_processed=engine.events_processed,
         wall_seconds=wall,
         message_stats=message_stats,

@@ -11,6 +11,7 @@ from repro.orchestration.store import ResultStore
 from repro.orchestration.study import RunRecord, Study
 from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
+from repro.simulation.probes import RunMetrics
 
 
 def small_config(**overrides):
@@ -28,6 +29,65 @@ TINY_POPULATION = dict(
     seed_suppliers={1: 2},
     requesting_peers={1: 2, 2: 2, 3: 8, 4: 8},
 )
+
+#: what the figures, tables and exports read off a run's metrics
+SERIES = (
+    "capacity_series",
+    "capacity_fractional_series",
+    "supplier_count_series",
+    "overall_admission_rate_series",
+    "continuity_series",
+    "admission_rate_series",
+    "buffering_delay_series",
+    "favored_series",
+)
+COUNTERS = (
+    "first_requests",
+    "requests",
+    "rejections",
+    "admitted",
+    "reminders_left",
+    "supplier_departures",
+    "supplier_rejoins",
+    "interruptions",
+    "recovered_sessions",
+    "recovery_retries",
+    "sessions_lost",
+    "interrupted_completions",
+    "stall_seconds_sum",
+)
+DERIVED = (
+    "mean_rejections_before_admission",
+    "mean_buffering_delay_slots",
+    "mean_waiting_seconds",
+    "mean_recovery_latency_seconds",
+    "playback_continuity_index",
+    "admission_rate_percent",
+    "final_capacity",
+)
+
+
+def reloaded(record):
+    """The record after a JSON round trip, as a store serves it."""
+    return RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+
+
+def assert_reads_same(metrics, expected):
+    """Every series, counter and derived value reads equal (NaN = NaN)."""
+
+    def same(a, b):
+        if isinstance(a, dict):
+            return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+        if isinstance(a, list):
+            return [(p.hour, p.value) for p in a] == [
+                (p.hour, p.value) for p in b
+            ]
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    for name in SERIES + COUNTERS:
+        assert same(getattr(metrics, name), getattr(expected, name)), name
+    for name in DERIVED:
+        assert same(getattr(metrics, name)(), getattr(expected, name)()), name
 
 
 class TestRunSpec:
@@ -151,59 +211,36 @@ class TestStudyRun:
             r.fingerprint() for r in parallel
         ]
 
-    def test_metrics_view_matches_live_collector(self):
-        """Every accessor a record's view shares with the live collector
-        reads the same numbers, on a lifecycle-free and a lifecycle run."""
+    @pytest.mark.parametrize(
+        "config, interrupts",
+        [
+            (small_config(), False),
+            (get_scenario("flash_departure").build_config(scale=0.02), True),
+            # continuity unsubscribed: the engine interrupts and loses
+            # sessions, but the result reads zero of each, as its record does
+            (
+                get_scenario("flash_departure").build_config(
+                    scale=0.02, lifecycle_recovery="abandon", probes=("capacity",)
+                ),
+                False,
+            ),
+        ],
+        ids=["lifecycle-free", "flash", "flash-abandon-capacity-only"],
+    )
+    def test_live_result_reads_as_its_reloaded_record(self, config, interrupts):
+        record = Study.from_config(config).run()[0]
+        live = record.result.metrics
+        assert_reads_same(reloaded(record).metrics, live)
+        assert (sum(live.interruptions.values()) > 0) == interrupts
+        assert sum(live.sessions_lost.values()) == 0
 
-        def same(a, b):
-            if isinstance(a, dict):
-                return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
-            if isinstance(a, list):
-                return [(p.hour, p.value) for p in a] == [
-                    (p.hour, p.value) for p in b
-                ]
-            return a == b or (math.isnan(a) and math.isnan(b))
-
-        flash = get_scenario("flash_departure").build_config(scale=0.02)
-        for config in (small_config(), flash):
-            record = Study.from_config(config).run()[0]
-            live = record.result.metrics
-            view = record.metrics
-            for name in (
-                "capacity_series",
-                "capacity_fractional_series",
-                "supplier_count_series",
-                "overall_admission_rate_series",
-                "continuity_series",
-                "admission_rate_series",
-                "buffering_delay_series",
-                "favored_series",
-                "first_requests",
-                "requests",
-                "rejections",
-                "admitted",
-                "reminders_left",
-                "supplier_departures",
-                "supplier_rejoins",
-                "interruptions",
-                "recovered_sessions",
-                "recovery_retries",
-                "sessions_lost",
-                "interrupted_completions",
-                "stall_seconds_sum",
-            ):
-                assert same(getattr(view, name), getattr(live, name)), name
-            for name in (
-                "mean_rejections_before_admission",
-                "mean_buffering_delay_slots",
-                "mean_waiting_seconds",
-                "mean_recovery_latency_seconds",
-                "playback_continuity_index",
-                "admission_rate_percent",
-                "final_capacity",
-            ):
-                assert same(getattr(view, name)(), getattr(live, name)()), name
-        assert sum(live.interruptions.values()) > 0  # the flash run interrupts
+    def test_live_and_store_served_metrics_are_one_type(self, tmp_path):
+        store = ResultStore(tmp_path)
+        study = Study.from_config(small_config())
+        fresh = study.run(store=store)[0]
+        served = study.run(store=store)[0]
+        assert served.result is None
+        assert type(fresh.result.metrics) is type(served.metrics) is RunMetrics
 
 
 class TestRunRecordRoundTrip:
@@ -223,6 +260,15 @@ class TestRunRecordRoundTrip:
         rebuilt = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert sorted(rebuilt.metrics.admitted) == [1, 2, 3, 4]
         assert sorted(rebuilt.metrics.admission_rate_series) == [1, 2, 3, 4]
+
+    def test_round_trip_of_a_ten_class_ladder(self):
+        # as JSON strings the class keys would sort '1', '10', '2', ...
+        config = SimulationConfig(num_classes=10).scaled(0.02)
+        record = Study.from_config(config).run()[0]
+        rebuilt = reloaded(record)
+        assert rebuilt.fingerprint() == record.fingerprint()
+        assert list(rebuilt.metrics.admitted) == list(range(1, 11))
+        assert_reads_same(rebuilt.metrics, record.metrics)
 
     def test_fingerprint_ignores_wall_time_only(self):
         record = Study.from_config(small_config()).run()[0]

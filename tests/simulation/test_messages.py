@@ -16,7 +16,6 @@ import pytest
 from repro.network.transport import Transport
 from repro.scenarios import get_scenario
 from repro.simulation.arrayengine import ArrayEngine
-from repro.simulation.runner import run_simulation
 
 SCALE = 0.02
 
@@ -44,9 +43,10 @@ def build(name, protocol):
     "name, protocol", CONFIGS, ids=[f"{n}-{p or 'own'}" for n, p in CONFIGS]
 )
 def test_message_counts_match_the_run_counters(name, protocol):
-    result = run_simulation(build(name, protocol))
-    stats = result.message_stats
-    metrics = result.metrics
+    # the live collector: ``suppliers_per_session_sum`` is not exported
+    engine = ArrayEngine(build(name, protocol))
+    metrics = engine.run()
+    stats = engine.transport.snapshot()
     assert stats["count_probe"] > 0
     assert stats["count_probe"] == stats["count_probe_reply"]
     assert stats["count_lookup_reply"] == (

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.capacity import CapacityLedger
-from repro.simulation.probes import MetricsPipeline
+from repro.simulation.probes import MetricsPipeline, RunMetrics
 
 
 @pytest.fixture
@@ -32,14 +32,16 @@ class TestCounters:
             2, rejections_before=1, num_suppliers=2,
             buffering_delay_slots=2, waiting_seconds=600.0,
         )
-        assert collector.mean_rejections_before_admission()[2] == 2.0
-        assert collector.mean_buffering_delay_slots()[2] == 3.0
-        assert collector.mean_waiting_seconds()[2] == 1200.0
-        assert collector.admission_rate_percent()[2] == 100.0
+        metrics = RunMetrics(collector.to_dict())
+        assert metrics.mean_rejections_before_admission()[2] == 2.0
+        assert metrics.mean_buffering_delay_slots()[2] == 3.0
+        assert metrics.mean_waiting_seconds()[2] == 1200.0
+        assert metrics.admission_rate_percent()[2] == 100.0
 
     def test_unadmitted_class_reports_nan(self, collector):
-        assert math.isnan(collector.mean_rejections_before_admission()[1])
-        assert math.isnan(collector.admission_rate_percent()[1])
+        metrics = RunMetrics(collector.to_dict())
+        assert math.isnan(metrics.mean_rejections_before_admission()[1])
+        assert math.isnan(metrics.admission_rate_percent()[1])
 
     def test_reminders_counted_by_class(self, collector):
         collector.on_reminder(1)
@@ -96,4 +98,4 @@ class TestExport:
         assert dump["admission_rate_series"][1] == [(1.0, 100.0)]
 
     def test_final_capacity_empty_series(self, collector):
-        assert collector.final_capacity() == 0.0
+        assert RunMetrics(collector.to_dict()).final_capacity() == 0.0

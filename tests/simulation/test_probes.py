@@ -12,6 +12,7 @@ from repro.simulation.probes import (
     DEFAULT_PROBES,
     PROBE_NAMES,
     MetricsPipeline,
+    RunMetrics,
     validate_probes,
 )
 from repro.simulation.arrayengine import ArrayEngine
@@ -54,19 +55,20 @@ class TestUnsubscribedDefaults:
         pipeline = MetricsPipeline(ladder, probes=("table1",))
         assert pipeline.capacity_series == []
         assert pipeline.favored_series == {c: [] for c in ladder.classes}
-        assert pipeline.final_capacity() == 0.0
+        assert RunMetrics(pipeline.to_dict()).final_capacity() == 0.0
 
     def test_means_read_nan(self, ladder):
         pipeline = MetricsPipeline(ladder, probes=("capacity",))
         pipeline.on_first_request(1)
         pipeline.on_admission(1, 2, 4, 4, 60.0)
-        assert all(math.isnan(v) for v in pipeline.mean_waiting_seconds().values())
+        metrics = RunMetrics(pipeline.to_dict())
+        assert all(math.isnan(v) for v in metrics.mean_waiting_seconds().values())
         assert all(
             math.isnan(v)
-            for v in pipeline.mean_rejections_before_admission().values()
+            for v in metrics.mean_rejections_before_admission().values()
         )
         # admission rate derives from the always-on counters
-        assert pipeline.admission_rate_percent()[1] == 100.0
+        assert metrics.admission_rate_percent()[1] == 100.0
 
     def test_to_dict_key_set_is_subscription_independent(self, ladder):
         full = MetricsPipeline(ladder).to_dict()
@@ -87,10 +89,11 @@ class TestDispatch:
         pipeline = MetricsPipeline(ladder, probes=("waiting", "table1"))
         pipeline.on_first_request(2)
         pipeline.on_admission(2, 3, 4, 4, 1800.0)
-        assert pipeline.mean_waiting_seconds()[2] == 1800.0
-        assert pipeline.mean_rejections_before_admission()[2] == 3.0
+        metrics = RunMetrics(pipeline.to_dict())
+        assert metrics.mean_waiting_seconds()[2] == 1800.0
+        assert metrics.mean_rejections_before_admission()[2] == 3.0
         assert all(
-            math.isnan(v) for v in pipeline.mean_buffering_delay_slots().values()
+            math.isnan(v) for v in metrics.mean_buffering_delay_slots().values()
         )
 
     def test_capacity_probe_samples_ledger(self, ladder):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
+from repro.simulation.runner import run_simulation
 from repro.simulation.trace import TraceRecorder
 
 HOUR = 3600.0
@@ -73,8 +74,7 @@ class TestEndToEnd:
         )
 
     def test_capacity_reaches_population_maximum(self):
-        engine = ArrayEngine(small_config())
-        metrics = engine.run()
+        metrics = run_simulation(small_config()).metrics
         # 4+10 class-1, 10 class-2, 40 class-3, 40 class-4
         expected = (14 * 8 + 10 * 4 + 40 * 2 + 40 * 1) // 16
         assert metrics.final_capacity() == expected
@@ -182,7 +182,7 @@ class TestDifferentiation:
             requesting_peers={1: 40, 2: 40, 3: 160, 4: 160},
             seed_suppliers={1: 8},
         )
-        metrics = ArrayEngine(config).run()
+        metrics = run_simulation(config).metrics
         rejections = metrics.mean_rejections_before_admission()
         assert rejections[1] < rejections[4]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.config import SimulationConfig
+from repro.simulation.runner import run_simulation
 
 HOUR = 3600.0
 
@@ -19,7 +20,7 @@ class TestScarceSupply:
             arrival_pattern=1,
             master_seed=3,
         )
-        metrics = ArrayEngine(config).run()
+        metrics = run_simulation(config).metrics
         assert sum(metrics.admitted.values()) == 0
         assert sum(metrics.rejections.values()) > 0
         # capacity stays at the seed's floor(0.5) = 0
