@@ -40,7 +40,9 @@ Commands
     (``--store DIR``); with a grid (``--scenario`` plus the usual axis
     flags) also reports how many specs remain pending.
 ``experiment``
-    Regenerate one paper table/figure by id (``fig1`` … ``table1``).
+    Regenerate one paper table/figure by id (``fig1`` … ``table1``): the
+    artifact's preset grid, run as a study and printed by the renderer
+    ``study`` uses.
 ``scenarios``
     List every registered workload scenario.
 ``perf``
@@ -64,7 +66,7 @@ Commands
 Simulation commands pick their workload with ``--scenario NAME`` (see
 ``scenarios``) or the legacy ``--pattern N`` shorthand, and accept
 ``--scale`` so full paper scale (1.0) or quick runs (0.05) are one flag
-away.  The admission policy picks the execution engine (see
+away.  Every run takes the array engine (see
 :func:`~repro.simulation.runner.run_simulation`), so there is no engine
 flag.  ``--lifecycle`` selects a session-lifecycle model
 scheduling supplier departures, graceful or mid-stream (with
@@ -86,10 +88,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from repro.analysis import report
+from repro.analysis.experiments import (
+    axes_label,
+    list_experiments,
+    render_artifacts,
+    run_experiment,
+)
 from repro.analysis.plots import ascii_chart, render_table
 from repro.core.assignment import (
     contiguous_assignment,
@@ -111,7 +118,7 @@ from repro.orchestration.shard import (
     store_status,
 )
 from repro.orchestration.store import ResultStore
-from repro.orchestration.study import ResultSet, RunRecord, Study
+from repro.orchestration.study import ResultSet, Study
 from repro.simulation.arrivals import arrivals_per_bin, generate_arrival_times, make_pattern
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import LIFECYCLE_NAMES, RECOVERY_MODES
@@ -612,80 +619,14 @@ def _study_body(args: argparse.Namespace) -> int:
         rows,
         title=f"study: {len(result_set)} runs",
     ))
-    _print_paper_artifacts(args, config, result_set)
+    artifacts = render_artifacts(result_set)
+    if artifacts:
+        print()
+        print(artifacts)
     if args.seeds > 1:
         _print_seed_aggregates(config, result_set)
     _export_result_set(args, result_set, "study")
     return 0
-
-
-#: Figure 8's axis label for each parameter it sweeps
-_FIGURE8_LABELS = {"probe_candidates": "M", "t_out_seconds": "T_out"}
-
-
-def _axes_label(key: Sequence[tuple[str, object]]) -> str:
-    """``name=value`` pairs of a record group's key (``None`` values omitted)."""
-    return " ".join(f"{name}={value}" for name, value in key if value is not None)
-
-
-def _grouped(
-    records: Iterable[RunRecord], *varying: str
-) -> list[tuple[str, list[RunRecord]]]:
-    """Records grouped by every axis except ``varying`` and the seed.
-
-    Returns ``(label, records)`` pairs in grid order; the label names the
-    axis values the group shares (empty when no other axis exists).
-    """
-    groups: dict[tuple[tuple[str, object], ...], list[RunRecord]] = {}
-    for record in records:
-        key = tuple(
-            (name, value) for name, value in record.axes
-            if name not in varying and name != "seed"
-        )
-        groups.setdefault(key, []).append(record)
-    return [(_axes_label(key), group) for key, group in groups.items()]
-
-
-def _print_section(label: str, text: str) -> None:
-    print()
-    if label:
-        print(f"[{label}]")
-    print(text)
-
-
-def _print_paper_artifacts(
-    args: argparse.Namespace, config: SimulationConfig, result_set: ResultSet
-) -> None:
-    """Print the paper figure or table the grid's axes imply.
-
-    Figures plot each grid point's first seed.  A protocol axis prints
-    Figure 4 per arrival pattern plus Table 1 (which compares DAC with
-    NDAC, so it needs both on the axis); a ``probe_candidates`` or
-    ``t_out_seconds`` sweep prints Figure 8; an ``e_bkf`` sweep prints
-    Figure 9.
-    """
-    firsts = result_set.filter(seed=config.master_seed)
-    swept = [sweep_spec[0] for sweep_spec in args.sweep or []]
-    if args.protocols or "protocol" in swept:
-        for label, records in _grouped(firsts, "protocol"):
-            _print_section(label, report.figure4_report(
-                {record.protocol: record for record in records},
-                pattern=records[0].arrival_pattern,
-            ))
-        for label, records in _grouped(firsts, "protocol", "arrival_pattern"):
-            keyed = {(r.protocol, r.arrival_pattern): r for r in records}
-            patterns = {pattern for _, pattern in keyed}
-            if all((name, p) in keyed for name in ("dac", "ndac") for p in patterns):
-                _print_section(label, report.table1_report(keyed))
-    for parameter in swept:
-        for label, records in _grouped(firsts, parameter):
-            points = {record.axis(parameter): record for record in records}
-            if parameter == "e_bkf":
-                _print_section(label, report.figure9_report(points))
-            elif parameter in _FIGURE8_LABELS:
-                _print_section(label, report.figure8_report(
-                    points, parameter_label=_FIGURE8_LABELS[parameter]
-                ))
 
 
 def _print_seed_aggregates(config: SimulationConfig, result_set: ResultSet) -> None:
@@ -693,7 +634,7 @@ def _print_seed_aggregates(config: SimulationConfig, result_set: ResultSet) -> N
     print()
     print("final capacity across seeds (mean ± 95% CI):")
     for key, aggregate in result_set.aggregate("final_capacity").items():
-        print(f"  {_axes_label(key) or 'all runs'}: {aggregate}")
+        print(f"  {axes_label(key) or 'all runs'}: {aggregate}")
     classes = [c for c, count in sorted(config.requesting_peers.items()) if count]
     columns = [
         result_set.aggregate(
@@ -702,7 +643,7 @@ def _print_seed_aggregates(config: SimulationConfig, result_set: ResultSet) -> N
         for c in classes
     ]
     rows = [
-        [_axes_label(key) or "all runs"] + [str(column[key]) for column in columns]
+        [axes_label(key) or "all runs"] + [str(column[key]) for column in columns]
         for key in columns[0]
     ]
     print()
@@ -817,8 +758,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import list_experiments, run_experiment
-
     if args.experiment_id is None:
         print("available experiments:")
         print(list_experiments())

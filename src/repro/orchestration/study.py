@@ -367,15 +367,20 @@ class ResultSet:
             rows.append(row)
         return rows
 
-    def to_json(self, path: str | Path | None = None, indent: int = 2) -> str:
-        """Schema-stamped JSON of every record; optionally written to ``path``."""
+    def to_json(self, path: str | Path | None = None) -> str:
+        """Schema-stamped JSON of every record; optionally written to ``path``.
+
+        Compact, with sorted keys, as
+        :class:`~repro.orchestration.store.ResultStore` writes a
+        record: an ``indent`` would leave CPython's C encoder unused.
+        """
         payload = {
             "schema": STUDY_SCHEMA,
             "version": __version__,
             "count": len(self.records),
             "records": [record.to_dict() for record in self.records],
         }
-        text = json.dumps(payload, indent=indent, sort_keys=True)
+        text = json.dumps(payload, sort_keys=True)
         if path is not None:
             Path(path).write_text(text + "\n", encoding="utf-8")
         return text

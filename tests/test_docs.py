@@ -7,11 +7,15 @@ suite so a broken cross-reference fails before it ships, and pin that
 the checker itself still detects each failure class.
 """
 
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.analysis.experiments import EXPERIMENTS
+from repro.cli import _build_study, _make_config, build_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = REPO_ROOT / "scripts"
@@ -19,6 +23,30 @@ SCRIPTS = REPO_ROOT / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 
 import check_docs  # noqa: E402
+
+
+def documented_recipes(path: Path) -> dict[str, tuple[str, str]]:
+    """Each ``experiment <id>`` line followed by a ``study`` line, by id."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return {
+        shlex.split(experiment)[4]: (experiment, study)
+        for experiment, study in zip(lines, lines[1:])
+        if experiment.startswith("python -m repro experiment ")
+        and study.startswith("python -m repro study ")
+    }
+
+
+def spec_hashes(line: str) -> list[str]:
+    """The sorted spec hashes a documented ``experiment``/``study`` line runs."""
+    args = build_parser().parse_args(shlex.split(line, comments=True)[3:])
+    if args.command == "experiment":
+        study = EXPERIMENTS[args.experiment_id].study(_make_config(args))
+    else:
+        study = _build_study(args)
+    return sorted(spec.spec_hash for spec in study.specs())
+
+
+RECIPES = documented_recipes(REPO_ROOT / "docs" / "EXPERIMENTS.md")
 
 
 class TestRepositoryDocs:
@@ -53,6 +81,18 @@ class TestRepositoryDocs:
         for artifact in ("fig1", "fig4", "fig5", "fig6", "fig7",
                          "fig8a", "fig8b", "fig9", "table1"):
             assert artifact in text, f"EXPERIMENTS.md misses {artifact!r}"
+
+
+class TestDocumentedRecipes:
+    """A ``# same, by hand`` study line runs exactly its experiment's grid."""
+
+    def test_every_swept_artifact_has_a_study_recipe(self):
+        assert {"fig4", "table1", "fig8a", "fig8b", "fig9"} <= set(RECIPES)
+
+    @pytest.mark.parametrize("experiment_id", sorted(RECIPES))
+    def test_study_line_expands_to_the_experiment_grid(self, experiment_id):
+        experiment_line, study_line = RECIPES[experiment_id]
+        assert spec_hashes(study_line) == spec_hashes(experiment_line), study_line
 
 
 class TestCheckerDetectsRot:
