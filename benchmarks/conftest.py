@@ -69,9 +69,9 @@ def paper_config(**overrides: object) -> SimulationConfig:
 def cached_run(config: SimulationConfig) -> SimulationResult:
     """Run (or reuse) the simulation for ``config``.
 
-    Keyed by the run-spec content hash, which covers *every* config field
-    (minus the result-irrelevant engine) — a hand-maintained field tuple
-    here silently collided when new knobs were added.
+    Keyed by the run-spec content hash, which covers every config field
+    — a hand-maintained field tuple here silently collided when new
+    knobs were added.
     """
     key = config_hash(config)
     if key not in _RESULT_CACHE:

@@ -7,4 +7,4 @@ produced it — can import the version without importing the top-level
 package mid-initialisation.
 """
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"

@@ -14,7 +14,7 @@ from typing import Protocol
 
 from repro.network.chord import ChordRing, SupplierIndex
 from repro.network.directory import CentralDirectory
-from repro.network.transport import DHT_HOP, Transport
+from repro.network.transport import DHT_HOP, LOOKUP, LOOKUP_REPLY, Transport
 
 __all__ = ["LookupService", "DirectoryLookup", "ChordLookup"]
 
@@ -61,7 +61,9 @@ class DirectoryLookup:
     ) -> list[tuple[int, int]]:
         """One query round trip, then uniform sampling at the server."""
         if self.transport is not None:
-            self.transport.round_trip("lookup")
+            counts = self.transport.counts
+            counts[LOOKUP] += 1
+            counts[LOOKUP_REPLY] += 1
         return self.directory.sample_candidates(media_id, count, rng)
 
 
@@ -75,12 +77,9 @@ class ChordLookup:
     """
 
     def __init__(
-        self,
-        node_peer_ids: list[int],
-        bits: int = 32,
-        transport: Transport | None = None,
+        self, node_peer_ids: list[int], transport: Transport | None = None
     ) -> None:
-        self.ring = ChordRing(bits=bits)
+        self.ring = ChordRing()
         for peer_id in node_peer_ids:
             self.ring.join(peer_id)
         self.transport = transport

@@ -10,11 +10,11 @@ against the paper's minutes-scale timers — but this transport records
 Section 5.2(6)).
 
 :class:`Transport` is one preallocated count per message kind, in the
-order of :data:`MESSAGE_KINDS`.  The array engine bumps those counts
-inline by index; the cold callers (supplier registration and the
-Chord lookup) call :meth:`Transport.send` and
-:meth:`Transport.round_trip`, which look the index up by kind name.
-:meth:`Transport.snapshot` derives bytes and latency from the counts.
+order of :data:`MESSAGE_KINDS`.  The array engine and the lookup
+adapters bump those counts inline by index; the cold callers (supplier
+registration) call :meth:`Transport.send`, which looks the index up by
+kind name.  :meth:`Transport.snapshot` derives bytes and latency from
+the counts.
 
 Why one constant per message is exact: every message costs
 :data:`ONE_WAY_SECONDS` unless it goes from a peer to itself, and none
@@ -130,12 +130,6 @@ class Transport:
     def send(self, kind: str) -> None:
         """Record one one-way message of ``kind`` (``KeyError`` if unknown)."""
         self.counts[_KIND_INDEX[kind]] += 1
-
-    def round_trip(self, kind: str) -> None:
-        """Record a ``kind`` request and its ``kind_reply`` response."""
-        request, reply = _KIND_INDEX[kind], _KIND_INDEX[kind + "_reply"]
-        self.counts[request] += 1
-        self.counts[reply] += 1
 
     def snapshot(self) -> dict[str, float]:
         """Plain-dict summary for metrics and reports.

@@ -19,8 +19,8 @@ Fault tolerance: a dead worker (OOM kill, SIGKILL, interpreter abort)
 used to surface as a bare ``BrokenProcessPool`` that lost the whole
 batch and named no culprit.  Now the surviving chunks' results are
 kept and every unfinished config reruns alone in its own single-worker
-pool; a config that breaks ``retries`` pools in which it ran alone
-raises :class:`~repro.errors.BatchWorkerError` naming the config's
+pool; a config that breaks ``DEFAULT_RETRIES`` pools in which it ran
+alone raises :class:`~repro.errors.BatchWorkerError` naming the config's
 index and label.  A bystander never shares such a pool with the
 culprit, so it is never blamed.  Deterministic in-simulation exceptions
 are wrapped the same way (chained to the original), so every failure
@@ -99,22 +99,19 @@ def run_batch(
     configs: Iterable[SimulationConfig],
     jobs: int = 1,
     labels: Sequence[str] | None = None,
-    retries: int = DEFAULT_RETRIES,
 ) -> list[SimulationResult]:
     """Run every config; results come back in config order.
 
     ``jobs`` is the maximum number of worker processes; ``1`` means
     serial in-process execution (no pool, no pickling).  The pool never
     holds more workers than configs.  ``labels`` (parallel to
-    ``configs``) names grid points in failure messages; ``retries``
-    bounds how many fresh pools a worker-killing config may break
-    before :class:`~repro.errors.BatchWorkerError` is raised.
+    ``configs``) names grid points in failure messages.  A config that
+    breaks :data:`DEFAULT_RETRIES` fresh pools raises
+    :class:`~repro.errors.BatchWorkerError`.
     """
     config_list: Sequence[SimulationConfig] = list(configs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if retries < 1:
-        raise ValueError(f"retries must be >= 1, got {retries}")
     if jobs == 1 or len(config_list) <= 1:
         results: list[SimulationResult] = []
         for index, config in enumerate(config_list):
@@ -125,14 +122,13 @@ def run_batch(
                     index, _label_for(index, labels, config), repr(exc)
                 ) from exc
         return results
-    return _run_pooled(config_list, jobs, labels, retries)
+    return _run_pooled(config_list, jobs, labels)
 
 
 def _run_pooled(
     config_list: Sequence[SimulationConfig],
     jobs: int,
     labels: Sequence[str] | None,
-    retries: int,
 ) -> list[SimulationResult]:
     """Pool execution that survives worker death and names the culprit.
 
@@ -142,7 +138,8 @@ def _run_pooled(
     result becomes a suspect.  Retry rounds run each suspect alone in
     its own single-worker pool, ``workers`` pools at a time.  A pool
     that breaks there was broken by its one config, which is charged an
-    attempt; the config charged ``retries`` times is the culprit.
+    attempt; the config charged :data:`DEFAULT_RETRIES` times is the
+    culprit.
     """
     # imported here, not at module level: the pool machinery loads
     # multiprocessing, which a serial run never needs
@@ -174,7 +171,7 @@ def _run_pooled(
             broken = _drain(tasks, slots, labels, config_list)
         for [(index, config)] in broken:
             attempts[index] += 1
-            if attempts[index] >= retries:
+            if attempts[index] >= DEFAULT_RETRIES:
                 raise BatchWorkerError(
                     index,
                     _label_for(index, labels, config),

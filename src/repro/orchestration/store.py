@@ -16,6 +16,8 @@ crashed run can never poison the cache for later ones.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 
 from repro._version import __version__
@@ -80,10 +82,18 @@ class ResultStore:
         return record
 
     def put(self, record: RunRecord) -> Path:
-        """Persist a record atomically; returns the file it landed in."""
+        """Persist a record atomically; returns the file it landed in.
+
+        Two workers may finish one spec (after a claim's lease expires),
+        so each writer stages its own temp file: a shared one would be
+        renamed away by the first writer under the second.  The name
+        never matches the ``*.json`` record glob.
+        """
         path = self.path_for(record.spec_hash)
         payload = {"store_schema": STORE_SCHEMA, "record": record.to_dict()}
-        tmp = path.with_suffix(".json.tmp")
+        tmp = path.with_name(
+            f".{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp"
+        )
         tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         tmp.replace(path)
         return path

@@ -6,7 +6,9 @@ simulated system over 144 hours.  This package is that simulator:
 * :mod:`repro.simulation.randoms` — named, independently-seeded RNG streams;
 * :mod:`repro.simulation.config` — :class:`SimulationConfig` with the
   paper's defaults;
-* :mod:`repro.simulation.arrivals` — the four first-request arrival patterns;
+* :mod:`repro.simulation.arrivals` — the four first-request arrival
+  patterns: each one's curves and its deterministic arrival placement
+  (one numpy sweep for patterns 1, 3 and 4);
 * :mod:`repro.simulation.arraystate` — per-peer and per-session state as
   columns;
 * :mod:`repro.simulation.arrayengine` — the engine: event queue and

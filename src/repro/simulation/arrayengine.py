@@ -22,10 +22,10 @@ count, same message statistics, same trace records.
   FIFO order;
 * requester arrivals — the single biggest event block — never touch the
   heap at all: they are a pre-sorted lane merged into dispatch by
-  ``(time, seq)``, and for the deterministic patterns with vectorizable
-  quantiles the times themselves are computed by
-  :func:`~repro.simulation.arraystate.vectorized_arrival_times` in one
-  numpy sweep — the only place this engine loads numpy.
+  ``(time, seq)``, and their times come from one
+  :func:`~repro.simulation.arrivals.generate_arrival_times` call — which
+  loads numpy for deterministic patterns 1, 3 and 4, and nothing else in
+  this engine does.
 
 ``tests/simulation/test_golden.py`` pins this contract: the fingerprint
 of every builtin scenario under every admission policy, with every
@@ -88,12 +88,7 @@ from repro.network.transport import (
 from repro.protocols.base import AdmissionPolicy, make_policy
 from repro.protocols.variants import LinearElevationDacPolicy
 from repro.simulation.arrivals import generate_arrival_times, make_pattern
-from repro.simulation.arraystate import (
-    VECTORIZABLE_PATTERNS,
-    PeerArrays,
-    SessionTable,
-    vectorized_arrival_times,
-)
+from repro.simulation.arraystate import PeerArrays, SessionTable
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import (
     DEPARTURE_RETRY_SECONDS,
@@ -349,27 +344,12 @@ class ArrayEngine:
             self._register(pid)
 
         requesters = len(classes) - num_seeds
-        if config.deterministic_arrivals and (
-            config.arrival_pattern in VECTORIZABLE_PATTERNS
-        ):
-            make_pattern(  # keep the scalar path's validation errors
-                config.arrival_pattern, config.arrival_window_seconds
-            )
-            times = vectorized_arrival_times(
-                config.arrival_pattern,
-                config.arrival_window_seconds,
-                requesters,
-            )
-        else:
-            pattern = make_pattern(
-                config.arrival_pattern, config.arrival_window_seconds
-            )
-            times = generate_arrival_times(
-                pattern,
-                requesters,
-                deterministic=config.deterministic_arrivals,
-                rng=self.streams.arrivals,
-            )
+        times = generate_arrival_times(
+            make_pattern(config.arrival_pattern, config.arrival_window_seconds),
+            requesters,
+            deterministic=config.deterministic_arrivals,
+            rng=self.streams.arrivals,
+        )
         # arrival i (peer num_seeds + i) carries sequence base + i; the
         # run loop merges this lane against the heap by (time, seq)
         self._arrival_times = times

@@ -33,27 +33,15 @@ Two deliberate layout choices:
 in-flight sessions: slot-indexed columns with a LIFO free list so
 interrupted/completed sessions recycle their slots, and a per-slot
 generation counter standing in for event cancellation.
-
-:func:`vectorized_arrival_times` reproduces the deterministic arrival
-placement of :mod:`repro.simulation.arrivals` bit-for-bit for the
-patterns whose cumulative curves use only operations numpy evaluates
-identically to CPython scalars (add/sub/mul/div/min — no ``**``, whose
-libm path differs in the last ulp).  It is the only numpy user here and
-imports numpy itself, so a run on any other arrival set-up never loads
-numpy at all.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from repro.errors import ConfigurationError
-
 __all__ = [
     "PeerArrays",
     "SessionTable",
-    "VECTORIZABLE_PATTERNS",
-    "vectorized_arrival_times",
 ]
 
 
@@ -209,91 +197,3 @@ class SessionTable:
         """Number of allocated slots (live + free) — the table's high-water mark."""
         return len(self.requester)
 
-
-#: deterministic arrival patterns whose quantile bisection vectorizes
-#: bit-identically (their cumulative curves avoid ``**``)
-VECTORIZABLE_PATTERNS: tuple[int, ...] = (1, 3, 4)
-
-
-# The cumulative curves take the numpy module as an argument so that
-# importing this module never imports numpy.
-
-
-def _cumulative_uniform(np, t, window: float):
-    # pattern 1: UniformArrivals.cumulative_fraction
-    return np.minimum(np.maximum(t / window, 0.0), 1.0)
-
-
-def _cumulative_front_loaded(np, t, window: float):
-    # pattern 3: FrontLoadedArrivals.cumulative_fraction
-    burst_fraction = 0.40
-    burst_share = 1.0 / 12.0
-    burst_end = window * burst_share
-    burst_rate = burst_fraction / burst_end
-    tail_rate = (1.0 - burst_fraction) / (window - burst_end)
-    inside = np.where(
-        t < burst_end,
-        burst_rate * t,
-        burst_fraction + tail_rate * (t - burst_end),
-    )
-    return np.where(t <= 0.0, 0.0, np.where(t >= window, 1.0, inside))
-
-
-def _cumulative_bursty(np, t, window: float):
-    # pattern 4: BurstyArrivals.cumulative_fraction — same op order as the
-    # scalar code so every intermediate rounds identically
-    num_bursts = 6
-    burst_duration_fraction = 1.0 / 36.0
-    burst_total_fraction = 0.60
-    burst_len = window * burst_duration_fraction
-    spacing = window / num_bursts
-    floor_rate = (1.0 - burst_total_fraction) / window
-    burst_rate = burst_total_fraction / (num_bursts * burst_len)
-    burst_mass_per = burst_total_fraction / num_bursts
-    full, offset = np.divmod(t, spacing)
-    mass = full * burst_mass_per + floor_rate * (full * spacing)
-    mass = mass + floor_rate * offset
-    mass = mass + burst_rate * np.minimum(offset, burst_len)
-    return np.where(t <= 0.0, 0.0, np.where(t >= window, 1.0, mass))
-
-
-_CUMULATIVES = {
-    1: _cumulative_uniform,
-    3: _cumulative_front_loaded,
-    4: _cumulative_bursty,
-}
-
-
-def vectorized_arrival_times(
-    pattern_id: int, window_seconds: float, total_arrivals: int
-) -> list[float]:
-    """Deterministic arrival times, bit-identical to the scalar path.
-
-    Mirrors ``generate_arrival_times(pattern, n, deterministic=True)``:
-    the ``i``-th arrival lands at the quantile of ``(i + 0.5) / n``, found
-    by 60 bisection steps over ``[0, window]``.  All ``n`` bisections run
-    in lockstep as numpy vectors; because each step is a compare plus a
-    midpoint (and the cumulative curves above use only float ops numpy
-    and CPython round identically), every returned time equals the scalar
-    engine's to the last bit.
-    """
-    import numpy as np
-
-    if pattern_id not in _CUMULATIVES:
-        raise ConfigurationError(
-            f"arrival pattern {pattern_id} has no vectorized quantile; "
-            f"vectorizable patterns: {VECTORIZABLE_PATTERNS}"
-        )
-    if total_arrivals <= 0:
-        return []
-    cumulative = _CUMULATIVES[pattern_id]
-    n = total_arrivals
-    fractions = (np.arange(n, dtype=np.float64) + 0.5) / n
-    lo = np.zeros(n, dtype=np.float64)
-    hi = np.full(n, window_seconds, dtype=np.float64)
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        below = cumulative(np, mid, window_seconds) < fractions
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return ((lo + hi) / 2.0).tolist()

@@ -22,6 +22,16 @@ either
   seeded RNG.
 
 Both modes produce exactly ``n`` arrivals inside the window.
+
+This module is the only one that knows a pattern's shape.  Patterns 1, 3
+and 4 state their cumulative curve twice, from the same constants: on
+scalars (``cumulative``) and on numpy arrays, which
+:func:`_lockstep_quantiles` bisects for all ``n`` arrivals at once.  Those
+curves use only float operations that numpy and CPython round alike
+(add, subtract, multiply, divide, min, max, divmod), so every time equals
+:meth:`ArrivalPattern.quantile`'s to the last bit.  Pattern 2 bisects each
+arrival in scalar Python instead, so that a run on it never imports
+numpy, which would add about 12 MiB to its peak memory.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
@@ -37,15 +48,7 @@ __all__ = [
     "ArrivalPattern",
     "make_pattern",
     "generate_arrival_times",
-    "PATTERN_DESCRIPTIONS",
 ]
-
-PATTERN_DESCRIPTIONS = {
-    1: "constant arrivals",
-    2: "gradually increasing then decreasing (triangle)",
-    3: "initial burst then lower constant arrivals",
-    4: "periodic bursts over a low constant floor",
-}
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,8 @@ class ArrivalPattern:
 
     ``density(t)`` integrates to 1 over the window; ``cumulative(t)`` is its
     integral (0 at the window start, 1 at its end).  Both are piecewise
-    closed forms per pattern.
+    closed forms per pattern.  ``deterministic_times(n)`` places all ``n``
+    arrivals: arrival ``i`` at ``quantile((i + 0.5) / n)``, bit for bit.
     """
 
     pattern_id: int
@@ -62,11 +66,7 @@ class ArrivalPattern:
     density: Callable[[float], float]
     cumulative: Callable[[float], float]
     peak_density: float
-    #: optional fast path for deterministic generation: the factory inlines
-    #: its cumulative form into the bisection loop (same arithmetic, same
-    #: op order — bit-identical to ``quantile``, minus 60 closure calls per
-    #: arrival).  ``generate_arrival_times`` uses it when present.
-    deterministic_times: Callable[[int], list[float]] | None = None
+    deterministic_times: Callable[[int], list[float]]
 
     def rate_per_second(self, t: float, total_arrivals: int) -> float:
         """Instantaneous arrival rate at ``t`` for ``total_arrivals`` peers."""
@@ -75,10 +75,8 @@ class ArrivalPattern:
     def quantile(self, fraction: float) -> float:
         """Inverse of :meth:`cumulative` by bisection (densities are >= 0).
 
-        Deterministic arrival generation evaluates this once per peer —
-        100k times for the population-scale scenarios — so the cumulative
-        callable is bound locally for the 60-iteration loop.  The
-        arithmetic is unchanged: results stay bit-identical.
+        The reference every pattern's ``deterministic_times`` equals;
+        stochastic generation pads with it.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ConfigurationError(f"fraction must be in [0,1], got {fraction}")
@@ -93,24 +91,36 @@ class ArrivalPattern:
         return (lo + hi) / 2.0
 
 
+def _lockstep_quantiles(
+    curve: Callable[[Any, Any], Any], window: float, n: int
+) -> list[float]:
+    """``quantile((i + 0.5) / n)`` for every ``i``, in one numpy sweep.
+
+    ``curve(np, t)`` is a pattern's cumulative curve on an array.  All
+    ``n`` bisections of :meth:`ArrivalPattern.quantile` run in lockstep
+    as numpy vectors; each of the 60 steps is a compare plus a midpoint,
+    so every time equals the scalar bisection's to the last bit.  numpy
+    is imported here, so a run that never calls this never loads it.
+    """
+    import numpy as np
+
+    fractions = (np.arange(n, dtype=np.float64) + 0.5) / n
+    lo = np.zeros(n, dtype=np.float64)
+    hi = np.full(n, window, dtype=np.float64)
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        below = curve(np, mid) < fractions
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return ((lo + hi) / 2.0).tolist()
+
+
 def _constant_pattern(window: float) -> ArrivalPattern:
     """Pattern 1: uniform density ``1/W``."""
     rate = 1.0 / window
 
-    def deterministic_times(n: int) -> list[float]:
-        # quantile() with cumulative() inlined; identical arithmetic
-        times = [0.0] * n
-        for i in range(n):
-            fraction = (i + 0.5) / n
-            lo, hi = 0.0, window
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                if min(max(mid / window, 0.0), 1.0) < fraction:
-                    lo = mid
-                else:
-                    hi = mid
-            times[i] = (lo + hi) / 2.0
-        return times
+    def curve(np, t):
+        return np.minimum(np.maximum(t / window, 0.0), 1.0)
 
     return ArrivalPattern(
         pattern_id=1,
@@ -118,7 +128,7 @@ def _constant_pattern(window: float) -> ArrivalPattern:
         density=lambda t: rate if 0 <= t < window else 0.0,
         cumulative=lambda t: min(max(t / window, 0.0), 1.0),
         peak_density=rate,
-        deterministic_times=deterministic_times,
+        deterministic_times=partial(_lockstep_quantiles, curve, window),
     )
 
 
@@ -194,30 +204,16 @@ def _burst_then_constant_pattern(
             return burst_rate * t
         return burst_fraction + tail_rate * (t - burst_end)
 
-    def deterministic_times(n: int) -> list[float]:
-        # quantile() with cumulative() inlined; identical arithmetic
-        times = [0.0] * n
-        for i in range(n):
-            fraction = (i + 0.5) / n
-            lo, hi = 0.0, window
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                if mid <= 0:
-                    c = 0.0
-                elif mid >= window:
-                    c = 1.0
-                elif mid < burst_end:
-                    c = burst_rate * mid
-                else:
-                    c = burst_fraction + tail_rate * (mid - burst_end)
-                if c < fraction:
-                    lo = mid
-                else:
-                    hi = mid
-            times[i] = (lo + hi) / 2.0
-        return times
+    def curve(np, t):
+        inside = np.where(
+            t < burst_end, burst_rate * t, burst_fraction + tail_rate * (t - burst_end)
+        )
+        return np.where(t <= 0.0, 0.0, np.where(t >= window, 1.0, inside))
 
-    return ArrivalPattern(3, window, density, cumulative, burst_rate, deterministic_times)
+    return ArrivalPattern(
+        3, window, density, cumulative, burst_rate,
+        partial(_lockstep_quantiles, curve, window),
+    )
 
 
 def _periodic_bursts_pattern(
@@ -238,7 +234,7 @@ def _periodic_bursts_pattern(
         raise ConfigurationError("bursts overlap; reduce duration or count")
     floor_rate = (1.0 - burst_total_fraction) / window
     burst_rate = burst_total_fraction / (num_bursts * burst_len)
-    burst_starts = [k * spacing for k in range(num_bursts)]
+    burst_mass_per = burst_total_fraction / num_bursts
 
     def density(t: float) -> float:
         if t < 0 or t >= window:
@@ -252,40 +248,23 @@ def _periodic_bursts_pattern(
         if t >= window:
             return 1.0
         full, offset = divmod(t, spacing)
-        burst_mass_per = burst_total_fraction / num_bursts
         mass = full * burst_mass_per + floor_rate * (full * spacing)
         mass += floor_rate * offset
         mass += burst_rate * min(offset, burst_len)
         return mass
 
-    def deterministic_times(n: int) -> list[float]:
-        # quantile() with cumulative() inlined; identical arithmetic
-        # (burst_mass_per is a hoisted constant subexpression)
-        burst_mass_per = burst_total_fraction / num_bursts
-        times = [0.0] * n
-        for i in range(n):
-            fraction = (i + 0.5) / n
-            lo, hi = 0.0, window
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                if mid <= 0:
-                    c = 0.0
-                elif mid >= window:
-                    c = 1.0
-                else:
-                    full, offset = divmod(mid, spacing)
-                    c = full * burst_mass_per + floor_rate * (full * spacing)
-                    c += floor_rate * offset
-                    c += burst_rate * min(offset, burst_len)
-                if c < fraction:
-                    lo = mid
-                else:
-                    hi = mid
-            times[i] = (lo + hi) / 2.0
-        return times
+    def curve(np, t):
+        # the same op order as ``cumulative``, so every intermediate
+        # rounds alike
+        full, offset = np.divmod(t, spacing)
+        mass = full * burst_mass_per + floor_rate * (full * spacing)
+        mass = mass + floor_rate * offset
+        mass = mass + burst_rate * np.minimum(offset, burst_len)
+        return np.where(t <= 0.0, 0.0, np.where(t >= window, 1.0, mass))
 
     return ArrivalPattern(
-        4, window, density, cumulative, floor_rate + burst_rate, deterministic_times
+        4, window, density, cumulative, floor_rate + burst_rate,
+        partial(_lockstep_quantiles, curve, window),
     )
 
 
@@ -324,11 +303,7 @@ def generate_arrival_times(
     if total_arrivals == 0:
         return []
     if deterministic:
-        if pattern.deterministic_times is not None:
-            return pattern.deterministic_times(total_arrivals)
-        return [
-            pattern.quantile((i + 0.5) / total_arrivals) for i in range(total_arrivals)
-        ]
+        return pattern.deterministic_times(total_arrivals)
 
     if rng is None:
         raise ConfigurationError("stochastic arrival generation needs an RNG")

@@ -37,20 +37,10 @@ class TestTransport:
         assert snap["messages"] == 3
         assert snap["bytes"] == 2 * 64 + 48
 
-    def test_round_trip_charges_both_directions(self):
-        transport = Transport()
-        transport.round_trip("probe")
-        snap = transport.snapshot()
-        assert snap["count_probe"] == 1
-        assert snap["count_probe_reply"] == 1
-        assert snap["messages"] == 2
-
     def test_unknown_kind_raises(self):
         transport = Transport()
         with pytest.raises(KeyError, match="'weird'"):
             transport.send("weird")
-        with pytest.raises(KeyError, match="'reminder_reply'"):
-            transport.round_trip("reminder")  # a one-way kind has no reply
         assert transport.counts == [0] * len(MESSAGE_KINDS)
 
     def test_inline_bumps_and_sends_share_the_counts(self):

@@ -332,10 +332,6 @@ class TestBatchFailureLabeling:
             run_batch([small_config(master_seed=7)])
         assert "seed=7" in str(excinfo.value)
 
-    def test_retries_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_batch([small_config()], retries=0)
-
 
 @pytest.mark.skipif(
     not hasattr(os, "fork"), reason="worker-death tests need fork workers"

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,40 @@ class TestStoreBasics:
         )
         assert store.clear() == 2
         assert len(store) == 0
+
+    def test_a_put_between_another_puts_write_and_rename(
+        self, store, monkeypatch
+    ):
+        # two workers finishing one spec: the second writer's whole put
+        # runs after the first wrote its temp file and before it renamed it
+        record = Study.from_config(small_config()).run()[0]
+        rename = Path.replace
+        writers = []
+        errors = []
+
+        def second_writer():
+            try:
+                store.put(record)
+            except Exception as exc:  # asserted absent below
+                errors.append(exc)
+
+        def interleaved_replace(self, target):
+            if not writers:
+                writer = threading.Thread(target=second_writer)
+                writers.append(writer)
+                writer.start()
+                writer.join(timeout=30)
+                assert not writer.is_alive()
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "replace", interleaved_replace)
+        store.put(record)
+        assert errors == []
+        assert store.spec_hashes() == [record.spec_hash]
+        assert store.get(record.spec_hash).fingerprint() == record.fingerprint()
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            f"{record.spec_hash}.json"
+        ]
 
 
 class TestCacheSemantics:

@@ -1,9 +1,10 @@
-"""Array-engine seams: lazy imports, vectorized arrivals, session slots.
+"""Array-engine seams: lazy imports and session slots.
 
 The engine's behaviour on whole runs is pinned by
-``tests/simulation/test_golden.py``; these tests cover the seams where an
-off-by-one would hide: the bit-identical vectorized arrival times, the
-session table's slot recycling, and which modules a run loads.
+``tests/simulation/test_golden.py``, and its arrival times by
+``tests/simulation/test_arrivals.py``; these tests cover the seams where
+an off-by-one would hide: the session table's slot recycling, and which
+modules a run loads.
 """
 
 import os
@@ -13,13 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.simulation.arrivals import generate_arrival_times, make_pattern
-from repro.simulation.arraystate import (
-    VECTORIZABLE_PATTERNS,
-    SessionTable,
-    vectorized_arrival_times,
-)
+from repro.simulation.arraystate import SessionTable
 
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -36,14 +31,21 @@ print("numpy" in sys.modules)
 
 @pytest.mark.parametrize(
     "scenario_name, loads_numpy",
-    [("paper_default", False), ("constant", True)],
+    [
+        ("constant", True),  # pattern 1
+        ("paper_default", False),  # pattern 2
+        ("unstable_suppliers_100k", False),  # pattern 2, with lifecycle
+        ("flash_crowd", True),  # pattern 3
+        ("diurnal", True),  # pattern 4
+    ],
 )
 def test_numpy_loads_only_for_vectorized_arrivals(scenario_name, loads_numpy):
     """A fresh interpreter imports numpy only to vectorize arrival times.
 
-    ``paper_default`` (pattern 2) places arrivals with the scalar path;
-    ``constant`` (pattern 1) takes the vectorized one.  Peak memory of
-    pattern-2 runs depends on numpy staying out.
+    Deterministic patterns 1, 3 and 4 place their arrivals in one numpy
+    sweep; pattern 2 bisects in scalar Python.  Peak memory of pattern-2
+    runs, the lifecycle-memory check's among them, depends on numpy
+    staying out.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = (
@@ -87,37 +89,6 @@ def test_process_pool_loads_only_for_parallel_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "True"
-
-
-class TestVectorizedArrivals:
-    @pytest.mark.parametrize("pattern_id", VECTORIZABLE_PATTERNS)
-    @pytest.mark.parametrize("window", [3600.0, 77777.5, 259200.0])
-    def test_bit_identical_to_scalar_quantiles(self, pattern_id, window):
-        for total in (1, 7, 250):
-            pattern = make_pattern(pattern_id, window)
-            scalar = generate_arrival_times(pattern, total, deterministic=True)
-            vector = vectorized_arrival_times(pattern_id, window, total)
-            assert vector == scalar  # exact float equality, on purpose
-
-    def test_triangle_pattern_has_no_vectorized_path(self):
-        # pattern 2's cumulative uses ``**``, whose libm path differs in
-        # the last ulp between numpy and CPython — so it must refuse
-        assert 2 not in VECTORIZABLE_PATTERNS
-        with pytest.raises(ConfigurationError, match="pattern 2"):
-            vectorized_arrival_times(2, 3600.0, 10)
-
-    def test_empty_population(self):
-        assert vectorized_arrival_times(1, 3600.0, 0) == []
-
-    @pytest.mark.parametrize("pattern_id", [1, 2, 3, 4])
-    def test_deterministic_times_closure_matches_quantile(self, pattern_id):
-        # the inlined-bisection fast path every pattern factory ships
-        # must equal the generic quantile bisection bit-for-bit
-        pattern = make_pattern(pattern_id, 259200.0)
-        for total in (1, 7, 100):
-            fast = pattern.deterministic_times(total)
-            slow = [pattern.quantile((i + 0.5) / total) for i in range(total)]
-            assert fast == slow
 
 
 class TestSessionTable:

@@ -103,6 +103,17 @@ class TestGeneration:
             pattern, 100
         )
 
+    @pytest.mark.parametrize("pattern_id", [1, 2, 3, 4])
+    @pytest.mark.parametrize("window", [3600.0, 77777.5, 259200.0])
+    def test_deterministic_times_equal_the_quantiles(self, pattern_id, window):
+        # exact float equality, on purpose: patterns 1, 3 and 4 bisect in
+        # numpy lockstep and pattern 2 in scalar Python, and every golden
+        # pin rests on both matching the reference bisection bit for bit
+        pattern = make_pattern(pattern_id, window)
+        for n in (1, 7, 250, 10_000):
+            reference = [pattern.quantile((i + 0.5) / n) for i in range(n)]
+            assert generate_arrival_times(pattern, n) == reference
+
     def test_deterministic_matches_shape(self):
         pattern = make_pattern(3, WINDOW)
         times = generate_arrival_times(pattern, 1000)

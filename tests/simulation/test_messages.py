@@ -13,7 +13,7 @@ compare against:
 
 import pytest
 
-from repro.network.transport import Transport
+from repro.network.lookup import DirectoryLookup
 from repro.scenarios import get_scenario
 from repro.simulation.arrayengine import ArrayEngine
 
@@ -61,12 +61,16 @@ def test_message_counts_match_the_run_counters(name, protocol):
 
 
 def test_array_engine_never_calls_round_trip(monkeypatch):
-    """The array engine counts queries and probes inline, not per call."""
+    """The array engine counts queries and probes inline, not per call.
 
-    def refuse(self, kind):
-        raise AssertionError(f"Transport.round_trip({kind!r}) was called")
+    It samples the directory's entry list itself, so the directory's
+    per-query round trip, ``DirectoryLookup.candidates``, never runs.
+    """
 
-    monkeypatch.setattr(Transport, "round_trip", refuse)
+    def refuse(self, *args):
+        raise AssertionError("DirectoryLookup.candidates was called")
+
+    monkeypatch.setattr(DirectoryLookup, "candidates", refuse)
     engine = ArrayEngine(build("paper_default", "dac"))
     engine.run()
     stats = engine.transport.snapshot()
