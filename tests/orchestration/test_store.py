@@ -118,6 +118,31 @@ class TestStoreBasics:
             f"{record.spec_hash}.json"
         ]
 
+    def test_a_writer_killed_before_its_rename_leaves_no_record(
+        self, store, monkeypatch
+    ):
+        # the staged file outlives its writer, but never reads as a record
+        record = Study.from_config(small_config()).run()[0]
+        rename = Path.replace
+
+        def killed(self, target):
+            raise OSError("writer died before its rename")
+
+        monkeypatch.setattr(Path, "replace", killed)
+        with pytest.raises(OSError, match="before its rename"):
+            store.put(record)
+        [staged] = store.root.iterdir()
+        assert staged.name.endswith(".tmp")
+        assert len(store) == 0
+        assert store.spec_hashes() == []
+        assert record.spec_hash not in store
+        assert store.get(record.spec_hash) is None
+        assert store.clear() == 0
+
+        monkeypatch.setattr(Path, "replace", rename)
+        store.put(record)
+        assert store.spec_hashes() == [record.spec_hash]
+
 
 class TestCacheSemantics:
     def test_second_run_is_simulation_free(self, store, monkeypatch):

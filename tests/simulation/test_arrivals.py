@@ -143,6 +143,10 @@ class TestGeneration:
     def test_zero_arrivals(self, pattern):
         assert generate_arrival_times(pattern, 0) == []
 
+    def test_deterministic_times_of_an_empty_population(self, pattern):
+        # the sweep itself, past generate_arrival_times' early return
+        assert pattern.deterministic_times(0) == []
+
     def test_negative_arrivals_rejected(self, pattern):
         with pytest.raises(ConfigurationError):
             generate_arrival_times(pattern, -1)
