@@ -24,7 +24,7 @@ def test_directory_sampling(benchmark):
     """Sample M=8 candidates from a 50,000-supplier directory."""
     directory = CentralDirectory()
     for peer_id in range(50_000):
-        directory.register("video", peer_id, 1 + peer_id % 4)
+        directory.register("video", peer_id)
     rng = random.Random(5)
 
     result = benchmark(directory.sample_candidates, "video", 8, rng)
@@ -35,11 +35,11 @@ def test_directory_register_unregister(benchmark):
     """Churn a directory entry (swap-removal path)."""
     directory = CentralDirectory()
     for peer_id in range(10_000):
-        directory.register("video", peer_id, 1)
+        directory.register("video", peer_id)
 
     def churn():
         directory.unregister("video", 5_000)
-        directory.register("video", 5_000, 1)
+        directory.register("video", 5_000)
 
     benchmark(churn)
     assert directory.num_suppliers("video") == 10_000

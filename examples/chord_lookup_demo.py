@@ -55,11 +55,13 @@ def main() -> None:
     section("3. The supplier index")
     index = SupplierIndex(ring, media_id="movie.mkv")
     for peer_id in range(1000, 1200):
-        index.register(peer_id, peer_class=1 + peer_id % 4)
+        index.register(peer_id)
     print(f"registered {index.num_suppliers} suppliers for 'movie.mkv'")
     candidates = index.sample_candidates(8, rng)
-    print("a requesting peer samples M = 8 candidates:")
-    for peer_id, peer_class in candidates:
+    print("a requesting peer samples M = 8 candidate ids:")
+    for peer_id in candidates:
+        # the index stores ids only; here a peer's class is its id mod 4
+        peer_class = 1 + peer_id % 4
         print(f"  peer {peer_id} (class {peer_class}, offers R0/{2 ** peer_class})")
 
     section("4. Churn: a quarter of the ring leaves")
@@ -74,7 +76,7 @@ def main() -> None:
     print(f"nodes: 64 -> {len(ring)}; stored entries conserved: "
           f"{stored_before} -> {stored_after}")
     survivors = index.sample_candidates(8, rng)
-    print(f"candidate sampling still works: {[pid for pid, _ in survivors]}")
+    print(f"candidate sampling still works: {survivors}")
     print(f"mean lookup hops now: {ring.mean_lookup_hops:.2f}")
 
 

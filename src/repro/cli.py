@@ -438,6 +438,9 @@ def _export_result_set(
 
 def _coerce_sweep_value(parameter: str, text: str) -> object:
     """Parse a ``--sweep`` value string to the config field's type."""
+    if parameter == "probes":
+        # one subscription per value, comma-separated as ``--probes`` takes it
+        return tuple(name for name in text.split(",") if name)
     defaults = {
         f.name: f.default
         for f in dataclasses.fields(SimulationConfig)

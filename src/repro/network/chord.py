@@ -264,12 +264,13 @@ class ChordRing:
 class SupplierIndex:
     """Candidate-supplier discovery on top of a :class:`ChordRing`.
 
-    Each supplying peer registers one index entry under the DHT name
-    ``"{media_id}/{peer_id}"``; entries scatter uniformly around the circle
-    because the name is hashed.  To sample candidates, the requester draws a
-    random circle position, routes to it, and harvests entries walking
-    successors — repeating from fresh random positions until it has ``M``
-    distinct candidates.  Harvesting a small window per draw keeps the
+    Each supplying peer registers one index entry, its peer id, under the
+    DHT name ``"{media_id}/{peer_id}"``; entries scatter uniformly around
+    the circle because the name is hashed.  To sample candidates, the
+    requester draws a random circle position, routes to it, and harvests
+    entries walking successors — repeating from fresh random positions
+    until it has ``M`` distinct candidate ids (the simulator keeps each
+    peer's class itself).  Harvesting a small window per draw keeps the
     size-bias of "first entry after a random point" negligible; the test
     suite checks the sample is statistically close to uniform.
     """
@@ -280,18 +281,18 @@ class SupplierIndex:
     def __init__(self, ring: ChordRing, media_id: str) -> None:
         self.ring = ring
         self.media_id = media_id
-        self._registered: dict[int, int] = {}  # peer_id -> class
+        # registered peer ids, in registration order (values unused)
+        self._registered: dict[int, None] = {}
 
     def _entry_name(self, peer_id: int) -> str:
         return f"{self.media_id}/{peer_id}"
 
-    def register(self, peer_id: int, peer_class: int) -> None:
+    def register(self, peer_id: int) -> None:
         """Publish ``peer_id`` as a supplier of the index's media."""
         if peer_id in self._registered:
-            self._registered[peer_id] = peer_class
             return
-        self.ring.put(self._entry_name(peer_id), (peer_id, peer_class))
-        self._registered[peer_id] = peer_class
+        self.ring.put(self._entry_name(peer_id), peer_id)
+        self._registered[peer_id] = None
 
     def unregister(self, peer_id: int) -> None:
         """Withdraw a supplier entry (churn support)."""
@@ -305,9 +306,9 @@ class SupplierIndex:
         """Number of currently registered suppliers."""
         return len(self._registered)
 
-    def _harvest(self, start_key: int, want: int) -> list[tuple[int, int]]:
-        """Collect up to ``want`` entries walking the ring from ``start_key``."""
-        found: list[tuple[int, int]] = []
+    def _harvest(self, start_key: int, want: int) -> list[int]:
+        """Collect up to ``want`` peer ids walking the ring from ``start_key``."""
+        found: list[int] = []
         prefix = f"{self.media_id}/"
         node = self.ring.find_successor(start_key)
         visited = 0
@@ -315,23 +316,24 @@ class SupplierIndex:
             for entries in node.storage.values():
                 for entry_name, value in entries:
                     if entry_name.startswith(prefix):
-                        found.append(value)  # (peer_id, peer_class)
+                        found.append(value)  # the peer id
             node = node.successor
             visited += 1
         return found
 
     def sample_candidates(
         self, count: int, rng: random.Random
-    ) -> list[tuple[int, int]]:
-        """Sample up to ``count`` distinct ``(peer_id, class)`` candidates."""
+    ) -> list[int]:
+        """Sample up to ``count`` distinct candidate peer ids."""
         if not self._registered:
             return []
         if count >= len(self._registered):
-            candidates = list(self._registered.items())
+            candidates = list(self._registered)
             rng.shuffle(candidates)
             return candidates
 
-        chosen: dict[int, int] = {}
+        # insertion-ordered, so the ids come back in the order first drawn
+        chosen: dict[int, None] = {}
         attempts = 0
         while len(chosen) < count and attempts < 50 * count:
             attempts += 1
@@ -339,6 +341,5 @@ class SupplierIndex:
             window = self._harvest(start_key, self.WINDOW)
             if not window:
                 continue
-            peer_id, peer_class = window[rng.randrange(len(window))]
-            chosen.setdefault(peer_id, peer_class)
-        return list(chosen.items())
+            chosen.setdefault(window[rng.randrange(len(window))])
+        return list(chosen)

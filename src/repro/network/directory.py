@@ -1,10 +1,12 @@
 """Napster-style centralized directory (paper footnote 4, option one).
 
 Supplying peers register themselves (per media id) with the directory; a
-requesting peer asks for ``M`` uniformly random candidates.  The directory
-knows each supplier's class — the paper assumes "the class of each candidate
-is also obtained" — but deliberately *not* whether it is busy: discovering
-that costs the requester a probe, exactly as in the paper's protocol.
+requesting peer asks for ``M`` uniformly random candidates and gets their
+peer ids.  The paper assumes "the class of each candidate is also
+obtained"; a peer's class never changes, so the simulator reads it from
+its own per-peer column rather than from a copy kept here.  The directory
+deliberately does *not* know whether a supplier is busy: discovering that
+costs the requester a probe, exactly as in the paper's protocol.
 
 Sampling must be uniform over the current supplier population and O(M); the
 implementation keeps an array plus an index map so register/unregister are
@@ -28,22 +30,17 @@ class CentralDirectory:
         # media_id -> (list of peer ids, peer id -> position in list)
         self._entries: dict[str, list[int]] = {}
         self._positions: dict[str, dict[int, int]] = {}
-        # peer metadata the directory advertises alongside candidates
-        self._classes: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register(self, media_id: str, peer_id: int, peer_class: int) -> None:
+    def register(self, media_id: str, peer_id: int) -> None:
         """Add a supplying peer for ``media_id``; idempotent re-registration."""
         entries = self._entries.setdefault(media_id, [])
         positions = self._positions.setdefault(media_id, {})
-        if peer_id in positions:
-            self._classes[peer_id] = peer_class
-            return
-        positions[peer_id] = len(entries)
-        entries.append(peer_id)
-        self._classes[peer_id] = peer_class
+        if peer_id not in positions:
+            positions[peer_id] = len(entries)
+            entries.append(peer_id)
 
     def unregister(self, media_id: str, peer_id: int) -> None:
         """Remove a supplier (churn support); raises if it was never there."""
@@ -66,13 +63,6 @@ class CentralDirectory:
         """Current number of registered suppliers for ``media_id``."""
         return len(self._entries.get(media_id, []))
 
-    def class_of(self, peer_id: int) -> int:
-        """Advertised class of a registered peer."""
-        try:
-            return self._classes[peer_id]
-        except KeyError:
-            raise LookupError_(f"peer {peer_id} unknown to the directory") from None
-
     def live_entries(self, media_id: str) -> list[int]:
         """The directory's live peer-id array for ``media_id``.
 
@@ -88,8 +78,8 @@ class CentralDirectory:
 
     def sample_candidates(
         self, media_id: str, count: int, rng: random.Random
-    ) -> list[tuple[int, int]]:
-        """Return up to ``count`` distinct random ``(peer_id, class)`` pairs.
+    ) -> list[int]:
+        """Return up to ``count`` distinct random peer ids.
 
         When fewer than ``count`` suppliers exist, all of them are returned
         (in random order) — the paper's requester then simply probes a
@@ -101,7 +91,5 @@ class CentralDirectory:
         if count >= len(entries):
             chosen = list(entries)
             rng.shuffle(chosen)
-        else:
-            chosen = rng.sample(entries, count)
-        classes = self._classes
-        return [(peer_id, classes[peer_id]) for peer_id in chosen]
+            return chosen
+        return rng.sample(entries, count)

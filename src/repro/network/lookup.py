@@ -1,10 +1,11 @@
 """Unified candidate-lookup interface over the directory and Chord substrates.
 
-The simulator only ever needs one operation: *give me up to M random
-candidate supplying peers (with classes) for this media*.  Both substrates
-provide it; the adapters below also charge the transport for the control
-messages each substrate would generate, so experiments can compare their
-signalling overhead (``benchmarks/bench_ablation_lookup.py``).
+The simulator only ever needs one operation: *give me the ids of up to M
+random candidate supplying peers for this media* (it keeps each peer's
+class itself).  Both substrates provide it; the adapters below also charge
+the transport for the control messages each substrate would generate, so
+experiments can compare their signalling overhead
+(``benchmarks/bench_ablation_lookup.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = ["LookupService", "DirectoryLookup", "ChordLookup"]
 class LookupService(Protocol):
     """What the streaming system requires of a lookup substrate."""
 
-    def register_supplier(self, media_id: str, peer_id: int, peer_class: int) -> None:
+    def register_supplier(self, media_id: str, peer_id: int) -> None:
         """Publish a new supplying peer."""
         ...
 
@@ -32,8 +33,8 @@ class LookupService(Protocol):
 
     def candidates(
         self, media_id: str, count: int, requester_id: int, rng: random.Random
-    ) -> list[tuple[int, int]]:
-        """Up to ``count`` random ``(peer_id, peer_class)`` candidates."""
+    ) -> list[int]:
+        """The ids of up to ``count`` random candidates."""
         ...
 
 
@@ -44,11 +45,11 @@ class DirectoryLookup:
         self.directory = CentralDirectory()
         self.transport = transport
 
-    def register_supplier(self, media_id: str, peer_id: int, peer_class: int) -> None:
+    def register_supplier(self, media_id: str, peer_id: int) -> None:
         """Register with the central directory (one control message)."""
         if self.transport is not None:
             self.transport.send("lookup")
-        self.directory.register(media_id, peer_id, peer_class)
+        self.directory.register(media_id, peer_id)
 
     def unregister_supplier(self, media_id: str, peer_id: int) -> None:
         """Unregister from the central directory."""
@@ -58,7 +59,7 @@ class DirectoryLookup:
 
     def candidates(
         self, media_id: str, count: int, requester_id: int, rng: random.Random
-    ) -> list[tuple[int, int]]:
+    ) -> list[int]:
         """One query round trip, then uniform sampling at the server."""
         if self.transport is not None:
             counts = self.transport.counts
@@ -97,10 +98,10 @@ class ChordLookup:
         hops = self.ring.lookup_hops - hops_before
         self.transport.counts[DHT_HOP] += max(hops, 1)
 
-    def register_supplier(self, media_id: str, peer_id: int, peer_class: int) -> None:
+    def register_supplier(self, media_id: str, peer_id: int) -> None:
         """Publish the supplier's index entry into the DHT."""
         before = self.ring.lookup_hops
-        self._index(media_id).register(peer_id, peer_class)
+        self._index(media_id).register(peer_id)
         self._charge_hops(before)
 
     def unregister_supplier(self, media_id: str, peer_id: int) -> None:
@@ -111,7 +112,7 @@ class ChordLookup:
 
     def candidates(
         self, media_id: str, count: int, requester_id: int, rng: random.Random
-    ) -> list[tuple[int, int]]:
+    ) -> list[int]:
         """Sample candidates by routing to random ring positions."""
         before = self.ring.lookup_hops
         result = self._index(media_id).sample_candidates(count, rng)

@@ -19,9 +19,10 @@ simulated system over 144 hours.  This package is that simulator:
   returns as scheduled events, graceful (``lifecycle="graceful"``) or
   mid-stream;
 * :mod:`repro.simulation.probes` — the metrics behind Figures 4–9 and
-  Table 1: the collector (event counters plus the subscribed probes'
-  series) and :class:`~repro.simulation.probes.RunMetrics`, the frozen
-  results type read after the run;
+  Table 1: the collector (per-class counters and sums the engine bumps
+  inline, plus the subscribed probes' series, sampled on fixed hourly
+  and 3-hourly clocks) and :class:`~repro.simulation.probes.RunMetrics`,
+  the frozen results type read after the run;
 * :mod:`repro.simulation.runner` — one-call experiment execution;
 * :mod:`repro.simulation.trace` — optional structured event traces;
 * :mod:`repro.simulation.validation` — post-run invariant audits.

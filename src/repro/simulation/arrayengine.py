@@ -57,9 +57,10 @@ Everything that is *not* per-peer or per-event hot state is shared with
 the rest of the package unchanged: the :class:`MetricsPipeline`
 collector, :class:`CapacityLedger`, the lookup substrates, the lifecycle
 models, ``plan_session`` and the backoff/reminder math.  The engine
-never calls :class:`Transport` per message: it bumps the transport's
-per-kind ``counts`` list inline, one bump per send site (a whole
-session's suppliers, or a whole probe loop's candidates, at once).
+calls neither :class:`MetricsPipeline` nor :class:`Transport` per event:
+it bumps the collector's per-class counters and sums inline, and the
+transport's per-kind ``counts`` list too, one bump per send site (a
+whole session's suppliers, or a whole probe loop's candidates, at once).
 """
 
 from __future__ import annotations
@@ -95,8 +96,13 @@ from repro.simulation.lifecycle import (
     LIFECYCLE_MODELS,
     make_lifecycle,
 )
-from repro.simulation.probes import MetricsPipeline
-from repro.simulation.probes import DEFAULT_PROBES
+from repro.simulation.probes import (
+    CAPACITY_SAMPLE_SECONDS,
+    DEFAULT_PROBES,
+    FAVORED_SAMPLE_SECONDS,
+    RATE_SAMPLE_SECONDS,
+    MetricsPipeline,
+)
 from repro.simulation.randoms import RandomStreams
 from repro.simulation.trace import TraceRecorder
 from repro.streaming.session import plan_session
@@ -215,9 +221,6 @@ class ArrayEngine:
         "_arrival_times",
         "_arrival_base_seq",
         "_arrival_index",
-        "_capacity_period",
-        "_rate_period",
-        "_favored_period",
         "_handlers",
     )
 
@@ -357,9 +360,6 @@ class ArrayEngine:
         self._seq += requesters
         self._arrival_index = 0
 
-        self._capacity_period = config.capacity_sample_seconds
-        self._rate_period = config.rate_sample_seconds
-        self._favored_period = config.favored_snapshot_seconds
         if self.metrics.wants_capacity_samples:
             self._sample_capacity(None)
         if self.metrics.wants_rate_samples:
@@ -481,11 +481,11 @@ class ArrayEngine:
     def _on_request(self, pid: int) -> None:
         peers = self.peers
         peer_class = peers.peer_class[pid]
+        metrics = self.metrics
         if peers.first_request_time[pid] is None:
             peers.first_request_time[pid] = self.now
-            self.metrics.on_first_request(peer_class)
-        else:
-            self.metrics.on_retry(peer_class)
+            metrics.first_requests[peer_class] += 1
+        metrics.requests[peer_class] += 1
         outcome = self._probe_candidates(pid)
         if outcome is None:
             self._reject(pid, 0, None)
@@ -517,7 +517,7 @@ class ArrayEngine:
         if entries is not None:
             # central directory fast path: identical stdlib sampling calls
             # on the directory's own array (DirectoryLookup.candidates →
-            # CentralDirectory.sample_candidates), minus the tuple-building
+            # CentralDirectory.sample_candidates), minus the two calls
             if messages is not None:
                 messages[LOOKUP] += 1
                 messages[LOOKUP_REPLY] += 1
@@ -559,12 +559,11 @@ class ArrayEngine:
                     selected_add(j)
                     chosen[idx] = entries[j]
         else:
-            candidates = self.lookup.candidates(
+            chosen = self.lookup.candidates(
                 self._media_id, self._probe_count, pid, self._lookup_rng
             )
-            if not candidates:
+            if not chosen:
                 return None
-            chosen = [candidate_id for candidate_id, _ in candidates]
         # stable sort by class keeps the random order within a class
         chosen.sort(key=classes.__getitem__)
 
@@ -680,13 +679,14 @@ class ArrayEngine:
         peers.buffering_delay_slots[pid] = delay_slots
         peers.num_suppliers_served_by[pid] = num_suppliers
         peer_class = peers.peer_class[pid]
-        self.metrics.on_admission(
-            peer_class,
-            rejections_before=peers.rejections[pid],
-            num_suppliers=num_suppliers,
-            buffering_delay_slots=delay_slots,
-            waiting_seconds=(now - peers.first_request_time[pid]) or 0.0,
-        )
+        metrics = self.metrics
+        metrics.admitted[peer_class] += 1
+        metrics.rejections_before_admission_sum[peer_class] += peers.rejections[pid]
+        metrics.suppliers_per_session_sum[peer_class] += num_suppliers
+        metrics.buffering_delay_slots_sum[peer_class] += delay_slots
+        metrics.waiting_seconds_sum[peer_class] += (
+            now - peers.first_request_time[pid]
+        ) or 0.0
         if self.trace:
             self.trace.record(
                 "admission",
@@ -746,7 +746,7 @@ class ArrayEngine:
         peer_class = peers.peer_class[pid]
         rejections = peers.rejections[pid] + 1
         peers.rejections[pid] = rejections
-        self.metrics.on_rejection(peer_class)
+        self.metrics.rejections[peer_class] += 1
 
         if contacted_busy:
             # choose_reminder_set over the favoring busy contacts: greedy
@@ -763,7 +763,7 @@ class ArrayEngine:
                         current = reminder_min[sid]
                         if current == 0 or peer_class < current:
                             reminder_min[sid] = peer_class
-                        self.metrics.on_reminder(peer_class)
+                        self.metrics.reminders_left[peer_class] += 1
                         if messages is not None:
                             messages[REMINDER] += 1
                         shortfall -= units
@@ -844,7 +844,7 @@ class ArrayEngine:
         peer_class = self.peers.peer_class[pid]
         self.ledger.add_supplier(peer_class)
         self._suppliers_by_class[peer_class].append(pid)
-        self.lookup.register_supplier(self._media_id, pid, peer_class)
+        self.lookup.register_supplier(self._media_id, pid)
         self._arm_idle_timer(pid)
         if self._lifecycle_enabled:
             self._lifecycle_activate(pid)
@@ -930,7 +930,7 @@ class ArrayEngine:
         peers.idle_generation[pid] += 1
         self.ledger.remove_supplier(peer_class)
         self.lookup.unregister_supplier(self._media_id, pid)
-        self.metrics.on_supplier_departure(peer_class)
+        self.metrics.supplier_departures[peer_class] += 1
         if self.trace:
             self.trace.record(
                 "supplier_departed",
@@ -959,8 +959,8 @@ class ArrayEngine:
         peer_class = peers.peer_class[pid]
         peers.departed[pid] = 0
         self.ledger.add_supplier(peer_class)
-        self.lookup.register_supplier(self._media_id, pid, peer_class)
-        self.metrics.on_supplier_rejoin(peer_class)
+        self.lookup.register_supplier(self._media_id, pid)
+        self.metrics.supplier_rejoins[peer_class] += 1
         self._arm_idle_timer(pid)
         if self.trace:
             self.trace.record(
@@ -1005,12 +1005,12 @@ class ArrayEngine:
             self._messages[SESSION_END] += len(suppliers)
         show = self._show_seconds
         stall = sessions.stall_seconds[slot]
-        self.metrics.on_session_complete(
-            self.peers.peer_class[pid],
-            stall,
-            sessions.interruptions[slot],
-            show / (show + stall),
-        )
+        peer_class = self.peers.peer_class[pid]
+        metrics = self.metrics
+        metrics.completed_sessions[peer_class] += 1
+        metrics.continuity_sum[peer_class] += show / (show + stall)
+        if sessions.interruptions[slot]:
+            metrics.interrupted_completions[peer_class] += 1
         sessions.release(slot)
         self._promote(pid)
 
@@ -1037,7 +1037,7 @@ class ArrayEngine:
         sessions.interrupted_at[slot] = now
         sessions.recovery_attempts[slot] = 0
         peer_class = self.peers.peer_class[pid]
-        self.metrics.on_interruption(peer_class)
+        self.metrics.interruptions[peer_class] += 1
         if self.trace:
             self.trace.record(
                 "session_interrupted",
@@ -1048,7 +1048,7 @@ class ArrayEngine:
                 remaining_seconds=sessions.remaining_seconds[slot],
             )
         if self._recovery == "abandon":
-            self.metrics.on_session_lost(peer_class)
+            self.metrics.sessions_lost[peer_class] += 1
             sessions.release(slot)
             return
         if self._recovery == "restart":
@@ -1069,7 +1069,7 @@ class ArrayEngine:
         attempts = sessions.recovery_attempts[slot] + 1
         sessions.recovery_attempts[slot] = attempts
         peer_class = self.peers.peer_class[pid]
-        self.metrics.on_recovery_retry(peer_class)
+        self.metrics.recovery_retries[peer_class] += 1
         delay = self._backoff_by_rejections.get(attempts)
         if delay is None:
             delay = backoff_delay(attempts, self._t_bkf, self._e_bkf)
@@ -1078,7 +1078,7 @@ class ArrayEngine:
         if retry_at <= self._horizon:
             self._push(retry_at, _RECOVERY, slot)
         else:
-            self.metrics.on_session_lost(peer_class)
+            self.metrics.sessions_lost[peer_class] += 1
             if self.trace:
                 self.trace.record(
                     "session_lost",
@@ -1111,7 +1111,10 @@ class ArrayEngine:
         )
         self._track(slot)
         peer_class = peers.peer_class[pid]
-        self.metrics.on_recovery(peer_class, latency, stall)
+        metrics = self.metrics
+        metrics.recovered_sessions[peer_class] += 1
+        metrics.recovery_latency_sum[peer_class] += latency
+        metrics.stall_seconds_sum[peer_class] += stall
         if self.trace:
             self.trace.record(
                 "session_resumed",
@@ -1128,18 +1131,18 @@ class ArrayEngine:
     # ------------------------------------------------------------------
     def _sample_capacity(self, _payload: object = None) -> None:
         self.metrics.sample_capacity(self.now, self.ledger)
-        next_time = self.now + self._capacity_period
+        next_time = self.now + CAPACITY_SAMPLE_SECONDS
         if next_time <= self._horizon:
             self._push(next_time, _SAMPLE_CAPACITY, None)
 
     def _sample_rates(self, _payload: object = None) -> None:
         self.metrics.sample_rates(self.now)
-        next_time = self.now + self._rate_period
+        next_time = self.now + RATE_SAMPLE_SECONDS
         if next_time <= self._horizon:
             self._push(next_time, _SAMPLE_RATES, None)
 
     def _sample_favored(self, _payload: object = None) -> None:
         self.metrics.sample_favored(self.now, self._favored_snapshot())
-        next_time = self.now + self._favored_period
+        next_time = self.now + FAVORED_SAMPLE_SECONDS
         if next_time <= self._horizon:
             self._push(next_time, _SAMPLE_FAVORED, None)

@@ -112,13 +112,10 @@ class SimulationConfig:
     lifecycle_recovery: str = "resume"
 
     # ----- measurement ----------------------------------------------------
-    capacity_sample_seconds: float = 1 * HOUR
-    rate_sample_seconds: float = 1 * HOUR
-    favored_snapshot_seconds: float = 3 * HOUR
     #: metric probes to subscribe (None = the full paper evaluation); a
     #: tuple of names from :data:`repro.simulation.probes.PROBE_NAMES`
-    #: records only those artifacts and skips the others' accumulators
-    #: and sampler events entirely
+    #: records only those artifacts' series and means, and the engine
+    #: schedules no sampler event for a clock no subscribed probe reads
     probes: tuple[str, ...] | None = None
 
     # ----- reproducibility -------------------------------------------------
@@ -188,6 +185,12 @@ class SimulationConfig:
                     "lifecycle_flash_fraction must be in [0, 1], got "
                     f"{self.lifecycle_flash_fraction}"
                 )
+        if isinstance(self.probes, str):
+            # tuple() would split it into one-letter probe names
+            raise ConfigurationError(
+                f"probes must be a sequence of probe names, not the string "
+                f"{self.probes!r}"
+            )
         if self.probes is not None:
             # normalize (JSON round-trips hand us lists) then validate
             object.__setattr__(self, "probes", tuple(self.probes))

@@ -1,14 +1,14 @@
 """The metrics behind every figure and table of the paper: collected, then read.
 
 :class:`MetricsPipeline` is the one flat, mutable collector a run writes
-to: counters the engine bumps on every request, admission and lifecycle
-event, and series the sampler clocks append to.  Its artifacts are
-subscribed by name (``SimulationConfig.probes``), so a study records
-only the series it needs, the admission path skips the untouched
-accumulators, and
-:class:`~repro.simulation.arrayengine.ArrayEngine` never even schedules
-the sampler events of an unsubscribed clock (the Figure-7 snapshot walks the
-whole supplier population and is the single most expensive observation):
+to: per-class counters and sums that
+:class:`~repro.simulation.arrayengine.ArrayEngine` bumps inline on every
+request, admission and lifecycle event, and series the sampler clocks
+append to.  Its artifacts are subscribed by name
+(``SimulationConfig.probes``), so a study records only the series it
+needs and the engine never even schedules the sampler events of an
+unsubscribed clock (the Figure-7 snapshot walks the whole supplier
+population and is the single most expensive observation):
 
 =====================  ==================  ================================
 Paper artifact          Probe name          Output
@@ -36,11 +36,12 @@ Table 1                 ``table1``          ``mean_rejections_before_admission``
                                             continuity index
 =====================  ==================  ================================
 
-The event counters (requests, rejections, admissions, reminders,
-supplier churn, and the lifecycle's interruptions, recoveries and lost
-sessions) count on every run.  Each costs one dict increment, and the
-admission *rate* artifacts and the audit read them under any
-subscription.
+The counters (requests, rejections, admissions, reminders, supplier
+churn, and the lifecycle's interruptions, recoveries and lost sessions)
+and the admission sums count on every run.  Each costs one dict
+increment; the admission *rate* artifacts and the audit read the
+counters under any subscription, and a sum reaches the export only as
+the mean of a subscribed probe.
 
 When the run ends, :meth:`MetricsPipeline.to_dict` exports the counters,
 series and per-class means, and :class:`RunMetrics` is the frozen object
@@ -73,6 +74,11 @@ __all__ = [
 ]
 
 HOUR = 3600.0
+#: the sampler clocks' periods: the table's hourly Figure-4 and
+#: Figure-5/6/9 series and 3-hourly Figure-7 snapshot
+CAPACITY_SAMPLE_SECONDS = HOUR
+RATE_SAMPLE_SECONDS = HOUR
+FAVORED_SAMPLE_SECONDS = 3 * HOUR
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,8 +164,10 @@ def _class_means(sums: dict, counts: dict, subscribed: bool) -> dict[int, float]
 
 
 class MetricsPipeline:
-    """Event counters, plus the series and accumulators of the subscribed probes.
+    """Per-class counters and sums, plus the series of the subscribed probes.
 
+    :class:`~repro.simulation.arrayengine.ArrayEngine` bumps the counters
+    and sums itself, and its sampler clocks call the ``sample_*`` methods.
     ``probes=None`` subscribes the full paper evaluation
     (:data:`DEFAULT_PROBES`); a tuple of names subscribes exactly those.
     """
@@ -167,15 +175,10 @@ class MetricsPipeline:
     def __init__(
         self, ladder: ClassLadder, probes: tuple[str, ...] | None = None
     ) -> None:
-        self.ladder = ladder
         names = DEFAULT_PROBES if probes is None else tuple(probes)
         validate_probes(names)
         #: the subscribed probe names
         self.probes = names
-        # tested on every admission
-        self._table1 = "table1" in names
-        self._buffering_delay = "buffering_delay" in names
-        self._waiting = "waiting" in names
 
         classes = list(ladder.classes)
         # ---- event counters (cumulative, always on) --------------------
@@ -196,7 +199,7 @@ class MetricsPipeline:
         self.completed_sessions = {c: 0 for c in classes}
         self.interrupted_completions = {c: 0 for c in classes}
         self.continuity_sum = {c: 0.0 for c in classes}
-        # ---- admission accumulators (zero unless subscribed) -----------
+        # ---- admission sums (always on; exported as subscribed means) --
         self.rejections_before_admission_sum = {c: 0 for c in classes}
         self.suppliers_per_session_sum = {c: 0 for c in classes}
         self.buffering_delay_slots_sum = {c: 0 for c in classes}
@@ -228,90 +231,6 @@ class MetricsPipeline:
     def wants_favored_samples(self) -> bool:
         """Whether the Figure-7 favored snapshot runs (``favored``)."""
         return "favored" in self.probes
-
-    # ------------------------------------------------------------------
-    # event hooks
-    # ------------------------------------------------------------------
-    def on_first_request(self, peer_class: int) -> None:
-        """A peer made its first streaming request."""
-        self.first_requests[peer_class] += 1
-        self.requests[peer_class] += 1
-
-    def on_retry(self, peer_class: int) -> None:
-        """A previously rejected peer retried."""
-        self.requests[peer_class] += 1
-
-    def on_rejection(self, peer_class: int) -> None:
-        """A request (first or retry) was rejected."""
-        self.rejections[peer_class] += 1
-
-    def on_reminder(self, peer_class: int) -> None:
-        """A rejected class-``peer_class`` peer left one reminder."""
-        self.reminders_left[peer_class] += 1
-
-    def on_supplier_departure(self, peer_class: int) -> None:
-        """A supplier departed the system (supplier-churn extension)."""
-        self.supplier_departures[peer_class] += 1
-
-    def on_supplier_rejoin(self, peer_class: int) -> None:
-        """A departed supplier rejoined (supplier-churn extension)."""
-        self.supplier_rejoins[peer_class] += 1
-
-    def on_admission(
-        self,
-        peer_class: int,
-        rejections_before: int,
-        num_suppliers: int,
-        buffering_delay_slots: int,
-        waiting_seconds: float,
-    ) -> None:
-        """A peer was admitted; advance the subscribed accumulators."""
-        self.admitted[peer_class] += 1
-        if self._table1:
-            self.rejections_before_admission_sum[peer_class] += rejections_before
-            self.suppliers_per_session_sum[peer_class] += num_suppliers
-        if self._buffering_delay:
-            self.buffering_delay_slots_sum[peer_class] += buffering_delay_slots
-        if self._waiting:
-            self.waiting_seconds_sum[peer_class] += waiting_seconds
-
-    # ------------------------------------------------------------------
-    # lifecycle hooks (fire only under a session-lifecycle model)
-    # ------------------------------------------------------------------
-    def on_interruption(self, peer_class: int) -> None:
-        """A requester's session was interrupted by a supplier departure."""
-        self.interruptions[peer_class] += 1
-
-    def on_recovery(
-        self, peer_class: int, latency_seconds: float, stall_seconds: float
-    ) -> None:
-        """An interrupted session was re-admitted and resumed; its stall is
-        the recovery latency plus the resumed session's buffering delay."""
-        self.recovered_sessions[peer_class] += 1
-        self.recovery_latency_sum[peer_class] += latency_seconds
-        self.stall_seconds_sum[peer_class] += stall_seconds
-
-    def on_recovery_retry(self, peer_class: int) -> None:
-        """A recovery probe failed; the requester backs off and retries."""
-        self.recovery_retries[peer_class] += 1
-
-    def on_session_lost(self, peer_class: int) -> None:
-        """An interrupted session was permanently lost."""
-        self.sessions_lost[peer_class] += 1
-
-    def on_session_complete(
-        self,
-        peer_class: int,
-        stall_seconds: float,
-        interruptions: int,
-        continuity: float,
-    ) -> None:
-        """A lifecycle-tracked session delivered its final byte;
-        ``continuity`` is ``playback / (playback + stalls)``."""
-        self.completed_sessions[peer_class] += 1
-        self.continuity_sum[peer_class] += continuity
-        if interruptions:
-            self.interrupted_completions[peer_class] += 1
 
     # ------------------------------------------------------------------
     # periodic samplers (driven by the engine's sampler clocks)

@@ -49,26 +49,28 @@ class TestSpecHashPins:
     field the hash always excluded: the first two under an event-queue
     field (``metropolis_100k`` chose a non-default queue), the
     ``megacity_1m`` one under an engine field the scenario overrode.
-    Deleting those fields moved none of them.  Deleting the three graceful
-    supplier-churn fields, which the hash did cover (graceful churn is now
-    the ``graceful`` lifecycle model), moved all three on purpose: each
-    literal is the sha256 of the earlier canonical JSON with exactly those
-    three keys removed.
+    Deleting those fields moved none of them.  Deleting hashed fields
+    moves all three on purpose, and each literal is then the sha256 of
+    the earlier canonical JSON with exactly those keys removed: first the
+    three graceful supplier-churn fields (graceful churn is now the
+    ``graceful`` lifecycle model), then the three sampler-period fields
+    (the capacity, rate and favored clocks' periods are now constants of
+    :mod:`repro.simulation.probes`).
     """
 
     def test_default_config_hash(self):
         assert config_hash(SimulationConfig()) == (
-            "223d7856138c121b90e22685bca2806499fcc6b9b6e3b51270e3b4128b17a476"
+            "968646f3b549c555b53afe1e384c5b395c660a29cc940fdff949560c450da8e2"
         )
 
     def test_population_scenario_hash(self):
         config = get_scenario("metropolis_100k").build_config(scale=0.02)
         assert config_hash(config) == (
-            "cc6e04caabfcf9ef6dd481e42031d72ec83df781d2398a5ee34f3364ecfeff41"
+            "77c7c52b5f1d21b79f432349e6b4c62626447791c07fc313497812699d41f634"
         )
 
     def test_megacity_scenario_hash(self):
         config = get_scenario("megacity_1m").build_config(scale=0.02)
         assert config_hash(config) == (
-            "c4b6f724651a4f37d447acc83d56194423b3e1b6c2f95114eee985933c1b5c2f"
+            "5660e27f2c94419081297828ec505d667747ad058fb0195693f5c1298464d472"
         )

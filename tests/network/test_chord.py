@@ -122,7 +122,7 @@ class TestSupplierIndex:
     def index(self, ring):
         index = SupplierIndex(ring, "video")
         for peer_id in range(100, 160):
-            index.register(peer_id, 1 + peer_id % 4)
+            index.register(peer_id)
         return index
 
     def test_register_and_count(self, index):
@@ -138,9 +138,8 @@ class TestSupplierIndex:
         rng = random.Random(11)
         sample = index.sample_candidates(8, rng)
         assert len(sample) == 8
-        ids = [pid for pid, _cls in sample]
-        assert len(set(ids)) == 8
-        assert all(100 <= pid < 160 for pid in ids)
+        assert len(set(sample)) == 8
+        assert all(100 <= pid < 160 for pid in sample)
 
     def test_sample_more_than_population_returns_all(self, index):
         sample = index.sample_candidates(500, random.Random(2))
@@ -154,7 +153,7 @@ class TestSupplierIndex:
         rng = random.Random(1)
         counts = Counter()
         for _ in range(600):
-            for pid, _cls in index.sample_candidates(8, rng):
+            for pid in index.sample_candidates(8, rng):
                 counts[pid] += 1
         # All 60 suppliers should be reachable by sampling.
         assert len(counts) == 60

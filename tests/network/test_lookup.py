@@ -18,23 +18,23 @@ def lookup(request):
 class TestLookupAdapters:
     def test_register_then_sample(self, lookup):
         for peer_id in range(100, 130):
-            lookup.register_supplier("video", peer_id, 1 + peer_id % 4)
+            lookup.register_supplier("video", peer_id)
         rng = random.Random(5)
         candidates = lookup.candidates("video", 8, requester_id=999, rng=rng)
         assert len(candidates) == 8
-        assert all(100 <= pid < 130 for pid, _cls in candidates)
-        assert all(cls == 1 + pid % 4 for pid, cls in candidates)
+        assert len(set(candidates)) == 8
+        assert all(100 <= pid < 130 for pid in candidates)
 
     def test_unregister_shrinks_population(self, lookup):
         for peer_id in range(100, 104):
-            lookup.register_supplier("video", peer_id, 1)
+            lookup.register_supplier("video", peer_id)
         lookup.unregister_supplier("video", 100)
         rng = random.Random(5)
         candidates = lookup.candidates("video", 10, requester_id=999, rng=rng)
-        assert {pid for pid, _cls in candidates} == {101, 102, 103}
+        assert set(candidates) == {101, 102, 103}
 
     def test_transport_charged_for_operations(self, lookup):
-        lookup.register_supplier("video", 100, 1)
+        lookup.register_supplier("video", 100)
         lookup.candidates("video", 4, requester_id=999, rng=random.Random(1))
         assert lookup.transport.snapshot()["messages"] > 0
 
@@ -45,7 +45,7 @@ class TestLookupAdapters:
 class TestDirectorySpecifics:
     def test_directory_charges_one_round_trip_per_query(self):
         lookup = DirectoryLookup(transport=Transport())
-        lookup.register_supplier("v", 1, 1)
+        lookup.register_supplier("v", 1)
         before = lookup.transport.snapshot()
         lookup.candidates("v", 4, requester_id=9, rng=random.Random(1))
         after = lookup.transport.snapshot()
@@ -57,7 +57,7 @@ class TestChordSpecifics:
     def test_chord_charges_hops(self):
         lookup = ChordLookup(node_peer_ids=list(range(30)), transport=Transport())
         for peer_id in range(100, 140):
-            lookup.register_supplier("v", peer_id, 1)
+            lookup.register_supplier("v", peer_id)
         before = lookup.transport.snapshot()["count_dht_hop"]
         hops_before = lookup.ring.lookup_hops
         lookup.candidates("v", 8, requester_id=9, rng=random.Random(1))

@@ -203,11 +203,12 @@ def replay_probe(engine, policy, states, pid, ladder, context):
     if not candidates:
         assert outcome is None, context
         return
-    candidates.sort(key=lambda candidate: candidate[1])
+    candidates.sort(key=engine.peers.peer_class.__getitem__)
     down_probability = engine.config.down_probability
     granted: list[CandidateReport] = []
     busy: list[CandidateReport] = []
-    for candidate_id, candidate_class in candidates:
+    for candidate_id in candidates:
+        candidate_class = engine.peers.peer_class[candidate_id]
         if down_probability and churn_rng.random() < down_probability:
             continue  # the probe is lost
         state = states[candidate_id]

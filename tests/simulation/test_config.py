@@ -60,6 +60,11 @@ class TestValidation:
         with pytest.raises(Exception):
             SimulationConfig(requesting_peers={9: 10})
 
+    def test_probes_as_a_bare_string_rejected(self):
+        # tuple("capacity") would subscribe 'c', 'a', 'p', ...
+        with pytest.raises(ConfigurationError, match="string 'capacity'"):
+            SimulationConfig(probes="capacity")
+
 
 class TestScaling:
     def test_scaled_keeps_ratios(self):

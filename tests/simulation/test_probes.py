@@ -58,9 +58,12 @@ class TestUnsubscribedDefaults:
         assert RunMetrics(pipeline.to_dict()).final_capacity() == 0.0
 
     def test_means_read_nan(self, ladder):
+        # the sums accumulate on every run; only the export masks them
         pipeline = MetricsPipeline(ladder, probes=("capacity",))
-        pipeline.on_first_request(1)
-        pipeline.on_admission(1, 2, 4, 4, 60.0)
+        pipeline.first_requests[1] += 1
+        pipeline.admitted[1] += 1
+        pipeline.rejections_before_admission_sum[1] += 2
+        pipeline.waiting_seconds_sum[1] += 60.0
         metrics = RunMetrics(pipeline.to_dict())
         assert all(math.isnan(v) for v in metrics.mean_waiting_seconds().values())
         assert all(
@@ -75,20 +78,15 @@ class TestUnsubscribedDefaults:
         subset = MetricsPipeline(ladder, probes=("capacity",)).to_dict()
         assert set(full) == set(subset)
 
-    def test_unsubscribed_accumulators_read_zero(self, ladder):
-        pipeline = MetricsPipeline(ladder, probes=("capacity",))
-        pipeline.on_admission(1, 2, 4, 4, 60.0)
-        assert pipeline.waiting_seconds_sum == {c: 0.0 for c in ladder.classes}
-        assert pipeline.rejections_before_admission_sum == {
-            c: 0 for c in ladder.classes
-        }
-
 
 class TestDispatch:
-    def test_only_subscribed_accumulators_advance(self, ladder):
+    def test_only_subscribed_means_are_exported(self, ladder):
         pipeline = MetricsPipeline(ladder, probes=("waiting", "table1"))
-        pipeline.on_first_request(2)
-        pipeline.on_admission(2, 3, 4, 4, 1800.0)
+        pipeline.first_requests[2] += 1
+        pipeline.admitted[2] += 1
+        pipeline.rejections_before_admission_sum[2] += 3
+        pipeline.buffering_delay_slots_sum[2] += 4
+        pipeline.waiting_seconds_sum[2] += 1800.0
         metrics = RunMetrics(pipeline.to_dict())
         assert metrics.mean_waiting_seconds()[2] == 1800.0
         assert metrics.mean_rejections_before_admission()[2] == 3.0
@@ -106,11 +104,13 @@ class TestDispatch:
 
     def test_full_pipeline_matches_monolithic_collector_shape(self, ladder):
         collector = MetricsPipeline(ladder)
-        collector.on_first_request(1)
-        collector.on_retry(1)
-        collector.on_rejection(1)
-        collector.on_reminder(1)
-        collector.on_admission(1, 1, 2, 2, 600.0)
+        collector.first_requests[1] += 1
+        collector.requests[1] += 2
+        collector.rejections[1] += 1
+        collector.reminders_left[1] += 1
+        collector.admitted[1] += 1
+        collector.rejections_before_admission_sum[1] += 1
+        collector.waiting_seconds_sum[1] += 600.0
         collector.sample_rates(3600.0)
         dump = collector.to_dict()
         assert dump["requests"][1] == 2

@@ -217,6 +217,23 @@ class TestStudyCommand:
         assert "study: 2 runs" in out
         assert "probe_candidates=4" in out
 
+    def test_probes_sweep_runs_one_subscription_per_value(
+        self, capsys, tmp_path
+    ):
+        # a sweep value is one comma-separated subscription, as --probes takes
+        argv = ["study", "--scale", "0.004",
+                "--sweep", "probes", "capacity", "capacity,table1",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "study: 2 runs" in out
+        assert "probes=('capacity',)" in out
+        assert "probes=('capacity', 'table1')" in out
+        # both specs are served from the store the second time
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert sum(row.endswith(" cache") for row in rows) == 2
+
     def test_study_export_and_cache(self, capsys, tmp_path):
         out_base = str(tmp_path / "records")
         cache_dir = str(tmp_path / "cache")
