@@ -29,7 +29,7 @@ and ``docs/EXPERIMENTS.md`` for the CLI reference with one recipe per
 paper figure/table.
 """
 
-from repro.core.model import ClassLadder, Peer, PeerRole, SupplierOffer
+from repro.core.model import ClassLadder, SupplierOffer
 from repro.core.assignment import (
     Assignment,
     contiguous_assignment,
@@ -74,8 +74,6 @@ __all__ = [
     "__version__",
     # core model
     "ClassLadder",
-    "Peer",
-    "PeerRole",
     "SupplierOffer",
     # OTS_p2p and baselines
     "Assignment",

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis import report
 from repro.errors import ConfigurationError
-from repro.orchestration.study import ResultSet, RunRecord, Study
+from repro.orchestration.study import ResultSet, RunRecord, Study, group_key
 from repro.simulation.config import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -212,7 +212,7 @@ def render_artifacts(
 
 def _shared(record: RunRecord, plotted: tuple[str, ...]) -> _Key:
     """The record's axes other than ``plotted`` and the seed."""
-    return tuple(
+    return group_key(
         (name, value) for name, value in record.axes
         if name not in plotted and name != "seed"
     )

@@ -57,11 +57,11 @@ Commands
 ``lint``
     detlint — the AST-based determinism & invariant analyzer
     (:mod:`repro.devtools.staticcheck`): checks the RNG-injection
-    discipline, the wall-clock ban, unordered-iteration hazards, the
-    ``config_hash`` exclusion allowlist, hot-path ``__slots__`` and the
-    public-export surface.  ``--rules`` selects a subset,
-    ``--list-rules`` names them, ``--baseline``/``--write-baseline``
-    manage a known-findings file.
+    discipline, the wall-clock ban, unordered-iteration hazards,
+    hot-path ``__slots__`` and the public-export surface.  ``--rules``
+    selects a subset (space-separated), ``--list-rules`` names them and
+    ``--format json`` prints the findings as JSON.  Exits 0 when clean,
+    1 on findings and 2 on a usage error.
 
 Simulation commands pick their workload with ``--scenario NAME`` (see
 ``scenarios``) or the legacy ``--pattern N`` shorthand, and accept
@@ -86,6 +86,7 @@ to memoize run records on disk (repeat invocations are served from the
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import sys
 from pathlib import Path
@@ -349,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list the available rules and exit")
     lint_p.add_argument("--format", choices=["text", "json"], default="text",
                         help="finding output format (default text)")
-    lint_p.add_argument("--baseline", default=None, metavar="FILE",
-                        help="JSON baseline of known findings to tolerate")
-    lint_p.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write current findings as a baseline, exit 0")
 
     exp_p = sub.add_parser(
         "experiment", help="regenerate one paper table/figure by id"
@@ -441,12 +438,7 @@ def _coerce_sweep_value(parameter: str, text: str) -> object:
     if parameter == "probes":
         # one subscription per value, comma-separated as ``--probes`` takes it
         return tuple(name for name in text.split(",") if name)
-    defaults = {
-        f.name: f.default
-        for f in dataclasses.fields(SimulationConfig)
-        if f.default is not dataclasses.MISSING
-    }
-    default = defaults.get(parameter)
+    default = getattr(SimulationConfig(), parameter, None)
     try:
         if isinstance(default, bool):
             return text.lower() in ("1", "true", "yes")
@@ -459,14 +451,20 @@ def _coerce_sweep_value(parameter: str, text: str) -> object:
             f"--sweep {parameter} value {text!r} is not a valid "
             f"{type(default).__name__}"
         ) from None
-    if isinstance(default, str):
-        return text
-    # optional/dict-valued fields: best-effort numeric, else verbatim
-    for convert in (int, float):
+    if isinstance(default, dict):
+        # a per-class count (seed_suppliers, requesting_peers): {1: 50, ...}
         try:
-            return convert(text)
-        except ValueError:
-            continue
+            value = ast.literal_eval(text)
+        except (ValueError, SyntaxError):
+            value = None
+        if not isinstance(value, dict) or not all(
+            isinstance(k, int) and isinstance(v, int) for k, v in value.items()
+        ):
+            raise P2PStreamError(
+                f"--sweep {parameter} value {text!r} is not a dict of class "
+                "to count, e.g. '{1: 50, 2: 50}'"
+            )
+        return value
     return text
 
 
@@ -747,16 +745,28 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     # deferred so ordinary simulation commands never import the devtools
-    from repro.devtools.staticcheck.cli import run as detlint_run
+    import json
 
-    return detlint_run(
-        args.paths or None,
-        root=args.root,
-        rules=args.rules,
-        list_rules=args.list_rules,
-        output_format=args.format,
-        baseline=args.baseline,
-        write_baseline_path=args.write_baseline,
+    from repro.devtools.reporting import exit_code, report as report_findings
+    from repro.devtools.staticcheck import all_checkers, run_detlint
+    from repro.devtools.staticcheck.framework import DEFAULT_PATHS
+
+    try:
+        checkers = all_checkers(args.rules)
+    except ValueError as exc:
+        raise P2PStreamError(str(exc)) from None
+    if args.list_rules:
+        for checker in sorted(checkers, key=lambda c: c.rule):
+            print(f"{checker.rule}: {checker.description}")
+        return 0
+    paths = args.paths or list(DEFAULT_PATHS)
+    findings = run_detlint(Path(args.root), paths=paths, checkers=checkers)
+    if args.format == "json":
+        print(json.dumps([dataclasses.asdict(f) for f in findings], indent=2))
+        return exit_code(findings)
+    return report_findings(
+        "detlint", findings,
+        ok_detail=f"{len(checkers)} rule(s) over {' '.join(paths)}",
     )
 
 

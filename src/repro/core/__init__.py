@@ -13,12 +13,7 @@ independent form:
 * :mod:`repro.core.capacity` — system-capacity accounting.
 """
 
-from repro.core.model import (
-    ClassLadder,
-    Peer,
-    PeerRole,
-    SupplierOffer,
-)
+from repro.core.model import ClassLadder, SupplierOffer
 from repro.core.assignment import (
     Assignment,
     contiguous_assignment,
@@ -43,8 +38,6 @@ from repro.core.capacity import CapacityLedger, max_capacity_sessions
 
 __all__ = [
     "ClassLadder",
-    "Peer",
-    "PeerRole",
     "SupplierOffer",
     "Assignment",
     "ots_assignment",

@@ -17,27 +17,14 @@ only happens at reporting boundaries.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from repro.errors import ClassLadderError, ConfigurationError
 
-__all__ = ["ClassLadder", "PeerRole", "Peer", "SupplierOffer"]
+__all__ = ["ClassLadder", "SupplierOffer"]
 
 #: Number of peer classes used throughout the paper's evaluation.
 DEFAULT_NUM_CLASSES = 4
-
-
-class PeerRole(enum.Enum):
-    """Role a peer currently plays in the streaming system.
-
-    The paper's model is strict about roles: a peer starts as a *requesting*
-    peer, and once its streaming session completes it becomes (and remains) a
-    *supplying* peer.  "Seed" peers are supplying peers from the start.
-    """
-
-    REQUESTING = "requesting"
-    SUPPLYING = "supplying"
 
 
 @dataclass(frozen=True)
@@ -121,23 +108,6 @@ class ClassLadder:
         return a > b
 
 
-@dataclass(frozen=True)
-class Peer:
-    """A peer identity: stable id plus its bandwidth class.
-
-    The class is the bandwidth the peer *pledges*; the paper assumes an
-    enforcement mechanism makes the pledge binding once the peer becomes a
-    supplier (footnote 3), and so do we.
-    """
-
-    peer_id: int
-    peer_class: int
-
-    def offer_units(self, ladder: ClassLadder) -> int:
-        """This peer's out-bound offer in integer units under ``ladder``."""
-        return ladder.offer_units(self.peer_class)
-
-
 @dataclass(frozen=True, slots=True)
 class SupplierOffer:
     """A supplying peer's offer as seen by a requesting peer.
@@ -151,15 +121,6 @@ class SupplierOffer:
     peer_id: int
     peer_class: int
     units: int
-
-    @classmethod
-    def for_peer(cls, peer: Peer, ladder: ClassLadder) -> "SupplierOffer":
-        """Build the offer record for ``peer`` under ``ladder``."""
-        return cls(
-            peer_id=peer.peer_id,
-            peer_class=peer.peer_class,
-            units=ladder.offer_units(peer.peer_class),
-        )
 
     @property
     def sort_key(self) -> tuple[int, int]:

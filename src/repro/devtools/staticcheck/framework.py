@@ -1,4 +1,4 @@
-"""The detlint checker harness: sources, scoping, suppressions, baseline.
+"""The detlint checker harness: sources, scoping, suppressions, the walk.
 
 The framework knows nothing about the project's specific contracts; it
 provides the machinery every rule shares:
@@ -7,15 +7,13 @@ provides the machinery every rule shares:
   table) handed to per-module checkers;
 * the :class:`Checker` / :class:`ProjectChecker` protocols — per-module
   AST rules versus whole-repository cross-checks (a project rule reads
-  several files at once, e.g. comparing ``SimulationConfig`` fields with
-  the hash-exclusion allowlist);
+  several files at once, e.g. comparing ``repro.__all__`` with the
+  imports that back it);
 * :class:`RuleScope` — per-path rule configuration as include/exclude
   repository-relative prefixes, so e.g. wall-clock reads are banned in
   ``src/repro/simulation`` but fine in ``benchmarks``;
 * inline suppressions — a ``# detlint: ignore[rule]`` (or a bare
   ``# detlint: ignore``) comment on the flagged line silences it;
-* an optional JSON baseline file of known findings, so the linter can be
-  adopted on a tree with historic debt and still fail on anything new;
 * :func:`run_detlint` — walk the selected paths, run every applicable
   checker, and return the surviving findings sorted.
 """
@@ -23,7 +21,6 @@ provides the machinery every rule shares:
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,15 +30,17 @@ from repro.devtools.reporting import Finding
 
 __all__ = [
     "Checker",
+    "DEFAULT_PATHS",
     "ModuleSource",
     "ProjectChecker",
     "RuleScope",
-    "load_baseline",
     "load_module",
     "parse_suppressions",
     "run_detlint",
-    "write_baseline",
 ]
+
+#: the paths a bare invocation lints (the acceptance surface)
+DEFAULT_PATHS: tuple[str, ...] = ("src", "benchmarks", "examples")
 
 #: directories never scanned (generated output, caches, VCS internals)
 SKIP_DIR_NAMES = frozenset(
@@ -52,9 +51,6 @@ SKIP_DIR_NAMES = frozenset(
 _SUPPRESSION = re.compile(
     r"#\s*detlint:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\- ]+)\])?"
 )
-
-#: the file-level baseline schema tag
-BASELINE_SCHEMA = "repro.detlint.baseline.v1"
 
 
 @dataclass(frozen=True)
@@ -202,32 +198,6 @@ def _covered(relpath: str, paths: Sequence[str]) -> bool:
     return False
 
 
-def load_baseline(path: Path) -> set[tuple[str, str, str]]:
-    """The ``(file, rule, message)`` triples a baseline file accepts."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path} is not a detlint baseline (schema "
-            f"{data.get('schema')!r}, expected {BASELINE_SCHEMA!r})"
-        )
-    return {
-        (entry["file"], entry["rule"], entry["message"])
-        for entry in data.get("findings", [])
-    }
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Write ``findings`` as a baseline accepting exactly these problems."""
-    payload = {
-        "schema": BASELINE_SCHEMA,
-        "findings": [
-            {"file": f.file, "rule": f.rule, "message": f.message}
-            for f in sorted(findings)
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 def _suppression_table_for(
     root: Path, relpath: str, cache: dict[str, dict[int, frozenset[str] | None]]
 ) -> dict[int, frozenset[str] | None]:
@@ -246,20 +216,19 @@ def run_detlint(
     root: Path,
     paths: Sequence[str] | None = None,
     checkers: Sequence[Checker | ProjectChecker] | None = None,
-    baseline: set[tuple[str, str, str]] | None = None,
 ) -> list[Finding]:
     """Run every applicable checker over the selected paths.
 
     ``paths`` are repository-relative files or directories (default:
-    ``src``, ``benchmarks``, ``examples``).  Per-module checkers see the
-    files their :class:`RuleScope` admits; project checkers run when one
-    of their anchor files is covered.  Inline suppressions and baseline
-    entries are filtered out before the sorted findings return.
+    :data:`DEFAULT_PATHS`).  Per-module checkers see the files their
+    :class:`RuleScope` admits; project checkers run when one of their
+    anchor files is covered.  Inline suppressions are filtered out
+    before the sorted findings return.
     """
     from repro.devtools.staticcheck.rules import all_checkers
 
     root = root.resolve()
-    paths = list(paths) if paths else ["src", "benchmarks", "examples"]
+    paths = list(paths) if paths else list(DEFAULT_PATHS)
     active = list(checkers) if checkers is not None else all_checkers()
     module_checkers = [c for c in active if hasattr(c, "check_module")]
     project_checkers = [c for c in active if hasattr(c, "check_project")]
@@ -290,11 +259,4 @@ def run_detlint(
             ):
                 continue
             findings.append(finding)
-
-    if baseline:
-        findings = [
-            f
-            for f in findings
-            if (f.file, f.rule, f.message) not in baseline
-        ]
     return sorted(findings)

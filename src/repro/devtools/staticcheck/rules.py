@@ -14,16 +14,12 @@ contracts the golden/regression suites only *sample* dynamically:
   listing feeds hash-order (or filesystem-order) into whatever consumes
   the loop; anywhere that order can reach event scheduling or hashing it
   must be ``sorted()`` first.
-* :class:`ConfigHashDrift` — every ``SimulationConfig`` field must be
-  either hashed by ``config_hash`` or excluded with a written rationale
-  in ``HASH_EXCLUDED_FIELDS``; the executable pops and the documented
-  allowlist must agree exactly, or the ResultStore's cache keys drift.
 * :class:`SlotsHotpath` — the classes on the PR-4 hot-path registry are
   allocated/touched millions of times per run and must declare
   ``__slots__``.
-* :class:`ExportSync` — ``repro.__all__``, the imports that back it,
-  ``repro._version.__version__`` and the ``pyproject.toml`` version stay
-  in lock-step.
+* :class:`ExportSync` — ``repro.__all__`` and the imports that back it
+  stay in lock-step, and ``repro._version.__version__`` is the string
+  literal that ``pyproject.toml`` reads as the package version.
 
 Every rule is a plain object satisfying the
 :class:`~repro.devtools.staticcheck.framework.Checker` or
@@ -46,7 +42,6 @@ from repro.devtools.staticcheck.framework import (
 )
 
 __all__ = [
-    "ConfigHashDrift",
     "ExportSync",
     "HOT_PATH_REGISTRY",
     "NoGlobalRng",
@@ -54,7 +49,6 @@ __all__ = [
     "NoWallclock",
     "SlotsHotpath",
     "all_checkers",
-    "rule_names",
 ]
 
 #: classes on the engine's hot path: touched per event at population
@@ -418,223 +412,24 @@ class SlotsHotpath:
         return False
 
 
-class ConfigHashDrift:
-    """``config_hash`` pops and ``HASH_EXCLUDED_FIELDS`` must agree."""
-
-    rule = "config-hash-drift"
-    description = (
-        "every SimulationConfig field is hashed or excluded with a "
-        "rationale in HASH_EXCLUDED_FIELDS; pops and allowlist must match"
-    )
-
-    def __init__(
-        self,
-        config_path: str = "src/repro/simulation/config.py",
-        runspec_path: str = "src/repro/orchestration/runspec.py",
-        config_class: str = "SimulationConfig",
-        constant: str = "HASH_EXCLUDED_FIELDS",
-        hash_function: str = "config_hash",
-    ) -> None:
-        self.config_path = config_path
-        self.runspec_path = runspec_path
-        self.config_class = config_class
-        self.constant = constant
-        self.hash_function = hash_function
-        self.anchors = (config_path, runspec_path)
-
-    def check_project(self, root: Path) -> Iterable[Finding]:
-        findings: list[Finding] = []
-        fields = self._config_fields(root, findings)
-        allowlist = self._allowlist(root, findings)
-        pops = self._pops(root, findings)
-        if fields is None or allowlist is None or pops is None:
-            return findings
-        for name, (rationale, line) in sorted(allowlist.items()):
-            if name not in fields:
-                findings.append(Finding(
-                    file=self.runspec_path, line=line, rule=self.rule,
-                    message=(
-                        f"{self.constant} excludes {name!r}, which is not a "
-                        f"field of {self.config_class} (stale exclusion)"
-                    ),
-                ))
-            if not rationale.strip():
-                findings.append(Finding(
-                    file=self.runspec_path, line=line, rule=self.rule,
-                    message=(
-                        f"exclusion of {name!r} has an empty rationale; "
-                        "every excluded field must say why it cannot "
-                        "change measurements"
-                    ),
-                ))
-        for name, line in sorted(pops.items()):
-            if name not in allowlist:
-                findings.append(Finding(
-                    file=self.runspec_path, line=line, rule=self.rule,
-                    message=(
-                        f"{self.hash_function} leaves {name!r} out of the "
-                        f"hash but {self.constant} does not list it; add "
-                        "the field with a rationale or hash it"
-                    ),
-                ))
-        for name, (_, line) in sorted(allowlist.items()):
-            if name not in pops:
-                findings.append(Finding(
-                    file=self.runspec_path, line=line, rule=self.rule,
-                    message=(
-                        f"{self.constant} lists {name!r} but "
-                        f"{self.hash_function} still hashes it; drop the "
-                        "entry or pop the field"
-                    ),
-                ))
-        return findings
-
-    def _parse(
-        self, root: Path, relpath: str, findings: list[Finding]
-    ) -> ast.Module | None:
-        try:
-            return ast.parse((root / relpath).read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, ValueError) as exc:
-            findings.append(Finding(
-                file=relpath, line=0, rule=self.rule,
-                message=f"cannot parse for hash-drift analysis: {exc}",
-            ))
-            return None
-
-    def _config_fields(
-        self, root: Path, findings: list[Finding]
-    ) -> set[str] | None:
-        tree = self._parse(root, self.config_path, findings)
-        if tree is None:
-            return None
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == self.config_class:
-                return {
-                    stmt.target.id
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                }
-        findings.append(Finding(
-            file=self.config_path, line=1, rule=self.rule,
-            message=f"class {self.config_class} not found",
-        ))
-        return None
-
-    def _allowlist(
-        self, root: Path, findings: list[Finding]
-    ) -> dict[str, tuple[str, int]] | None:
-        tree = self._parse(root, self.runspec_path, findings)
-        if tree is None:
-            return None
-        for node in tree.body:
-            if isinstance(node, ast.Assign):
-                targets = [
-                    t.id for t in node.targets if isinstance(t, ast.Name)
-                ]
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                targets = [node.target.id]
-            else:
-                continue
-            if self.constant not in targets or node.value is None:
-                continue
-            if not isinstance(node.value, ast.Dict):
-                findings.append(Finding(
-                    file=self.runspec_path, line=node.lineno, rule=self.rule,
-                    message=f"{self.constant} must be a literal dict of "
-                            "field name -> rationale string",
-                ))
-                return None
-            allowlist: dict[str, tuple[str, int]] = {}
-            for key, value in zip(node.value.keys, node.value.values):
-                if not (
-                    isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    findings.append(Finding(
-                        file=self.runspec_path,
-                        line=getattr(key, "lineno", node.lineno),
-                        rule=self.rule,
-                        message=f"{self.constant} entries must be literal "
-                                "str -> str pairs",
-                    ))
-                    continue
-                allowlist[key.value] = (value.value, key.lineno)
-            return allowlist
-        findings.append(Finding(
-            file=self.runspec_path, line=1, rule=self.rule,
-            message=(
-                f"{self.constant} not found; the hash-exclusion allowlist "
-                "must be an importable module constant"
-            ),
-        ))
-        return None
-
-    def _pops(self, root: Path, findings: list[Finding]) -> dict[str, int] | None:
-        tree = self._parse(root, self.runspec_path, findings)
-        if tree is None:
-            return None
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.FunctionDef)
-                and node.name == self.hash_function
-            ):
-                pops: dict[str, int] = {}
-                for call in (
-                    n for n in ast.walk(node) if isinstance(n, ast.Call)
-                ):
-                    func = call.func
-                    if not (
-                        isinstance(func, ast.Attribute) and func.attr == "pop"
-                    ):
-                        continue
-                    if not call.args:
-                        continue
-                    first = call.args[0]
-                    if isinstance(first, ast.Constant) and isinstance(
-                        first.value, str
-                    ):
-                        pops[first.value] = call.lineno
-                    else:
-                        findings.append(Finding(
-                            file=self.runspec_path, line=call.lineno,
-                            rule=self.rule,
-                            message=(
-                                f"{self.hash_function} pops a non-literal "
-                                "key; exclusions must be literal so they "
-                                "can be audited statically"
-                            ),
-                        ))
-                return pops
-        findings.append(Finding(
-            file=self.runspec_path, line=1, rule=self.rule,
-            message=f"function {self.hash_function} not found",
-        ))
-        return None
-
-
 class ExportSync:
-    """``__all__``, its imports, ``_version`` and pyproject stay in sync."""
+    """``__all__`` matches its imports; ``_version`` holds a version literal."""
 
     rule = "export-sync"
     description = (
-        "repro.__all__ must match the names bound in __init__, export "
-        "__version__ from repro._version, and agree with pyproject.toml"
+        "repro.__all__ must match the names bound in __init__ and export "
+        "__version__ from repro._version, which must assign it a string "
+        "literal"
     )
 
     def __init__(
         self,
         init_path: str = "src/repro/__init__.py",
         version_path: str = "src/repro/_version.py",
-        pyproject_path: str = "pyproject.toml",
         version_module: str = "repro._version",
     ) -> None:
         self.init_path = init_path
         self.version_path = version_path
-        self.pyproject_path = pyproject_path
         self.version_module = version_module
         self.anchors = (init_path, version_path)
 
@@ -715,7 +510,7 @@ class ExportSync:
                     f"(found {version_source!r})"
                 ),
             ))
-        findings.extend(self._check_version_files(root))
+        findings.extend(self._check_version_literal(root))
         return findings
 
     @staticmethod
@@ -731,60 +526,31 @@ class ExportSync:
                     names.append((element.value, element.lineno))
         return names
 
-    def _check_version_files(self, root: Path) -> list[Finding]:
-        findings: list[Finding] = []
-        version: str | None = None
-        version_line = 1
+    def _check_version_literal(self, root: Path) -> list[Finding]:
+        """A ``__version__`` string literal, which pyproject.toml reads."""
         try:
             tree = ast.parse(
                 (root / self.version_path).read_text(encoding="utf-8")
             )
-            for node in tree.body:
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Name)
-                            and target.id == "__version__"
-                            and isinstance(node.value, ast.Constant)
-                            and isinstance(node.value.value, str)
-                        ):
-                            version = node.value.value
-                            version_line = node.lineno
         except (OSError, SyntaxError, ValueError) as exc:
-            findings.append(Finding(
+            return [Finding(
                 file=self.version_path, line=0, rule=self.rule,
                 message=f"cannot parse version module: {exc}",
-            ))
-            return findings
-        if version is None:
-            findings.append(Finding(
-                file=self.version_path, line=1, rule=self.rule,
-                message="__version__ string literal not found",
-            ))
-            return findings
-        pyproject = root / self.pyproject_path
-        if pyproject.exists():
-            import tomllib
-
-            try:
-                declared = tomllib.loads(
-                    pyproject.read_text(encoding="utf-8")
-                ).get("project", {}).get("version")
-            except tomllib.TOMLDecodeError as exc:
-                findings.append(Finding(
-                    file=self.pyproject_path, line=0, rule=self.rule,
-                    message=f"cannot parse pyproject.toml: {exc}",
-                ))
-                return findings
-            if declared != version:
-                findings.append(Finding(
-                    file=self.version_path, line=version_line, rule=self.rule,
-                    message=(
-                        f"__version__ is {version!r} but pyproject.toml "
-                        f"declares {declared!r}; bump both together"
-                    ),
-                ))
-        return findings
+            )]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (
+                        isinstance(target, ast.Name)
+                        and target.id == "__version__"
+                        and isinstance(node.value, ast.Constant)
+                        and isinstance(node.value.value, str)
+                    ):
+                        return []
+        return [Finding(
+            file=self.version_path, line=1, rule=self.rule,
+            message="__version__ string literal not found",
+        )]
 
 
 def all_checkers(
@@ -795,7 +561,6 @@ def all_checkers(
         NoGlobalRng(),
         NoWallclock(),
         NoUnorderedIteration(),
-        ConfigHashDrift(),
         SlotsHotpath(),
         ExportSync(),
     ]
@@ -809,8 +574,3 @@ def all_checkers(
             f"known: {', '.join(sorted(by_name))}"
         )
     return [by_name[name] for name in rules]
-
-
-def rule_names() -> list[str]:
-    """The rule ids of every default checker, sorted."""
-    return sorted(checker.rule for checker in all_checkers())

@@ -3,8 +3,9 @@
 The paper leaves candidate discovery to "some peer-to-peer lookup mechanism"
 (footnote 4) and names the two archetypes of its era: a centralized
 directory server (Napster) and a distributed lookup service (Chord).  This
-package implements both, behind a common :class:`~repro.network.lookup.LookupService`
-interface that the simulator consumes:
+package implements both, behind the adapters of :mod:`repro.network.lookup`
+(``DirectoryLookup`` and ``ChordLookup``), which share the one interface the
+simulator consumes:
 
 * :mod:`repro.network.directory` — the Napster-style central directory;
 * :mod:`repro.network.chord` — a from-scratch Chord DHT (consistent-hash
@@ -14,13 +15,12 @@ interface that the simulator consumes:
   can account for signalling overhead.
 """
 
-from repro.network.lookup import LookupService, DirectoryLookup, ChordLookup
+from repro.network.lookup import DirectoryLookup, ChordLookup
 from repro.network.directory import CentralDirectory
 from repro.network.chord import ChordRing, ChordNode, SupplierIndex
 from repro.network.transport import Transport
 
 __all__ = [
-    "LookupService",
     "DirectoryLookup",
     "ChordLookup",
     "CentralDirectory",

@@ -11,31 +11,12 @@ experiments can compare their signalling overhead
 from __future__ import annotations
 
 import random
-from typing import Protocol
 
 from repro.network.chord import ChordRing, SupplierIndex
 from repro.network.directory import CentralDirectory
 from repro.network.transport import DHT_HOP, LOOKUP, LOOKUP_REPLY, Transport
 
-__all__ = ["LookupService", "DirectoryLookup", "ChordLookup"]
-
-
-class LookupService(Protocol):
-    """What the streaming system requires of a lookup substrate."""
-
-    def register_supplier(self, media_id: str, peer_id: int) -> None:
-        """Publish a new supplying peer."""
-        ...
-
-    def unregister_supplier(self, media_id: str, peer_id: int) -> None:
-        """Withdraw a supplying peer (churn)."""
-        ...
-
-    def candidates(
-        self, media_id: str, count: int, requester_id: int, rng: random.Random
-    ) -> list[int]:
-        """The ids of up to ``count`` random candidates."""
-        ...
+__all__ = ["DirectoryLookup", "ChordLookup"]
 
 
 class DirectoryLookup:

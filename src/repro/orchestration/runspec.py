@@ -24,7 +24,6 @@ from functools import cached_property
 from repro.simulation.config import SimulationConfig
 
 __all__ = [
-    "HASH_EXCLUDED_FIELDS",
     "RunSpec",
     "config_to_dict",
     "config_from_dict",
@@ -33,17 +32,6 @@ __all__ = [
 
 #: config fields whose values are per-class dicts (int keys, stringified in JSON)
 _CLASS_KEYED_FIELDS = ("seed_suppliers", "requesting_peers")
-
-#: The documented allowlist of :class:`SimulationConfig` fields that
-#: :func:`config_hash` deliberately leaves out of the cache key, each with
-#: the rationale for why excluding it cannot change measurements.  This is
-#: the single source of truth humans read; the executable pops inside
-#: :func:`config_hash` are kept literal on purpose, and the detlint
-#: ``config-hash-drift`` rule fails the build whenever the two drift apart
-#: (an entry without a pop, a pop without an entry, a stale field name, or
-#: an empty rationale).  It is empty: every field can change measurements,
-#: so every field is hashed.
-HASH_EXCLUDED_FIELDS: dict[str, str] = {}
 
 
 def config_to_dict(config: SimulationConfig) -> dict:
@@ -65,11 +53,7 @@ def config_from_dict(data: dict) -> SimulationConfig:
 def config_hash(config: SimulationConfig) -> str:
     """Stable SHA-256 hex digest of a configuration's canonical JSON.
 
-    Every field listed in :data:`HASH_EXCLUDED_FIELDS` (none today)
-    would be left out by a literal ``data.pop(name, None)`` here — not a
-    loop over the constant — so the exclusion set stays auditable at a
-    glance; the detlint ``config-hash-drift`` rule keeps the pops and the
-    allowlist in sync.
+    Every field is hashed: each one can change measurements.
     """
     data = config_to_dict(config)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.orchestration.store import ResultStore
     from repro.simulation.runner import SimulationResult
 
-__all__ = ["Aggregate", "RunRecord", "ResultSet", "Study"]
+__all__ = ["Aggregate", "RunRecord", "ResultSet", "Study", "group_key"]
 
 #: the JSON schema identifier stamped into every exported result set
 STUDY_SCHEMA = "repro.study.v1"
@@ -302,8 +302,8 @@ class ResultSet:
         callable extracting a float from a record.  ``by`` overrides the
         grouping key (default: scenario plus every axis except the seed),
         named like :meth:`filter` criteria.  Returns an ordered mapping
-        of group key — a tuple of ``(name, value)`` pairs — to
-        :class:`Aggregate`.
+        of group key — a tuple of ``(name, value)`` pairs, made hashable
+        by :func:`group_key` — to :class:`Aggregate`.
         """
         from repro.analysis.stats import mean_confidence_interval
 
@@ -321,9 +321,9 @@ class ResultSet:
         groups: dict[tuple[tuple[str, object], ...], list[float]] = {}
         for record in self.records:
             if by is not None:
-                key = tuple((name, self._lookup(record, name)) for name in by)
+                key = group_key((name, self._lookup(record, name)) for name in by)
             else:
-                key = (("scenario", record.scenario),) + tuple(
+                key = (("scenario", record.scenario),) + group_key(
                     (name, value) for name, value in record.axes if name != "seed"
                 )
             groups.setdefault(key, []).append(extract(record))
@@ -695,6 +695,22 @@ class Study:
                 "run the remaining shards or pass allow_missing=True"
             )
         return ResultSet(records=tuple(records))
+
+
+def group_key(
+    pairs: Iterable[tuple[str, object]],
+) -> tuple[tuple[str, object], ...]:
+    """``(name, value)`` pairs as a hashable key that groups records.
+
+    A per-class dict value (a ``seed_suppliers`` or ``requesting_peers``
+    sweep) becomes its repr in class order, so a group's label prints it
+    as the per-run table does.
+    """
+    return tuple(
+        (name, repr(dict(sorted(value.items()))) if isinstance(value, dict)
+         else value)
+        for name, value in pairs
+    )
 
 
 def _reject_duplicates(label: str, values: Sequence[object]) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.model import ClassLadder, Peer, SupplierOffer, sort_offers_descending
+from repro.core.model import ClassLadder, SupplierOffer, sort_offers_descending
 from repro.errors import ClassLadderError, ConfigurationError
 
 
@@ -64,14 +64,6 @@ class TestClassLadder:
 
 
 class TestOffers:
-    def test_offer_for_peer_matches_ladder(self):
-        ladder = ClassLadder(4)
-        peer = Peer(peer_id=7, peer_class=2)
-        offer = SupplierOffer.for_peer(peer, ladder)
-        assert offer.units == 4
-        assert offer.peer_id == 7
-        assert peer.offer_units(ladder) == 4
-
     def test_sort_offers_descending_by_bandwidth_then_id(self):
         ladder = ClassLadder(4)
         offers = [

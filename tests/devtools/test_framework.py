@@ -1,4 +1,4 @@
-"""The detlint harness: scoping, suppressions, baselines, the walk."""
+"""The detlint harness: scoping, suppressions, the walk."""
 
 import ast
 from pathlib import Path
@@ -10,11 +10,9 @@ from repro.devtools.staticcheck.framework import (
     ModuleSource,
     RuleScope,
     iter_python_files,
-    load_baseline,
     load_module,
     parse_suppressions,
     run_detlint,
-    write_baseline,
 )
 from repro.devtools.staticcheck.rules import NoWallclock, all_checkers
 
@@ -93,46 +91,6 @@ class TestIterPythonFiles:
         assert [f.name for f in files] == ["one.py"]
 
 
-class TestBaseline:
-    def test_roundtrip_filters_known_findings(self, tmp_path):
-        src = tmp_path / "src"
-        src.mkdir()
-        (src / "mod.py").write_text("import time\nt = time.perf_counter()\n")
-        checker = NoWallclock(scope=RuleScope(include=("src/",)))
-        first = run_detlint(tmp_path, paths=["src"], checkers=[checker])
-        assert len(first) == 1
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, first)
-        known = load_baseline(baseline_file)
-        assert run_detlint(
-            tmp_path, paths=["src"], checkers=[checker], baseline=known
-        ) == []
-
-    def test_new_findings_survive_the_baseline(self, tmp_path):
-        src = tmp_path / "src"
-        src.mkdir()
-        (src / "mod.py").write_text("import time\nt = time.perf_counter()\n")
-        checker = NoWallclock(scope=RuleScope(include=("src/",)))
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, run_detlint(
-            tmp_path, paths=["src"], checkers=[checker]
-        ))
-        (src / "mod.py").write_text(
-            "import time\nt = time.perf_counter()\nu = time.monotonic()\n"
-        )
-        survivors = run_detlint(
-            tmp_path, paths=["src"], checkers=[checker],
-            baseline=load_baseline(baseline_file),
-        )
-        assert [f.line for f in survivors] == [3]
-
-    def test_wrong_schema_is_rejected(self, tmp_path):
-        bogus = tmp_path / "b.json"
-        bogus.write_text('{"schema": "something.else", "findings": []}')
-        with pytest.raises(ValueError, match="not a detlint baseline"):
-            load_baseline(bogus)
-
-
 class TestRunDetlint:
     def test_inline_suppression_silences_a_module_finding(self, tmp_path):
         src = tmp_path / "src"
@@ -162,11 +120,11 @@ class TestRunDetlint:
 
 
 class TestRuleSelection:
-    def test_all_checkers_covers_the_six_rules(self):
+    def test_all_checkers_covers_the_five_rules(self):
         names = {c.rule for c in all_checkers()}
         assert names == {
             "no-global-rng", "no-wallclock", "no-unordered-iteration",
-            "config-hash-drift", "slots-hotpath", "export-sync",
+            "slots-hotpath", "export-sync",
         }
 
     def test_filtering_preserves_request_order(self):

@@ -1,14 +1,15 @@
-"""The hash-exclusion allowlist behaves as documented, not just as linted.
+"""Every config field moves the spec hash, and stored hashes never drift.
 
-The detlint ``config-hash-drift`` rule pins the *static* agreement
-between ``HASH_EXCLUDED_FIELDS`` and ``config_hash``; these tests pin
-the *dynamic* claims — the allowlist is empty, hashed fields really move
-the hash, and the hashes stored on disk never drift.
+Spec hashes key the result store, so a field that ``config_hash`` left
+out would let two different runs share one cached record.  These tests
+check that property directly, field by field.
 """
 
 import dataclasses
 
-from repro.orchestration.runspec import HASH_EXCLUDED_FIELDS, config_hash
+import pytest
+
+from repro.orchestration.runspec import config_hash
 from repro.scenarios import get_scenario
 from repro.simulation.config import SimulationConfig
 
@@ -17,17 +18,53 @@ def small_config() -> SimulationConfig:
     return SimulationConfig().scaled(0.002)
 
 
-class TestAllowlist:
-    def test_excluded_fields_are_real_config_fields(self):
-        names = {f.name for f in dataclasses.fields(SimulationConfig)}
-        assert set(HASH_EXCLUDED_FIELDS) <= names
+#: a second valid value for every :class:`SimulationConfig` field, each
+#: different from ``small_config()``'s; a new field needs a row here
+OTHER_VALUES: dict[str, object] = {
+    "seed_suppliers": {1: 2},
+    "requesting_peers": {1: 10, 2: 10, 3: 40, 4: 41},
+    "num_classes": 5,
+    "show_seconds": 1800.0,
+    "segment_seconds": 10.0,
+    "protocol": "ndac",
+    "probe_candidates": 4,
+    "t_out_seconds": 600.0,
+    "t_bkf_seconds": 300.0,
+    "e_bkf": 3.0,
+    "arrival_pattern": 3,
+    "arrival_window_seconds": 86400.0,
+    "horizon_seconds": 604800.0,
+    "deterministic_arrivals": False,
+    "lookup": "chord",
+    "down_probability": 0.1,
+    "track_messages": False,
+    "lifecycle": "sessions",
+    "lifecycle_mean_up_seconds": 3600.0,
+    "lifecycle_mean_down_seconds": 600.0,
+    "lifecycle_sigma": 0.5,
+    "lifecycle_night_factor": 0.5,
+    "lifecycle_flash_at_seconds": 3600.0,
+    "lifecycle_flash_fraction": 0.5,
+    "lifecycle_rejoin": False,
+    "lifecycle_recovery": "abandon",
+    "probes": ("capacity",),
+    "master_seed": 7,
+}
 
-    def test_every_exclusion_has_a_written_rationale(self):
-        for name, rationale in HASH_EXCLUDED_FIELDS.items():
-            assert rationale.strip(), f"{name} has no rationale"
 
-    def test_no_field_is_excluded(self):
-        assert HASH_EXCLUDED_FIELDS == {}
+class TestEveryFieldIsHashed:
+    def test_table_names_every_field(self):
+        fields = [f.name for f in dataclasses.fields(SimulationConfig)]
+        assert sorted(OTHER_VALUES) == sorted(fields)
+
+    @pytest.mark.parametrize("name", sorted(OTHER_VALUES))
+    def test_field_moves_the_hash(self, name):
+        base = small_config()
+        changed = base.replace(**{name: OTHER_VALUES[name]})
+        assert getattr(changed, name) != getattr(base, name)
+        assert config_hash(changed) != config_hash(base), (
+            f"config_hash ignores the {name!r} field"
+        )
 
 
 class TestHashBehavior:

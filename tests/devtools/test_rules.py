@@ -13,7 +13,6 @@ import pytest
 
 from repro.devtools.staticcheck.framework import ModuleSource, parse_suppressions
 from repro.devtools.staticcheck.rules import (
-    ConfigHashDrift,
     ExportSync,
     NoGlobalRng,
     NoUnorderedIteration,
@@ -183,125 +182,6 @@ class TestSlotsHotpath:
         assert list(SlotsHotpath().check_project(REPO_ROOT)) == []
 
 
-CONFIG_FIXTURE = (
-    "from dataclasses import dataclass\n"
-    "@dataclass(frozen=True)\n"
-    "class SimulationConfig:\n"
-    "    seed: int = 1\n"
-    "    kernel: str = 'heap'\n"
-    "    engine: str = 'object'\n"
-)
-
-
-def runspec_fixture(allowlist: str, pops: str) -> str:
-    return (
-        f"HASH_EXCLUDED_FIELDS: dict[str, str] = {{{allowlist}}}\n"
-        "def config_hash(config):\n"
-        "    data = dict(config)\n"
-        f"{pops}"
-        "    return hash(frozenset(data))\n"
-    )
-
-
-IN_SYNC = runspec_fixture(
-    "'kernel': 'order-identical by contract', "
-    "'engine': 'parity-pinned against the object engine'",
-    "    data.pop('kernel', None)\n    data.pop('engine', None)\n",
-)
-
-
-class TestConfigHashDrift:
-    def run(self, tmp_path, files):
-        write_tree(tmp_path, files)
-        checker = ConfigHashDrift(
-            config_path="src/config.py", runspec_path="src/runspec.py"
-        )
-        return list(checker.check_project(tmp_path))
-
-    def test_in_sync_fixture_passes(self, tmp_path):
-        assert self.run(tmp_path, {
-            "src/config.py": CONFIG_FIXTURE, "src/runspec.py": IN_SYNC,
-        }) == []
-
-    def test_deleting_an_allowlist_entry_fails(self, tmp_path):
-        # the acceptance scenario: ``engine`` dropped from the constant
-        # while config_hash still pops it
-        missing_engine = runspec_fixture(
-            "'kernel': 'order-identical by contract'",
-            "    data.pop('kernel', None)\n    data.pop('engine', None)\n",
-        )
-        findings = self.run(tmp_path, {
-            "src/config.py": CONFIG_FIXTURE, "src/runspec.py": missing_engine,
-        })
-        assert any(
-            "'engine'" in f.message and "does not list it" in f.message
-            for f in findings
-        )
-
-    def test_new_unhashed_field_fails(self, tmp_path):
-        # the other acceptance scenario: a pop with no documented rationale
-        extra_pop = runspec_fixture(
-            "'kernel': 'order-identical by contract', "
-            "'engine': 'parity-pinned against the object engine'",
-            "    data.pop('kernel', None)\n    data.pop('engine', None)\n"
-            "    data.pop('seed', None)\n",
-        )
-        findings = self.run(tmp_path, {
-            "src/config.py": CONFIG_FIXTURE, "src/runspec.py": extra_pop,
-        })
-        assert any("'seed'" in f.message for f in findings)
-
-    def test_allowlist_entry_without_pop_fails(self, tmp_path):
-        no_engine_pop = runspec_fixture(
-            "'kernel': 'order-identical by contract', "
-            "'engine': 'parity-pinned against the object engine'",
-            "    data.pop('kernel', None)\n",
-        )
-        findings = self.run(tmp_path, {
-            "src/config.py": CONFIG_FIXTURE, "src/runspec.py": no_engine_pop,
-        })
-        assert any("still hashes it" in f.message for f in findings)
-
-    def test_stale_exclusion_of_a_nonfield_fails(self, tmp_path):
-        stale = runspec_fixture(
-            "'kernel': 'order-identical by contract', "
-            "'engine': 'parity-pinned against the object engine', "
-            "'warp': 'no such field'",
-            "    data.pop('kernel', None)\n    data.pop('engine', None)\n"
-            "    data.pop('warp', None)\n",
-        )
-        findings = self.run(tmp_path, {
-            "src/config.py": CONFIG_FIXTURE, "src/runspec.py": stale,
-        })
-        assert any("stale exclusion" in f.message for f in findings)
-
-    def test_empty_rationale_fails(self, tmp_path):
-        blank = runspec_fixture(
-            "'kernel': '', "
-            "'engine': 'parity-pinned against the object engine'",
-            "    data.pop('kernel', None)\n    data.pop('engine', None)\n",
-        )
-        findings = self.run(tmp_path, {
-            "src/config.py": CONFIG_FIXTURE, "src/runspec.py": blank,
-        })
-        assert any("empty rationale" in f.message for f in findings)
-
-    def test_non_literal_pop_fails(self, tmp_path):
-        dynamic = runspec_fixture(
-            "'kernel': 'order-identical by contract', "
-            "'engine': 'parity-pinned against the object engine'",
-            "    for name in ('kernel', 'engine'):\n"
-            "        data.pop(name, None)\n",
-        )
-        findings = self.run(tmp_path, {
-            "src/config.py": CONFIG_FIXTURE, "src/runspec.py": dynamic,
-        })
-        assert any("non-literal" in f.message for f in findings)
-
-    def test_live_tree_is_in_sync(self):
-        assert list(ConfigHashDrift().check_project(REPO_ROOT)) == []
-
-
 INIT_FIXTURE = (
     '"""pkg"""\n'
     "from pkg._version import __version__\n"
@@ -309,7 +189,6 @@ INIT_FIXTURE = (
     "__all__ = ['__version__', 'thing']\n"
 )
 VERSION_FIXTURE = '"""version"""\n__version__ = "1.0.0"\n'
-PYPROJECT_FIXTURE = '[project]\nname = "pkg"\nversion = "1.0.0"\n'
 
 
 class TestExportSync:
@@ -318,7 +197,6 @@ class TestExportSync:
         checker = ExportSync(
             init_path="src/pkg/__init__.py",
             version_path="src/pkg/_version.py",
-            pyproject_path="pyproject.toml",
             version_module="pkg._version",
         )
         return list(checker.check_project(tmp_path))
@@ -327,7 +205,6 @@ class TestExportSync:
         files = {
             "src/pkg/__init__.py": INIT_FIXTURE,
             "src/pkg/_version.py": VERSION_FIXTURE,
-            "pyproject.toml": PYPROJECT_FIXTURE,
         }
         files.update(overrides)
         return files
@@ -355,12 +232,13 @@ class TestExportSync:
         )
         assert any("missing from" in f.message for f in findings)
 
-    def test_version_mismatch_with_pyproject_is_flagged(self, tmp_path):
-        pyproject = PYPROJECT_FIXTURE.replace("1.0.0", "2.0.0")
+    def test_non_literal_version_is_flagged(self, tmp_path):
+        # pyproject.toml reads the version from this literal
+        version = '"""version"""\n__version__ = ".".join(["1", "0"])\n'
         findings = self.run(
-            tmp_path, self.fixture(**{"pyproject.toml": pyproject})
+            tmp_path, self.fixture(**{"src/pkg/_version.py": version})
         )
-        assert any("bump both together" in f.message for f in findings)
+        assert any("string literal" in f.message for f in findings)
 
     def test_wrong_version_source_is_flagged(self, tmp_path):
         init = INIT_FIXTURE.replace(

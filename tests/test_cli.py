@@ -234,6 +234,24 @@ class TestStudyCommand:
         rows = capsys.readouterr().out.splitlines()
         assert sum(row.endswith(" cache") for row in rows) == 2
 
+    def test_class_count_sweep_takes_a_dict_per_value(self, capsys):
+        code = main(["study", "--scale", "0.004", "--seeds", "2",
+                     "--sweep", "requesting_peers", "{1: 5, 2: 5}",
+                     "{1: 10, 2: 10}"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "study: 4 runs" in out
+        # the seed aggregates group by the dict and print it as the table does
+        assert "  requesting_peers={1: 5, 2: 5}: " in out
+        assert "  requesting_peers={1: 10, 2: 10}: " in out
+
+    @pytest.mark.parametrize("value", ["5", "{1: x}", "{1: 5.5}"])
+    def test_class_count_sweep_rejects_other_values(self, capsys, value):
+        code = main(["study", "--scale", "0.004",
+                     "--sweep", "requesting_peers", value])
+        assert code == 2
+        assert f"value {value!r} is not a dict" in capsys.readouterr().err
+
     def test_study_export_and_cache(self, capsys, tmp_path):
         out_base = str(tmp_path / "records")
         cache_dir = str(tmp_path / "cache")

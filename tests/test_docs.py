@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.experiments import EXPERIMENTS
 from repro.cli import _build_study, _make_config, build_parser
+from repro.devtools.staticcheck import all_checkers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = REPO_ROOT / "scripts"
@@ -93,6 +94,18 @@ class TestDocumentedRecipes:
     def test_study_line_expands_to_the_experiment_grid(self, experiment_id):
         experiment_line, study_line = RECIPES[experiment_id]
         assert spec_hashes(study_line) == spec_hashes(experiment_line), study_line
+
+    def test_lint_lines_name_known_rules(self):
+        lines = [
+            line
+            for line in (REPO_ROOT / "docs" / "EXPERIMENTS.md")
+            .read_text(encoding="utf-8").splitlines()
+            if line.startswith("python -m repro lint")
+        ]
+        assert lines
+        for line in lines:
+            args = build_parser().parse_args(shlex.split(line, comments=True)[3:])
+            all_checkers(args.rules)  # raises on a rule name it does not know
 
 
 class TestCheckerDetectsRot:
