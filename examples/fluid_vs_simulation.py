@@ -18,7 +18,7 @@ from repro import Study
 from repro.analysis.fluid import fluid_capacity_model, mean_offer_sessions
 from repro.analysis.plots import ascii_chart, render_table
 from repro.analysis.stats import area_under_series, value_at_hour
-from repro.scenarios import scenario_for_pattern
+from repro.scenarios import get_scenario
 
 
 def main() -> None:
@@ -27,7 +27,9 @@ def main() -> None:
     parser.add_argument("--pattern", type=int, default=2, choices=[1, 2, 3, 4])
     args = parser.parse_args()
 
-    config = scenario_for_pattern(args.pattern).build_config(scale=args.scale)
+    config = get_scenario("paper_default").build_config(
+        scale=args.scale, arrival_pattern=args.pattern
+    )
     print("Workload:", config.describe())
     print(f"Mean requester offer: {mean_offer_sessions(config):.3f} sessions/peer "
           "(the feedback gain of the self-growing loop)\n")

@@ -64,7 +64,8 @@ Commands
     1 on findings and 2 on a usage error.
 
 Simulation commands pick their workload with ``--scenario NAME`` (see
-``scenarios``) or the legacy ``--pattern N`` shorthand, and accept
+``scenarios``; the paper's setup when it is not given), set its
+arrival pattern with ``--pattern N``, and accept
 ``--scale`` so full paper scale (1.0) or quick runs (0.05) are one flag
 away.  Every run takes the array engine (see
 :func:`~repro.simulation.runner.run_simulation`), so there is no engine
@@ -107,12 +108,7 @@ from repro.core.assignment import (
 from repro.core.model import ClassLadder, SupplierOffer
 from repro.core.schedule import min_start_delay_slots
 from repro.errors import P2PStreamError
-from repro.scenarios import (
-    all_scenarios,
-    get_scenario,
-    scenario_for_pattern,
-    scenario_names,
-)
+from repro.scenarios import all_scenarios, get_scenario, scenario_names
 from repro.orchestration.shard import (
     merge_stores,
     shard_run,
@@ -365,16 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_config(args: argparse.Namespace, **extra: object) -> SimulationConfig:
     """Expand the workload selection flags to a scaled configuration.
 
-    ``--scenario`` picks a registered scenario; ``--pattern`` without a
-    scenario maps to the canonical paper-population scenario of that
-    arrival pattern (pattern 2 when neither flag is given).  Explicit
-    ``--pattern``/``--lookup``/``--seed``/``--protocol`` override the
-    scenario's values.
+    ``--scenario`` picks a registered scenario (``paper_default`` when it
+    is not given); ``--pattern``, ``--lookup``, ``--seed``,
+    ``--protocol``, ``--lifecycle``, ``--recovery`` and ``--probes``
+    override its values.
     """
-    if args.scenario is not None:
-        scenario = get_scenario(args.scenario)
-    else:
-        scenario = scenario_for_pattern(args.pattern if args.pattern else 2)
+    scenario = get_scenario(args.scenario or "paper_default")
     if args.pattern is not None:
         extra["arrival_pattern"] = args.pattern
     if args.lookup is not None:
@@ -625,18 +617,22 @@ def _study_body(args: argparse.Namespace) -> int:
         print()
         print(artifacts)
     if args.seeds > 1:
-        _print_seed_aggregates(config, result_set)
+        _print_seed_aggregates(result_set)
     _export_result_set(args, result_set, "study")
     return 0
 
 
-def _print_seed_aggregates(config: SimulationConfig, result_set: ResultSet) -> None:
+def _print_seed_aggregates(result_set: ResultSet) -> None:
     """Final capacity and per-class rejections as mean ± CI across seeds."""
     print()
     print("final capacity across seeds (mean ± 95% CI):")
     for key, aggregate in result_set.aggregate("final_capacity").items():
         print(f"  {axes_label(key) or 'all runs'}: {aggregate}")
-    classes = [c for c, count in sorted(config.requesting_peers.items()) if count]
+    # the classes some record had requesters of: a sweep may drop some
+    classes = sorted({
+        c for record in result_set
+        for c, count in record.config.requesting_peers.items() if count
+    })
     columns = [
         result_set.aggregate(
             lambda record, c=c: record.metrics.mean_rejections_before_admission()[c]

@@ -92,6 +92,18 @@ def _line_of(text: str, position: int) -> int:
     return text.count("\n", 0, position) + 1
 
 
+def _prose_lines(text: str) -> list[str]:
+    """The lines of ``text``, fenced code blocks blanked to keep line numbers."""
+    lines = text.splitlines()
+    fenced = False
+    for index, line in enumerate(lines):
+        fence = line.lstrip().startswith(("```", "~~~"))
+        if fence or fenced:
+            lines[index] = ""
+        fenced ^= fence
+    return lines
+
+
 def check_markdown(root: Path) -> list[Finding]:
     """Link targets, path references and dotted references in the docs."""
     findings: list[Finding] = []
@@ -111,24 +123,25 @@ def check_markdown(root: Path) -> list[Finding]:
                     rule="doc-link",
                     message=f"broken link target {target!r}",
                 ))
-        for match in _CODE.finditer(text):
-            token = match.group(1).strip()
-            if _PATHLIKE.match(token) and "/" in token:
-                if is_generated(token):
-                    continue
-                if not resolve_repo_path(root, doc, token):
-                    findings.append(Finding(
-                        file=relative, line=_line_of(text, match.start()),
-                        rule="doc-path",
-                        message=f"referenced path {token!r} does not exist",
-                    ))
-            elif _DOTTED.match(token):
-                if not dotted_reference_resolves(token):
-                    findings.append(Finding(
-                        file=relative, line=_line_of(text, match.start()),
-                        rule="doc-reference",
-                        message=f"dotted reference {token!r} does not import",
-                    ))
+        # code spans pair within a line: a fence's backticks would shift
+        # the pairing of every later span onto the prose between spans
+        for number, line in enumerate(_prose_lines(text), 1):
+            for match in _CODE.finditer(line):
+                token = match.group(1).strip()
+                if _PATHLIKE.match(token) and "/" in token:
+                    if is_generated(token):
+                        continue
+                    if not resolve_repo_path(root, doc, token):
+                        findings.append(Finding(
+                            file=relative, line=number, rule="doc-path",
+                            message=f"referenced path {token!r} does not exist",
+                        ))
+                elif _DOTTED.match(token):
+                    if not dotted_reference_resolves(token):
+                        findings.append(Finding(
+                            file=relative, line=number, rule="doc-reference",
+                            message=f"dotted reference {token!r} does not import",
+                        ))
     return findings
 
 

@@ -4,7 +4,9 @@
 ``[1.0, 1.0, 1.0, 1.0]``" — every request that reaches an idle supplier is
 granted, nothing is ever elevated or tightened, and reminders are pointless
 (there is no differentiation to tighten).  All other machinery (``M``
-candidates, backoff, OTS_p2p) is identical to DAC_p2p.
+candidates, backoff, OTS_p2p) is identical to DAC_p2p, so the ``"ndac"``
+row of :data:`~repro.protocols.base.POLICY_REGISTRY` is this state machine
+with reminders and idle elevation switched off.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass, field
 from repro.core.admission import AdmissionVector
 from repro.core.model import ClassLadder
 from repro.errors import ConfigurationError
-from repro.protocols.base import AdmissionPolicy, register_policy
 
-__all__ = ["NdacPolicy", "NdacSupplierState"]
+__all__ = ["NdacSupplierState"]
 
 
 @dataclass(slots=True)
@@ -73,18 +74,3 @@ class NdacSupplierState:
     def lowest_favored_class(self) -> int:
         """Always the bottom of the ladder."""
         return self.ladder.num_classes
-
-
-@register_policy
-class NdacPolicy(AdmissionPolicy):
-    """The paper's non-differentiated baseline protocol."""
-
-    name = "ndac"
-    uses_reminders = False
-    uses_idle_elevation = False
-
-    def make_supplier_state(
-        self, own_class: int, ladder: ClassLadder
-    ) -> NdacSupplierState:
-        """All-ones vector with inert dynamics."""
-        return NdacSupplierState(own_class=own_class, ladder=ladder)

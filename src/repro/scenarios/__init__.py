@@ -1,12 +1,12 @@
 """Named, declarative simulation workloads.
 
-* :mod:`repro.scenarios.scenario` — the frozen :class:`Scenario`
-  dataclass that expands to a :class:`~repro.simulation.config.SimulationConfig`;
-* :mod:`repro.scenarios.registry` — name → scenario lookup and
-  registration;
-* :mod:`repro.scenarios.catalog` — the builtin workloads (the paper's
-  four arrival patterns plus churn, asymmetric-population, DHT and
-  flaky-network extensions), registered on import.
+* :mod:`repro.scenarios.scenario` — the frozen :class:`Scenario`: a name,
+  a description and the :class:`~repro.simulation.config.SimulationConfig`
+  fields where the workload departs from the paper's setup;
+* :mod:`repro.scenarios.catalog` — the name → scenario registry and the
+  builtin workloads (the paper's four arrival patterns plus churn,
+  asymmetric-population, DHT and flaky-network extensions), registered
+  on import.
 
 >>> from repro.scenarios import get_scenario
 >>> config = get_scenario("flash_crowd").build_config(scale=0.02)
@@ -15,14 +15,13 @@
 """
 
 from repro.scenarios.scenario import Scenario
-from repro.scenarios.registry import (
+from repro.scenarios.catalog import (
+    BUILTIN_SCENARIOS,
     all_scenarios,
     get_scenario,
     register,
-    scenario_for_pattern,
     scenario_names,
 )
-from repro.scenarios.catalog import BUILTIN_SCENARIOS
 
 __all__ = [
     "Scenario",
@@ -30,6 +29,5 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "all_scenarios",
-    "scenario_for_pattern",
     "BUILTIN_SCENARIOS",
 ]

@@ -7,10 +7,11 @@ lookup substrate, and with which supplier departures (a lifecycle model)
 per-experiment knobs (protocol variants, ``M``, timers), which stay free
 overrides.
 
-Scenarios are frozen and hashable: the population maps are stored as
-sorted ``(class, count)`` tuples, so a scenario can key result caches the
-same way a config can.  :meth:`Scenario.build_config` expands a scenario
-to a fully validated :class:`~repro.simulation.config.SimulationConfig`.
+The paper's Section 5.1 setup is :class:`SimulationConfig`'s defaults,
+so a scenario states only its ``overrides``: the fields where it departs
+from them, at full scale.  Scenarios are frozen and hashable (by name and
+description), and :meth:`Scenario.build_config` expands one to a fully
+validated :class:`SimulationConfig`.
 """
 
 from __future__ import annotations
@@ -22,15 +23,6 @@ from repro.simulation.config import SimulationConfig
 
 __all__ = ["Scenario"]
 
-#: the paper's Section 5.1 population, expressed as scenario tuples
-PAPER_SEEDS: tuple[tuple[int, int], ...] = ((1, 100),)
-PAPER_REQUESTERS: tuple[tuple[int, int], ...] = (
-    (1, 5000),
-    (2, 5000),
-    (3, 20000),
-    (4, 20000),
-)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -40,24 +32,9 @@ class Scenario:
     name: str
     #: one-line human description (shown by ``repro-p2pstream scenarios``)
     description: str
-    #: first-request arrival pattern 1..4 (see :mod:`repro.simulation.arrivals`)
-    arrival_pattern: int = 2
-    #: admission policy the scenario is normally studied under
-    protocol: str = "dac"
-    #: full-scale per-class seed supplier counts, as sorted (class, count)
-    seed_suppliers: tuple[tuple[int, int], ...] = PAPER_SEEDS
-    #: full-scale per-class requesting peer counts, as sorted (class, count)
-    requesting_peers: tuple[tuple[int, int], ...] = PAPER_REQUESTERS
-    #: lookup substrate ("directory" or "chord")
-    lookup: str = "directory"
-    #: probability a probed candidate is unreachable
-    down_probability: float = 0.0
-    #: session-lifecycle model scheduling supplier departures ("none",
-    #: "graceful", "onoff", "sessions", "diurnal", "flash"); model
-    #: parameters ride in :attr:`config_overrides`
-    lifecycle: str = "none"
-    #: any further :class:`SimulationConfig` fields, as (field, value) pairs
-    config_overrides: tuple[tuple[str, object], ...] = field(default=())
+    #: full-scale :class:`SimulationConfig` fields where the workload
+    #: departs from the paper's setup
+    overrides: dict[str, object] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
@@ -68,34 +45,29 @@ class Scenario:
             raise ConfigurationError(f"scenario {self.name!r} needs a description")
 
     # ------------------------------------------------------------------
-    def build_config(self, scale: float = 1.0, **overrides: object) -> SimulationConfig:
+    def build_config(self, scale: float = 1.0, **extra: object) -> SimulationConfig:
         """Expand to a validated config at ``scale``, with free overrides.
 
-        Scaling happens *before* the overrides are applied, so an override
-        of an absolute count (e.g. ``requesting_peers``) is taken verbatim.
+        Scaling happens *before* ``extra`` is applied, so an override of
+        an absolute count (e.g. ``requesting_peers``) is taken verbatim.
         """
-        config = SimulationConfig(
-            seed_suppliers={c: n for c, n in self.seed_suppliers},
-            requesting_peers={c: n for c, n in self.requesting_peers},
-            arrival_pattern=self.arrival_pattern,
-            protocol=self.protocol,
-            lookup=self.lookup,
-            down_probability=self.down_probability,
-            lifecycle=self.lifecycle,
-            **dict(self.config_overrides),
-        )
+        config = SimulationConfig(**{
+            # a copy, so no config shares a population dict with the scenario
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in self.overrides.items()
+        })
         if scale != 1.0:
             config = config.scaled(scale)
-        if overrides:
-            config = config.replace(**overrides)
+        if extra:
+            config = config.replace(**extra)
         return config
 
     def describe(self) -> str:
         """One line for scenario listings."""
-        total = sum(n for _, n in self.requesting_peers)
-        seeds = sum(n for _, n in self.seed_suppliers)
+        config = self.build_config()
+        seeds = sum(config.seed_suppliers.values())
         return (
             f"{self.name}: {self.description} "
-            f"(pattern {self.arrival_pattern}, {self.protocol}, "
-            f"{seeds} seeds + {total} requesters at full scale)"
+            f"(pattern {config.arrival_pattern}, {config.protocol}, "
+            f"{seeds} seeds + {config.total_requesting} requesters at full scale)"
         )

@@ -87,7 +87,6 @@ from repro.network.transport import (
     Transport,
 )
 from repro.protocols.base import AdmissionPolicy, make_policy
-from repro.protocols.variants import LinearElevationDacPolicy
 from repro.simulation.arrivals import generate_arrival_times, make_pattern
 from repro.simulation.arraystate import PeerArrays, SessionTable
 from repro.simulation.config import SimulationConfig
@@ -134,10 +133,10 @@ def _elevation_tables(
     """
     n = ladder.num_classes
     pow_half = [0.5**d for d in range(n + 1)]
-    if not isinstance(policy, LinearElevationDacPolicy):
+    step = getattr(policy.state, "ELEVATION_STEP", None)
+    if step is None:
         # doubling keeps Pa[F + d] = 0.5 ** d and moves F by one class
         return [pow_half], [1], [0]
-    step = policy.make_supplier_state(1, ladder).ELEVATION_STEP
     # rows[k][d]: Pa at d classes below the tighten level after k steps,
     # from the state machine's own float op, until the farthest class
     # (d = n - 1) is favored too

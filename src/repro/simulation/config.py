@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.core.model import ClassLadder
 from repro.errors import ConfigurationError
+from repro.protocols.base import make_policy
 from repro.simulation.lifecycle import LIFECYCLE_NAMES, RECOVERY_MODES
 from repro.simulation.probes import validate_probes
 from repro.streaming.media import MediaFile
@@ -148,6 +149,7 @@ class SimulationConfig:
             raise ConfigurationError("timer parameters must be positive (E_bkf >= 1)")
         if self.lookup not in ("directory", "chord"):
             raise ConfigurationError(f"unknown lookup substrate {self.lookup!r}")
+        make_policy(self.protocol)  # raises, naming the known policies
         if self.lifecycle not in LIFECYCLE_NAMES:
             raise ConfigurationError(
                 f"unknown lifecycle model {self.lifecycle!r}; "

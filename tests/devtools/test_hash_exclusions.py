@@ -6,11 +6,13 @@ check that property directly, field by field.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.orchestration.runspec import config_hash
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, scenario_names
 from repro.simulation.config import SimulationConfig
 
 
@@ -92,7 +94,9 @@ class TestSpecHashPins:
     three graceful supplier-churn fields (graceful churn is now the
     ``graceful`` lifecycle model), then the three sampler-period fields
     (the capacity, rate and favored clocks' periods are now constants of
-    :mod:`repro.simulation.probes`).
+    :mod:`repro.simulation.probes`).  The last literal digests every
+    builtin scenario's full-scale spec hash, where a miscopied count
+    cannot round away as it can at the golden pins' small scales.
     """
 
     def test_default_config_hash(self):
@@ -110,4 +114,14 @@ class TestSpecHashPins:
         config = get_scenario("megacity_1m").build_config(scale=0.02)
         assert config_hash(config) == (
             "5660e27f2c94419081297828ec505d667747ad058fb0195693f5c1298464d472"
+        )
+
+    def test_every_builtin_scenario_at_full_scale(self):
+        hashes = {
+            name: config_hash(get_scenario(name).build_config())
+            for name in scenario_names()
+        }
+        digest = hashlib.sha256(json.dumps(hashes, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "8bda20ab0e5a76624ea366af7ba0294d0951198052398c6323702cc98a7080c5"
         )

@@ -8,7 +8,6 @@ from repro.scenarios import (
     all_scenarios,
     get_scenario,
     register,
-    scenario_for_pattern,
     scenario_names,
 )
 from repro.simulation.arrayengine import ArrayEngine
@@ -34,9 +33,12 @@ class TestRegistry:
             assert expected in names
 
     def test_lifecycle_scenarios_select_their_models(self):
-        assert get_scenario("flash_departure").lifecycle == "flash"
-        assert get_scenario("unstable_suppliers_100k").lifecycle == "sessions"
-        assert get_scenario("diurnal_churn_week").lifecycle == "diurnal"
+        for name, model in (
+            ("flash_departure", "flash"),
+            ("unstable_suppliers_100k", "sessions"),
+            ("diurnal_churn_week", "diurnal"),
+        ):
+            assert get_scenario(name).build_config().lifecycle == model
         config = get_scenario("flash_departure").build_config(scale=0.02)
         assert config.lifecycle == "flash"
         assert config.lifecycle_recovery == "resume"
@@ -54,13 +56,6 @@ class TestRegistry:
             register(scenario)
         # explicit replacement is allowed and idempotent
         assert register(scenario, replace=True) is scenario
-
-    def test_pattern_mapping_covers_all_four(self):
-        for pattern_id in (1, 2, 3, 4):
-            scenario = scenario_for_pattern(pattern_id)
-            assert scenario.arrival_pattern == pattern_id
-        with pytest.raises(ConfigurationError):
-            scenario_for_pattern(5)
 
     def test_all_scenarios_sorted_and_described(self):
         scenarios = all_scenarios()
@@ -84,13 +79,22 @@ class TestBuildConfig:
         config = get_scenario("chord_overlay").build_config(lookup="directory")
         assert config.lookup == "directory"
 
-    def test_config_overrides_tuple_field(self):
+    def test_overrides_set_config_fields(self):
         scenario = Scenario(
             name="short_show_for_test",
             description="a 10-minute clip",
-            config_overrides=(("show_seconds", 600.0),),
+            overrides={"show_seconds": 600.0},
         )
         assert scenario.build_config().show_seconds == 600.0
+
+    def test_built_configs_share_no_population_dict(self):
+        scenario = get_scenario("metropolis_100k")
+        first = scenario.build_config()
+        first.requesting_peers[1] = 1
+        first.seed_suppliers[1] = 1
+        second = scenario.build_config()
+        assert second.requesting_peers == {1: 10000, 2: 10000, 3: 40000, 4: 40000}
+        assert second.seed_suppliers == {1: 200}
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ConfigurationError):

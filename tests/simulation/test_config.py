@@ -56,6 +56,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(lookup="gnutella")
 
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ConfigurationError, match="dac-no-reminder"):
+            SimulationConfig(protocol="bogus")
+        with pytest.raises(ConfigurationError, match="bogus"):
+            SimulationConfig().replace(protocol="bogus")
+
     def test_invalid_class_in_population(self):
         with pytest.raises(Exception):
             SimulationConfig(requesting_peers={9: 10})

@@ -245,6 +245,17 @@ class TestStudyCommand:
         assert "  requesting_peers={1: 5, 2: 5}: " in out
         assert "  requesting_peers={1: 10, 2: 10}: " in out
 
+    def test_class_count_sweep_prints_only_the_populated_classes(self, capsys):
+        code = main(["study", "--scale", "0.02", "--seeds", "2",
+                     "--sweep", "requesting_peers", "{1: 50, 2: 50}",
+                     "{1: 100, 2: 100}"])
+        assert code == 0
+        out = capsys.readouterr().out
+        section = out[out.index("rejections before admission across seeds"):]
+        assert "class 1" in section and "class 2" in section
+        assert "class 3" not in section and "class 4" not in section
+        assert "nan" not in section
+
     @pytest.mark.parametrize("value", ["5", "{1: x}", "{1: 5.5}"])
     def test_class_count_sweep_rejects_other_values(self, capsys, value):
         code = main(["study", "--scale", "0.004",
@@ -412,6 +423,16 @@ class TestStudySharding:
                      "--slice", "2/2"])
         assert code == 2
         assert "0 <= I < N" in capsys.readouterr().err
+
+    def test_shard_rejects_an_unknown_protocol_before_claiming(
+        self, capsys, tmp_path
+    ):
+        store = tmp_path / "store"
+        code = main(["study", "shard", "--scale", "0.02",
+                     "--protocols", "dac", "bogus", "--store", str(store)])
+        assert code == 2
+        assert "unknown admission policy 'bogus'" in capsys.readouterr().err
+        assert not list(store.rglob("*.json"))
 
     def test_status_without_grid_flags_reports_store_only(
         self, capsys, tmp_path

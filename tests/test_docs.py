@@ -126,6 +126,16 @@ class TestCheckerDetectsRot:
             for p in check_docs.check_markdown(root)
         )
 
+    def test_missing_path_after_a_fenced_block_detected(self, tmp_path):
+        root = self.write_readme(
+            tmp_path,
+            "```bash\npython -m repro run\n```\n\nsee `src/repro/not_there.py`\n",
+        )
+        findings = check_docs.check_markdown(root)
+        assert [(p.line, p.message) for p in findings] == [
+            (5, "referenced path 'src/repro/not_there.py' does not exist")
+        ]
+
     def test_unimportable_dotted_reference_detected(self, tmp_path):
         root = self.write_readme(tmp_path, "see `repro.simulation.wormhole`\n")
         assert any(
