@@ -2,8 +2,9 @@
 
 These are classical pytest-benchmark timings (many rounds, statistics)
 rather than one-shot experiment reproductions: the directory's
-O(1)-update/uniform-sample registry, Chord routing, OTS_p2p, and the
-end-to-end simulator throughput in protocol events per second.
+O(1)-update/uniform-sample registry, Chord routing, OTS_p2p, the
+arrival precompute, and the end-to-end simulator throughput in protocol
+events per second.
 They guard against performance regressions that would make the full-scale
 (``REPRO_SCALE=1.0``) harness impractical.
 """
@@ -12,12 +13,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.core.assignment import ots_assignment
 from repro.core.model import ClassLadder, SupplierOffer
 from repro.network.chord import ChordRing
 from repro.network.directory import CentralDirectory
 from repro.scenarios import get_scenario
 from repro.simulation.arrayengine import ArrayEngine
+from repro.simulation.arrivals import generate_arrival_times, make_pattern
 
 
 def test_directory_sampling(benchmark):
@@ -73,6 +77,22 @@ def test_ots_assignment_paper_ladder(benchmark):
     ]
     assignment = benchmark(ots_assignment, offers, ladder)
     assert assignment.num_suppliers == 6
+
+
+@pytest.mark.parametrize(
+    "pattern_id, arrivals", [(2, 2_500), (2, 10_000), (4, 2_500), (1, 100_000)]
+)
+def test_arrival_sweep(benchmark, pattern_id, arrivals):
+    """Place a run's deterministic arrivals over the paper's 72 h window.
+
+    The sizes are the benchmark workloads': ``paper_grid`` places 2,500
+    per run on patterns 2 and 4, ``churn_recovery`` 10,000 on pattern 2
+    (both by the seeded scalar sweep), and ``megacity`` 100,000 on
+    pattern 1 (by the numpy lockstep).
+    """
+    pattern = make_pattern(pattern_id, 72 * 3600.0)
+    times = benchmark(generate_arrival_times, pattern, arrivals)
+    assert len(times) == arrivals
 
 
 def test_simulator_end_to_end_throughput(benchmark):

@@ -40,6 +40,7 @@ Crash-safety invariants (the contract the fault-injection suite under
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -403,7 +404,8 @@ def shard_run(
     stored, and completed.  ``lease_seconds`` must comfortably exceed
     one wave's runtime (claims are only acquired at the start of the
     wave that executes them, so smaller ``claim_batch`` values tolerate
-    shorter leases).  When
+    shorter leases).  A wave whose batch raises releases its claims
+    before the error propagates.  When
     ``executed_log`` is given, one ``owner spec_hash`` line is appended
     per executed spec — the audit trail the claim-contention tests
     assert exactly-once execution on.
@@ -440,11 +442,20 @@ def shard_run(
                 elsewhere += 1
         if not mine:
             continue
-        results = run_batch(
-            [spec.config for spec in mine],
-            jobs=jobs,
-            labels=[spec.label() for spec in mine],
-        )
+        try:
+            results = run_batch(
+                [spec.config for spec in mine],
+                jobs=jobs,
+                labels=[spec.label() for spec in mine],
+            )
+        except BaseException:
+            # hand the wave back, so no worker waits out its leases; a
+            # claim another worker reclaimed after our lease ran out is
+            # theirs, and the batch's error stays the one raised
+            for spec in mine:
+                with contextlib.suppress(ClaimError):
+                    claims.release(spec.spec_hash)
+            raise
         for spec, result in zip(mine, results):
             record = RunRecord.from_result(spec, result)
             store.put(record)

@@ -8,7 +8,9 @@ simulated system over 144 hours.  This package is that simulator:
   paper's defaults;
 * :mod:`repro.simulation.arrivals` — the four first-request arrival
   patterns: each one's curves and its deterministic arrival placement
-  (one numpy sweep for patterns 1, 3 and 4);
+  (a scalar bisection seeded by each pattern's inverse, or one numpy
+  sweep for patterns 1, 3 and 4 at ``LOCKSTEP_MIN_ARRIVALS`` arrivals
+  and more);
 * :mod:`repro.simulation.arraystate` — per-peer and per-session state as
   columns;
 * :mod:`repro.simulation.arrayengine` — the engine: event queue and

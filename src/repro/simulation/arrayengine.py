@@ -24,8 +24,9 @@ count, same message statistics, same trace records.
   heap at all: they are a pre-sorted lane merged into dispatch by
   ``(time, seq)``, and their times come from one
   :func:`~repro.simulation.arrivals.generate_arrival_times` call — which
-  loads numpy for deterministic patterns 1, 3 and 4, and nothing else in
-  this engine does.
+  loads numpy for deterministic patterns 1, 3 and 4 from
+  :data:`~repro.simulation.arrivals.LOCKSTEP_MIN_ARRIVALS` requesters
+  on, and nothing else in this engine does.
 
 ``tests/simulation/test_golden.py`` pins this contract: the fingerprint
 of every builtin scenario under every admission policy, with every

@@ -23,15 +23,19 @@ either
 
 Both modes produce exactly ``n`` arrivals inside the window.
 
-This module is the only one that knows a pattern's shape.  Patterns 1, 3
-and 4 state their cumulative curve twice, from the same constants: on
-scalars (``cumulative``) and on numpy arrays, which
-:func:`_lockstep_quantiles` bisects for all ``n`` arrivals at once.  Those
-curves use only float operations that numpy and CPython round alike
-(add, subtract, multiply, divide, min, max, divmod), so every time equals
-:meth:`ArrivalPattern.quantile`'s to the last bit.  Pattern 2 bisects each
-arrival in scalar Python instead, so that a run on it never imports
-numpy, which would add about 12 MiB to its peak memory.
+This module is the only one that knows a pattern's shape.  Each pattern
+states, from the same constants, its cumulative curve (``cumulative``),
+its closed-form inverse (``inverse``, which only seeds the search) and,
+for patterns 1, 3 and 4, the cumulative curve on numpy arrays
+(``curve``).  :meth:`ArrivalPattern.deterministic_times` equals
+:meth:`ArrivalPattern.quantile` at every arrival to the last bit: by a
+scalar bisection that evaluates the curve only near the inverse's
+estimate (:func:`_seeded_quantiles`), or, on patterns 1, 3 and 4 from
+:data:`LOCKSTEP_MIN_ARRIVALS` arrivals on, by all bisections at once in
+numpy (:func:`_lockstep_quantiles`, over curves that use only float
+operations numpy and CPython round alike).  Only the lockstep imports
+numpy (about 0.1 s and 11 MiB in a fresh process), so a run on pattern 2,
+or on fewer arrivals, never loads it.
 """
 
 from __future__ import annotations
@@ -39,16 +43,26 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "ArrivalPattern",
+    "LOCKSTEP_MIN_ARRIVALS",
     "make_pattern",
     "generate_arrival_times",
 ]
+
+#: From this many arrivals on, patterns 1, 3 and 4 place them by the numpy
+#: lockstep: near here the scalar sweeps of the three patterns together
+#: take as long as numpy's import plus their lockstep sweeps.
+LOCKSTEP_MIN_ARRIVALS = 12_000
+
+#: The curve margin of :func:`_seeded_quantiles`: at least twice the
+#: largest distance between any pattern's float ``cumulative`` and some
+#: non-decreasing curve (the bound of each pattern is derived there).
+_DELTA = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -56,9 +70,11 @@ class ArrivalPattern:
     """A normalized arrival-rate shape over ``[0, window_seconds)``.
 
     ``density(t)`` integrates to 1 over the window; ``cumulative(t)`` is its
-    integral (0 at the window start, 1 at its end).  Both are piecewise
-    closed forms per pattern.  ``deterministic_times(n)`` places all ``n``
-    arrivals: arrival ``i`` at ``quantile((i + 0.5) / n)``, bit for bit.
+    integral (0 at the window start, 1 at its end), and ``inverse`` its
+    closed-form inverse, which only seeds the search of
+    :meth:`deterministic_times`.  All three are piecewise closed forms per
+    pattern; ``curve(np, t)``, where present, is ``cumulative`` on numpy
+    arrays, with the same operations in the same order.
     """
 
     pattern_id: int
@@ -66,7 +82,8 @@ class ArrivalPattern:
     density: Callable[[float], float]
     cumulative: Callable[[float], float]
     peak_density: float
-    deterministic_times: Callable[[int], list[float]]
+    inverse: Callable[[float], float]
+    curve: Callable[[Any, Any], Any] | None = None
 
     def rate_per_second(self, t: float, total_arrivals: int) -> float:
         """Instantaneous arrival rate at ``t`` for ``total_arrivals`` peers."""
@@ -75,8 +92,8 @@ class ArrivalPattern:
     def quantile(self, fraction: float) -> float:
         """Inverse of :meth:`cumulative` by bisection (densities are >= 0).
 
-        The reference every pattern's ``deterministic_times`` equals;
-        stochastic generation pads with it.
+        The reference: :meth:`deterministic_times` equals it to the last
+        bit and falls back to it; stochastic generation pads with it.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ConfigurationError(f"fraction must be in [0,1], got {fraction}")
@@ -89,6 +106,138 @@ class ArrivalPattern:
             else:
                 hi = mid
         return (lo + hi) / 2.0
+
+    def deterministic_times(self, n: int) -> list[float]:
+        """All ``n`` arrivals: arrival ``i`` at ``quantile((i + 0.5) / n)``,
+        bit for bit.
+
+        A pattern with a numpy ``curve`` bisects in lockstep from
+        :data:`LOCKSTEP_MIN_ARRIVALS` arrivals on; otherwise each arrival
+        is bisected in scalar Python, seeded by ``inverse``.
+        """
+        if self.curve is not None and n >= LOCKSTEP_MIN_ARRIVALS:
+            return _lockstep_quantiles(self.curve, self.window_seconds, n)
+        return _seeded_quantiles(self, n)
+
+
+def _dyadic_steps(window: float) -> int:
+    """How many bisection steps from ``[0, window]`` stay exactly dyadic.
+
+    Step ``k``'s midpoints are odd multiples of ``window / 2**k``.  While
+    ``k`` plus the bit length of the window's odd significand is at most
+    53, each is an exact float and ``(lo + hi) / 2.0`` computes it
+    exactly, so the bracket after ``k`` steps is a cell
+    ``[j, j + 1] * window / 2**k`` for a whole ``j``.  Windows near either
+    end of the float range, where ``lo + hi`` could overflow or a cell be
+    subnormal, jump no step.
+    """
+    if not 2.0**-970 <= window <= 2.0**1022:
+        return 0
+    numerator = window.as_integer_ratio()[0]
+    odd = numerator // (numerator & -numerator)
+    return 53 - odd.bit_length()
+
+
+def _seeded_quantiles(pattern: ArrivalPattern, n: int) -> list[float]:
+    """``quantile((i + 0.5) / n)`` for every ``i``, evaluating the curve
+    only near each answer.
+
+    Each arrival, with ``f = (i + 0.5) / n``, runs the reference
+    bisection's own midpoints, ``mid = (lo + hi) / 2.0`` from ``[0, W]``:
+
+    1. ``pattern.inverse(f)`` estimates the answer ``x``, and the band
+       around it is ``x ± g``, with ``g = 4δ / density(x)`` and at least
+       ``W·2**-50``.
+    2. A midpoint below the band moves ``lo``, and one above it moves
+       ``hi``, without evaluating the curve; a midpoint inside the band is
+       decided by the curve, as in the reference.  When no midpoint of
+       the first ``K`` steps (:func:`_dyadic_steps`) lies inside the band,
+       those steps are jumped at once: the bracket after them is the exact
+       cell ``[j, j + 1] * W / 2**K`` around the band.  The loop stops
+       once a midpoint equals ``lo`` or ``hi``.
+    3. The skipped decisions, the jumped cell's ends among them, are
+       confirmed where they are closest to the answer: the last midpoint
+       skipped to ``lo``, ``l``, needs ``cumulative(l) < f - δ`` (checked
+       when ``l > 0``), and the last skipped to ``hi``, ``h``, needs
+       ``cumulative(h) >= f + δ`` (checked when ``h < W``).  Otherwise
+       the arrival is placed by :meth:`~ArrivalPattern.quantile` itself.
+
+    Why no bit changes.  Let ``d`` be the largest distance on ``[0, W]``
+    between a pattern's float ``cumulative`` and some non-decreasing
+    curve ``M``; with ``u = 2**-53`` it is
+
+    * pattern 1: 0.  One correctly rounded division, clamped: the float
+      curve itself never decreases;
+    * pattern 2: at most ``3u``.  Each half is a correctly rounded
+      division, libm's ``pow`` (within one ulp) and an exact halving,
+      plus ``1 - x`` on the right half; the halves meet at 0.5;
+    * pattern 3: at most ``2u``.  Each piece is a chain of correctly
+      rounded operations and never decreases; the curve steps down by
+      about ``u`` at the burst's end and ``3u`` at ``W``;
+    * pattern 4: at most ``6u``.  Eight roundings of terms whose sum is
+      at most 1 (``divmod``'s parts are exact), and steps under ``2u``
+      from one period to the next and at ``W``.
+
+    ``δ = 2**-48 = 32u`` exceeds ``2d`` on every pattern by more than the
+    rounding of ``f ± δ``.  Every midpoint skipped to ``lo`` lies at or
+    below ``l``, so
+    ``cumulative(m) <= M(m) + d <= M(l) + d <= cumulative(l) + 2d < f``;
+    likewise ``cumulative(m) >= f`` for every one skipped to ``hi``.  Each
+    skipped comparison thus comes out as the reference's would, and the
+    loop takes the reference's path.  ``cumulative(lo) < f <=
+    cumulative(hi)`` then holds at every step (``cumulative(0) = 0 < f``
+    and ``cumulative(W) = 1 > f``), so once a midpoint equals ``lo`` or
+    ``hi``, every later step recomputes it and moves nothing.  The
+    estimate, the band and the jump change only speed: a wrong estimate
+    costs the reference's 60 evaluations, never a bit.
+    """
+    cumulative = pattern.cumulative
+    density = pattern.density
+    inverse = pattern.inverse
+    window = pattern.window_seconds
+    jump = _dyadic_steps(window)
+    cell = math.ldexp(window, -jump)
+    cells = 1 << jump
+    narrowest = math.ldexp(window, -50)
+    times = [0.0] * n
+    for i in range(n):
+        fraction = (i + 0.5) / n
+        estimate = inverse(fraction)
+        slope = density(estimate)
+        guard = 4.0 * _DELTA / slope if slope > 0.0 else window
+        if guard < narrowest:
+            guard = narrowest
+        below = estimate - guard
+        above = estimate + guard
+        # jump the first ``jump`` steps if none of their midpoints (the
+        # multiples of ``cell`` inside the window) lies in the band
+        j = int(below / cell) if below > 0.0 else 0
+        lo = j * cell
+        hi = lo + cell
+        if j < cells and (j == 0 or lo < below) and (hi == window or hi > above):
+            start = jump
+        else:
+            lo, hi, start = 0.0, window, 0
+        skipped_lo, skipped_hi = lo, hi
+        for _ in range(start, 60):
+            mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:
+                break
+            if mid < below:
+                lo = skipped_lo = mid
+            elif mid > above:
+                hi = skipped_hi = mid
+            elif cumulative(mid) < fraction:
+                lo = mid
+            else:
+                hi = mid
+        if (skipped_lo > 0.0 and cumulative(skipped_lo) >= fraction - _DELTA) or (
+            skipped_hi < window and cumulative(skipped_hi) < fraction + _DELTA
+        ):
+            times[i] = pattern.quantile(fraction)
+        else:
+            times[i] = (lo + hi) / 2.0
+    return times
 
 
 def _lockstep_quantiles(
@@ -128,7 +277,8 @@ def _constant_pattern(window: float) -> ArrivalPattern:
         density=lambda t: rate if 0 <= t < window else 0.0,
         cumulative=lambda t: min(max(t / window, 0.0), 1.0),
         peak_density=rate,
-        deterministic_times=partial(_lockstep_quantiles, curve, window),
+        inverse=lambda fraction: fraction * window,
+        curve=curve,
     )
 
 
@@ -154,31 +304,14 @@ def _triangle_pattern(window: float) -> ArrivalPattern:
         remaining = (window - t) / half
         return 1.0 - 0.5 * remaining**2
 
-    def deterministic_times(n: int) -> list[float]:
-        # quantile() with cumulative() inlined; identical arithmetic
-        times = [0.0] * n
-        for i in range(n):
-            fraction = (i + 0.5) / n
-            lo, hi = 0.0, window
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                if mid <= 0:
-                    c = 0.0
-                elif mid >= window:
-                    c = 1.0
-                elif mid <= half:
-                    c = 0.5 * (mid / half) ** 2
-                else:
-                    remaining = (window - mid) / half
-                    c = 1.0 - 0.5 * remaining**2
-                if c < fraction:
-                    lo = mid
-                else:
-                    hi = mid
-            times[i] = (lo + hi) / 2.0
-        return times
+    def inverse(fraction: float) -> float:
+        if fraction <= 0.5:
+            return half * math.sqrt(2.0 * fraction)
+        return window - half * math.sqrt(2.0 * (1.0 - fraction))
 
-    return ArrivalPattern(2, window, density, cumulative, peak, deterministic_times)
+    # no numpy curve, so a pattern-2 run never loads numpy; one would need
+    # ``np.float_power`` to round ``x**2`` as CPython's libm ``pow`` does
+    return ArrivalPattern(2, window, density, cumulative, peak, inverse)
 
 
 def _burst_then_constant_pattern(
@@ -204,6 +337,11 @@ def _burst_then_constant_pattern(
             return burst_rate * t
         return burst_fraction + tail_rate * (t - burst_end)
 
+    def inverse(fraction: float) -> float:
+        if fraction < burst_fraction:
+            return fraction / burst_rate
+        return burst_end + (fraction - burst_fraction) / tail_rate
+
     def curve(np, t):
         inside = np.where(
             t < burst_end, burst_rate * t, burst_fraction + tail_rate * (t - burst_end)
@@ -211,8 +349,7 @@ def _burst_then_constant_pattern(
         return np.where(t <= 0.0, 0.0, np.where(t >= window, 1.0, inside))
 
     return ArrivalPattern(
-        3, window, density, cumulative, burst_rate,
-        partial(_lockstep_quantiles, curve, window),
+        3, window, density, cumulative, burst_rate, inverse, curve
     )
 
 
@@ -235,6 +372,9 @@ def _periodic_bursts_pattern(
     floor_rate = (1.0 - burst_total_fraction) / window
     burst_rate = burst_total_fraction / (num_bursts * burst_len)
     burst_mass_per = burst_total_fraction / num_bursts
+    period_mass = burst_mass_per + floor_rate * spacing
+    burst_peak = floor_rate + burst_rate
+    burst_top = burst_peak * burst_len  # a period's mass up to its burst's end
 
     def density(t: float) -> float:
         if t < 0 or t >= window:
@@ -253,6 +393,13 @@ def _periodic_bursts_pattern(
         mass += burst_rate * min(offset, burst_len)
         return mass
 
+    def inverse(fraction: float) -> float:
+        full = min(fraction // period_mass, num_bursts - 1.0)
+        rest = fraction - full * period_mass
+        if rest < burst_top:
+            return full * spacing + rest / burst_peak
+        return full * spacing + burst_len + (rest - burst_top) / floor_rate
+
     def curve(np, t):
         # the same op order as ``cumulative``, so every intermediate
         # rounds alike
@@ -263,8 +410,7 @@ def _periodic_bursts_pattern(
         return np.where(t <= 0.0, 0.0, np.where(t >= window, 1.0, mass))
 
     return ArrivalPattern(
-        4, window, density, cumulative, floor_rate + burst_rate,
-        partial(_lockstep_quantiles, curve, window),
+        4, window, density, cumulative, burst_peak, inverse, curve
     )
 
 

@@ -229,6 +229,48 @@ class TestShardMergeCollect:
         assert report.executed == len(specs)
         assert report.reclaimed == len(specs)
 
+    def test_a_failed_wave_releases_its_claims(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "shared")
+        original = batch.run_simulation
+
+        def explode(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(batch, "run_simulation", explode)
+        with pytest.raises(BatchWorkerError):
+            shard_run(small_study(), store, owner="crashed", jobs=1)
+        assert store_status(store, small_study()).claimed == 0
+        # another worker takes the whole wave at once, not after the leases
+        monkeypatch.setattr(batch, "run_simulation", original)
+        report = shard_run(small_study(), store, owner="next", jobs=1)
+        assert report.executed == len(small_study().specs())
+        assert report.claimed_elsewhere == 0
+
+    def test_a_failed_wave_keeps_claims_reclaimed_meanwhile(
+        self, tmp_path, monkeypatch
+    ):
+        clock = FakeClock()
+        store = ResultStore(tmp_path / "shared")
+        specs = small_study().specs()
+        medic = ClaimRegistry.for_store(
+            store, owner="medic", lease_seconds=5.0, clock=clock
+        )
+
+        def outlive_the_lease(config):
+            clock.advance(6.0)
+            for spec in specs:
+                medic.try_claim(spec.spec_hash)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(batch, "run_simulation", outlive_the_lease)
+        # the batch's own error, not a ClaimError from the release
+        with pytest.raises(BatchWorkerError):
+            shard_run(
+                small_study(), store, owner="slow", jobs=1, clock=clock,
+                lease_seconds=5.0,
+            )
+        assert all(medic.holder(spec.spec_hash) == "medic" for spec in specs)
+
     def test_merge_is_idempotent(self, tmp_path):
         source = ResultStore(tmp_path / "src")
         shard_run(small_study(seeds=2), source, owner="w")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.simulation.arrivals import LOCKSTEP_MIN_ARRIVALS
 from repro.simulation.arraystate import SessionTable
 
 
@@ -23,28 +24,44 @@ _NUMPY_PROBE = """
 import sys
 import repro
 assert "numpy" not in sys.modules, "import repro loaded numpy"
-config = repro.get_scenario(sys.argv[1]).build_config(scale=0.02)
+requesters = int(sys.argv[2])
+overrides = {
+    "requesting_peers": {4: requesters},
+    # one hour, which keeps a run of this many requesters short
+    "arrival_window_seconds": 3600.0,
+    "horizon_seconds": 3600.0,
+} if requesters else {}
+config = repro.get_scenario(sys.argv[1]).build_config(scale=0.02, **overrides)
 assert sum(repro.run_simulation(config).metrics.admitted.values()) > 0
 print("numpy" in sys.modules)
 """
 
 
 @pytest.mark.parametrize(
-    "scenario_name, loads_numpy",
+    "scenario_name, requesters, loads_numpy",
     [
-        ("constant", True),  # pattern 1
-        ("paper_default", False),  # pattern 2
-        ("unstable_suppliers_100k", False),  # pattern 2, with lifecycle
-        ("flash_crowd", True),  # pattern 3
-        ("diurnal", True),  # pattern 4
+        # at 0.02 (requesters 0: the scenario's own), every scenario places
+        # fewer than LOCKSTEP_MIN_ARRIVALS arrivals
+        ("constant", 0, False),  # pattern 1
+        ("paper_default", 0, False),  # pattern 2
+        ("unstable_suppliers_100k", 0, False),  # pattern 2, with lifecycle
+        ("flash_crowd", 0, False),  # pattern 3
+        ("diurnal", 0, False),  # pattern 4
+        ("constant", LOCKSTEP_MIN_ARRIVALS, True),
+        ("paper_default", LOCKSTEP_MIN_ARRIVALS, False),
+        ("flash_crowd", LOCKSTEP_MIN_ARRIVALS, True),
+        ("diurnal", LOCKSTEP_MIN_ARRIVALS, True),
     ],
 )
-def test_numpy_loads_only_for_vectorized_arrivals(scenario_name, loads_numpy):
+def test_numpy_loads_only_for_vectorized_arrivals(
+    scenario_name, requesters, loads_numpy
+):
     """A fresh interpreter imports numpy only to vectorize arrival times.
 
-    Deterministic patterns 1, 3 and 4 place their arrivals in one numpy
-    sweep; pattern 2 bisects in scalar Python.  Peak memory of pattern-2
-    runs, the lifecycle-memory check's among them, depends on numpy
+    Deterministic patterns 1, 3 and 4 place ``LOCKSTEP_MIN_ARRIVALS``
+    arrivals or more in one numpy sweep; fewer, or any number on pattern
+    2, are bisected in scalar Python.  Peak memory of the runs below that
+    size, the lifecycle-memory check's among them, depends on numpy
     staying out.
     """
     env = dict(os.environ)
@@ -53,7 +70,7 @@ def test_numpy_loads_only_for_vectorized_arrivals(scenario_name, loads_numpy):
         if env.get("PYTHONPATH") else str(SRC)
     )
     result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, scenario_name],
+        [sys.executable, "-c", _NUMPY_PROBE, scenario_name, str(requesters)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -1,11 +1,13 @@
 """Unit tests for the four arrival patterns (paper Section 5.1)."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.simulation.arrivals import (
+    LOCKSTEP_MIN_ARRIVALS,
     arrivals_per_bin,
     generate_arrival_times,
     make_pattern,
@@ -104,15 +106,56 @@ class TestGeneration:
         )
 
     @pytest.mark.parametrize("pattern_id", [1, 2, 3, 4])
-    @pytest.mark.parametrize("window", [3600.0, 77777.5, 259200.0])
+    @pytest.mark.parametrize(
+        # 0.7 and 123456.789 have odd significands of 52 and 53 bits, so
+        # the seeded sweep jumps one step and none, where the others jump
+        # 35 to 45
+        "window", [3600.0, 77777.5, 259200.0, 604800.0, 0.7, 123456.789]
+    )
     def test_deterministic_times_equal_the_quantiles(self, pattern_id, window):
-        # exact float equality, on purpose: patterns 1, 3 and 4 bisect in
-        # numpy lockstep and pattern 2 in scalar Python, and every golden
-        # pin rests on both matching the reference bisection bit for bit
+        # exact float equality, on purpose: every golden pin rests on the
+        # seeded sweep matching the reference bisection bit for bit
         pattern = make_pattern(pattern_id, window)
-        for n in (1, 7, 250, 10_000):
+        for n in (1, 2, 3, 7, 250, 10_000):
             reference = [pattern.quantile((i + 0.5) / n) for i in range(n)]
             assert generate_arrival_times(pattern, n) == reference
+
+    @pytest.mark.parametrize("pattern_id", [1, 3, 4])
+    def test_lockstep_times_equal_the_quantiles(self, pattern_id):
+        # from LOCKSTEP_MIN_ARRIVALS on, patterns 1, 3 and 4 bisect in
+        # numpy lockstep instead; exact equality again
+        pattern = make_pattern(pattern_id, WINDOW)
+        n = LOCKSTEP_MIN_ARRIVALS
+        reference = [pattern.quantile((i + 0.5) / n) for i in range(n)]
+        assert generate_arrival_times(pattern, n) == reference
+
+    @pytest.mark.parametrize("pattern_id", [1, 2, 3, 4])
+    @pytest.mark.parametrize("window", [1e308, 2.0**-1060])
+    def test_windows_at_the_ends_of_the_float_range(self, pattern_id, window):
+        # where ``lo + hi`` overflows, or the window is subnormal, the
+        # sweep jumps no step and still matches the reference
+        pattern = make_pattern(pattern_id, window)
+        n = 50
+        reference = [pattern.quantile((i + 0.5) / n) for i in range(n)]
+        assert generate_arrival_times(pattern, n) == reference
+
+    @pytest.mark.parametrize("pattern_id", [1, 2, 3, 4])
+    @pytest.mark.parametrize("misplaced", ["constant", "nudged", "outside"])
+    def test_a_wrong_inverse_costs_no_bit(self, pattern_id, misplaced):
+        # the inverse only seeds the search: the bracket check sends every
+        # arrival it misleads back to the plain bisection
+        pattern = make_pattern(pattern_id, WINDOW)
+        exact = pattern.inverse
+        wrong = {
+            "constant": lambda fraction: WINDOW / 3,
+            "nudged": lambda fraction: exact(fraction) * (1.0 + 2.0**-40),
+            # past the window, where the density is 0
+            "outside": lambda fraction: 2 * WINDOW,
+        }[misplaced]
+        misled = dataclasses.replace(pattern, inverse=wrong)
+        n = 250
+        reference = [pattern.quantile((i + 0.5) / n) for i in range(n)]
+        assert misled.deterministic_times(n) == reference
 
     def test_deterministic_matches_shape(self):
         pattern = make_pattern(3, WINDOW)
