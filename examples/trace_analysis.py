@@ -95,10 +95,17 @@ def main() -> None:
     print("  " + sparkline(series, width=72))
 
     # ------------------------------------------------------------------
-    # 5. Who did the work: sessions served per seed supplier.
+    # 5. Who did the work: sessions served per seed supplier, counted
+    #    from the suppliers of every admission and resumed session.
     # ------------------------------------------------------------------
+    served = Counter(
+        supplier
+        for kind in ("admission", "session_resumed")
+        for event in trace.of_kind(kind)
+        for supplier in event["suppliers"]
+    )
     seed_rows = [
-        [f"seed {pid}", str(engine.peers.sessions_served[pid])]
+        [f"seed {pid}", str(served[pid])]
         for pid in range(sum(config.seed_suppliers.values()))
     ]
     print()

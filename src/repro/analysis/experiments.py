@@ -239,17 +239,14 @@ def run_experiment(
     experiment_id: str,
     config: SimulationConfig,
     store: "ResultStore | None" = None,
-    cache: bool = True,
 ) -> str:
     """Run one experiment's grid by id and return its rendered report.
 
     With a ``store``, the grid is served from (and written back to) the
-    on-disk record cache instead of recomputing every run;
-    ``cache=False`` forces re-execution while still writing fresh
-    records back.
+    on-disk record cache instead of recomputing every run.
     """
     experiment = _experiment(experiment_id)
     if experiment.section is None:
         return report.figure1_report(config.ladder)
-    result_set = experiment.study(config).run(store=store, cache=cache)
+    result_set = experiment.study(config).run(store=store)
     return render_artifacts(result_set, [experiment_id])

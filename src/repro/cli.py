@@ -16,10 +16,6 @@ Commands
     ``probe_candidates`` or ``t_out_seconds`` sweep prints Figure 8, an
     ``e_bkf`` sweep prints Figure 9, and ``--seeds K > 1`` prints final
     capacity and per-class rejections as mean ± CI.
-    ``--resume`` re-enters a crashed or sharded run through the claim
-    protocol (requires ``--cache-dir``): finished specs are served from
-    the store, orphaned (expired-lease) specs are reclaimed and
-    executed, and specs another live worker holds are skipped.
 ``study shard``
     Claim and execute one slice of a study grid against a shared or
     per-host :class:`~repro.orchestration.store.ResultStore`
@@ -29,16 +25,20 @@ Commands
     ``--lease`` control claim identity and expiry, ``--claim-batch``
     sets the claim-wave size (smaller waves interleave better with
     other workers and tolerate shorter leases), and ``--executed-log``
-    appends one ``owner spec_hash`` line per executed spec.
+    appends one ``owner spec_hash`` line per executed spec.  It is the
+    one way back into a grid whose worker died: its leases expire, and
+    ``study shard --slice 0/1`` over the same store claims and runs what
+    is missing.
 ``study merge``
     Fold N shard stores into one (``--into DEST SRC...``), verifying
     spec-hash and payload agreement on every overlap; disagreement
     aborts the merge, because two differing records under one spec hash
-    mean a determinism violation (or records of two releases).
+    mean a determinism violation (or records of two releases).  Every
+    source must be an existing directory.
 ``study status``
-    Claimed / done / orphaned census of a store's records and claims
-    (``--store DIR``); with a grid (``--scenario`` plus the usual axis
-    flags) also reports how many specs remain pending.
+    Claimed / done / orphaned census of an existing store's records and
+    claims (``--store DIR``); with a grid (``--scenario`` plus the usual
+    axis flags) also reports how many specs remain pending.
 ``experiment``
     Regenerate one paper table/figure by id (``fig1`` … ``table1``): the
     artifact's preset grid, run as a study and printed by the renderer
@@ -79,9 +79,10 @@ metric probes (space- or comma-separated), and ``--profile`` (on
 25 cumulative entries.  The grid command ``study`` takes ``--jobs N`` to
 fan its independent runs out over worker processes, ``--cache-dir DIR``
 to memoize run records on disk (repeat invocations are served from the
-:class:`~repro.orchestration.store.ResultStore` without re-simulating;
-``--no-cache`` forces re-execution), and ``--export json|csv`` (with
-``--out BASE``) to write the record set for downstream analysis.
+:class:`~repro.orchestration.store.ResultStore` without re-simulating,
+and a killed run repeated over the same directory executes only what is
+missing), and ``--export json|csv`` (with ``--out BASE``) to write the
+record set for downstream analysis.
 """
 
 from __future__ import annotations
@@ -200,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="directory memoizing run records on disk; repeat "
                             "invocations skip already-computed runs")
-        p.add_argument("--no-cache", action="store_true",
-                       help="bypass cached records (fresh runs still land "
-                            "in --cache-dir)")
 
     def add_export(p: argparse.ArgumentParser) -> None:
         p.add_argument("--export", action="append", choices=["json", "csv"],
@@ -249,17 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache(study_p)
     add_export(study_p)
     add_grid(study_p)
-    study_p.add_argument("--resume", action="store_true",
-                         help="re-enter a crashed or sharded run through "
-                              "the claim protocol (requires --cache-dir): "
-                              "serve finished specs, reclaim orphaned ones, "
-                              "skip specs held by live workers")
-    study_p.add_argument("--owner", default=None,
-                         help="claim owner identity for --resume "
-                              "(default: host-pid)")
-    study_p.add_argument("--lease", type=positive_float, default=900.0,
-                         help="claim lease seconds for --resume "
-                              "(default 900)")
 
     study_sub = study_p.add_subparsers(
         dest="study_command", metavar="SUBCOMMAND",
@@ -299,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     merge_p.add_argument("--into", required=True, metavar="DEST",
                          help="destination store directory")
     merge_p.add_argument("sources", nargs="+", metavar="SRC",
-                         help="source store directories")
+                         help="source store directories (each must exist)")
 
     status_p = study_sub.add_parser(
         "status", help="claimed/done/orphaned census of a store"
@@ -308,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_probes(status_p)
     add_grid(status_p)
     status_p.add_argument("--store", required=True,
-                          help="result store directory to census")
+                          help="existing result store directory to census")
 
     sub.add_parser("scenarios", help="list the registered workload scenarios")
 
@@ -552,16 +539,24 @@ def _study_shard_body(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_store(path: str) -> ResultStore:
+    """A store a command only reads: a missing directory is an error,
+    not an empty store to create."""
+    if not Path(path).is_dir():
+        raise P2PStreamError(f"no result store at {path}: no such directory")
+    return ResultStore(path)
+
+
 def _study_merge_body(args: argparse.Namespace) -> int:
+    sources = [_existing_store(path) for path in args.sources]
     destination = ResultStore(args.into, require_version=None)
-    sources = [ResultStore(path, require_version=None) for path in args.sources]
     report = merge_stores(destination, sources)
     print(report.summary())
     return 0
 
 
 def _study_status_body(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
     # Pending counts need the grid; build it only when the invocation
     # actually describes one (otherwise report just the store's state).
     wants_grid = (
@@ -574,22 +569,10 @@ def _study_status_body(args: argparse.Namespace) -> int:
 
 
 def _study_body(args: argparse.Namespace) -> int:
-    if args.resume and not args.cache_dir:
-        raise P2PStreamError(
-            "--resume needs --cache-dir: resumption is defined by the "
-            "records and claims already on disk"
-        )
     config = _make_config(args)
     print(config.describe())
     study = _build_study(args)
-    result_set = study.run(
-        jobs=args.jobs,
-        store=_store_from(args),
-        cache=not args.no_cache,
-        resume=args.resume,
-        owner=args.owner,
-        lease_seconds=args.lease,
-    )
+    result_set = study.run(jobs=args.jobs, store=_store_from(args))
     rows = []
     for record in result_set:
         axes = " ".join(
@@ -772,10 +755,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(list_experiments())
         return 0
     config = _make_config(args)
-    print(run_experiment(
-        args.experiment_id, config,
-        store=_store_from(args), cache=not args.no_cache,
-    ))
+    print(run_experiment(args.experiment_id, config, store=_store_from(args)))
     return 0
 
 

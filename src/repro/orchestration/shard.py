@@ -29,7 +29,7 @@ Crash-safety invariants (the contract the fault-injection suite under
    create, and eviction of an expired claim is an atomic rename only one
    evictor can win.
 2. **At-least-once eventually**: a crashed worker's leases expire, after
-   which any worker (or a ``Study.run(resume=True)``) reclaims and
+   which any later :func:`shard_run` over the store reclaims and
    re-executes its specs.
 3. **Exactly-once in the merged result**: re-execution is harmless
    because records are deterministic — the store keyed by spec hash
@@ -504,9 +504,7 @@ class MergeReport:
 
 
 def merge_stores(
-    destination: ResultStore,
-    sources: Sequence[ResultStore],
-    require_version: str | None = None,
+    destination: ResultStore, sources: Sequence[ResultStore]
 ) -> MergeReport:
     """Fold every source store's records into ``destination``.
 
@@ -520,13 +518,13 @@ def merge_stores(
     the record with the smaller ``wall_seconds`` wins (ties keep the
     incumbent), which makes the fold order-independent: any merge order
     of any partition of the sources produces byte-identical destination
-    contents.  ``require_version`` defaults to ``None`` — merging
+    contents.  Sources are read whatever version wrote them — merging
     preserves whatever the shards computed; version gating happens when
     records are *read* for a study.
     """
     copied = replaced = identical = invalid = 0
     for source in sources:
-        reader = ResultStore(source.root, require_version=require_version)
+        reader = ResultStore(source.root, require_version=None)
         for spec_hash in reader.spec_hashes():
             record = reader.get(spec_hash)
             if record is None:
@@ -602,8 +600,9 @@ def store_status(
     ``done`` counts stored records; ``claimed`` counts live leases not
     yet backed by a record; ``orphaned`` counts expired leases without a
     record — the signature a SIGKILLed worker leaves behind, and exactly
-    the specs a resumed run will reclaim.  With a ``study``, ``pending``
-    additionally counts grid specs nobody has stored or claimed.
+    the specs the next :func:`shard_run` over the store will reclaim.
+    With a ``study``, ``pending`` additionally counts grid specs nobody
+    has stored or claimed.
     """
     claims = ClaimRegistry.for_store(store, clock=clock)
     done_hashes = set(store.spec_hashes())

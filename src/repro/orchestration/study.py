@@ -609,48 +609,23 @@ class Study:
         return specs
 
     def run(
-        self,
-        jobs: int = 1,
-        store: "ResultStore | None" = None,
-        cache: bool = True,
-        resume: bool = False,
-        owner: str | None = None,
-        lease_seconds: float = 900.0,
+        self, jobs: int = 1, store: "ResultStore | None" = None
     ) -> ResultSet:
         """Execute the grid and return its records in spec order.
 
         ``jobs>1`` fans uncached runs over worker processes via
         :func:`~repro.orchestration.batch.run_batch`; records are
         identical to the serial path up to wall time.  With a ``store``,
-        already-computed specs are served from disk (``cache=False``
-        forces re-execution; fresh records still land in the store).
-
-        ``resume=True`` (requires a ``store``) re-enters a sharded or
-        crashed run through the claim protocol
-        (:mod:`repro.orchestration.shard`): cached specs are served,
-        unclaimed and expired-lease specs are claimed and executed, and
-        specs under a live foreign lease are skipped — their records are
-        omitted from the returned set, since another worker is still
-        computing them.  After a worker crash, its leases expire and a
-        resumed run completes the grid without recomputing finished
-        specs.
+        already-computed specs are served from disk, and fresh records
+        land there, so a killed single-host run repeated over the same
+        store executes only what is missing.  Sharded workers re-enter a
+        grid through the claim protocol instead
+        (:func:`~repro.orchestration.shard.shard_run`), and
+        :meth:`collect` serves what they stored.
         """
         specs = self.specs()
-        if resume:
-            if store is None:
-                raise ConfigurationError(
-                    "Study.run(resume=True) needs a store: resumption is "
-                    "defined by the records and claims already on disk"
-                )
-            from repro.orchestration.shard import shard_run
-
-            shard_run(
-                self, store, owner=owner,
-                lease_seconds=lease_seconds, jobs=jobs,
-            )
-            return self.collect(store, allow_missing=True)
         records: list[RunRecord | None] = [None] * len(specs)
-        if store is not None and cache:
+        if store is not None:
             for index, spec in enumerate(specs):
                 cached = store.get(spec.spec_hash)
                 if cached is not None:
@@ -668,16 +643,13 @@ class Study:
                 store.put(record)
         return ResultSet(records=tuple(records))  # type: ignore[arg-type]
 
-    def collect(
-        self, store: "ResultStore", allow_missing: bool = False
-    ) -> ResultSet:
+    def collect(self, store: "ResultStore") -> ResultSet:
         """The grid's records served purely from a store, in spec order.
 
         This is how a merged multi-host store becomes a
         :class:`ResultSet` without re-running anything.  A spec absent
         from the store raises :class:`ConfigurationError` naming the
-        gap, unless ``allow_missing=True`` — then incomplete grids
-        return only the records that exist.
+        gap.
         """
         specs = self.specs()
         records = []
@@ -688,11 +660,11 @@ class Study:
                 records.append(cached.with_spec(spec))
             else:
                 missing.append(spec)
-        if missing and not allow_missing:
+        if missing:
             raise ConfigurationError(
                 f"store {store.root} is missing {len(missing)} of "
                 f"{len(specs)} grid specs (first: {missing[0].label()}); "
-                "run the remaining shards or pass allow_missing=True"
+                "finish the grid with shard_run (CLI: study shard) first"
             )
         return ResultSet(records=tuple(records))
 

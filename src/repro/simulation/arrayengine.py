@@ -658,13 +658,11 @@ class ArrayEngine:
         favored_flag = peers.favored_while_busy
         reminder_min = peers.reminder_min_class
         idle_generation = peers.idle_generation
-        sessions_served = peers.sessions_served
         for sid in enlisted:
             level[sid] = -level[sid]
             favored_flag[sid] = 0
             reminder_min[sid] = 0
             idle_generation[sid] += 1
-            sessions_served[sid] += 1
 
     def _admit(self, pid: int, enlisted: list[int]) -> None:
         peers = self.peers

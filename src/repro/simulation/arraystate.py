@@ -66,7 +66,7 @@ class PeerArrays:
     ``idle_generation``
         Idle-timer generation counter; bumping it invalidates any
         pending elevation timeout.
-    ``rejections`` / ``sessions_served`` / ``departures`` / ``departed``
+    ``rejections`` / ``departures`` / ``departed``
         Per-peer counters, and whether a supplier is offline.
     ``first_request_time``
         ``None`` until the peer's first request event fires.
@@ -85,7 +85,6 @@ class PeerArrays:
         "reminder_min_class",
         "idle_generation",
         "rejections",
-        "sessions_served",
         "departures",
         "departed",
         "first_request_time",
@@ -103,7 +102,6 @@ class PeerArrays:
         self.reminder_min_class = [0] * n
         self.idle_generation = [0] * n
         self.rejections = [0] * n
-        self.sessions_served = [0] * n
         self.departures = [0] * n
         self.departed = bytearray(n)
         self.first_request_time: list[float | None] = [None] * n

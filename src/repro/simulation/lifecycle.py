@@ -39,9 +39,9 @@ Models
     is re-checked every ``DEPARTURE_RETRY_SECONDS`` until the session
     ends, so no session is ever interrupted.
 ``onoff``
-    Alternating exponential up/down periods on each peer's private
-    timeline, drawn through the horizon at the peer's first query and
-    read off as scheduled departure/return events.
+    Alternating exponential up/down periods on each peer's private,
+    stationary timeline from time 0, walked to the peer's activation at
+    its first query and drawn on from there through the horizon.
 ``sessions``
     A session-duration (trace-like) model: heavy-tailed log-normal online
     periods — the shape measured in real P2P session traces — with
@@ -75,7 +75,6 @@ These apply to the models whose departures interrupt sessions.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from array import array
@@ -111,9 +110,10 @@ RECOVERY_MODES: tuple[str, ...] = ("resume", "restart", "abandon")
 #: under a model whose departures let sessions finish
 DEPARTURE_RETRY_SECONDS = 300.0
 
-#: the most answers a model draws for one peer at a time.  A peer whose
-#: timeline passes the horizon within one block keeps no RNG; a longer
-#: one keeps it and draws the next block when the engine reaches the end.
+#: the most answers a model draws for one peer at a time, past the ones
+#: it opens a timeline with.  A peer whose timeline passes the horizon
+#: within one block keeps no RNG; a longer one keeps it and draws the
+#: next block when the engine reaches the end.
 TIMELINE_BLOCK = 128
 
 
@@ -134,10 +134,10 @@ class LifecycleModel(Protocol):
     time, and so on.  Each query's ``now`` is the time the previous
     answer named (the activation time for the first), and once an answer
     lies past the horizon, or a peer departs with rejoin off, the peer is
-    never asked again.  A model may rely on that order: ``sessions`` and
-    ``diurnal`` draw a peer's whole timeline at its first query and raise
-    :class:`~repro.errors.SimulationError` on any other, and ``onoff``
-    raises for a query past the timeline it drew.
+    never asked again.  A model may rely on that order: ``onoff``,
+    ``sessions`` and ``diurnal`` draw a peer's whole timeline at its
+    first query and raise :class:`~repro.errors.SimulationError` on any
+    other.
     """
 
     #: registry key (also the ``SimulationConfig.lifecycle`` vocabulary)
@@ -208,108 +208,24 @@ class GracefulLifecycle:
         return now + self._rng.expovariate(1.0 / self._mean_down)
 
 
-class OnOffLifecycle:
-    """Alternating exponential up/down periods, deterministic per peer.
-
-    Each peer's timeline of up/down boundaries, starting at time 0, is
-    drawn from a private RNG seeded by ``(seed, peer_id)`` at the peer's
-    first query: up to the query time, then on through the horizon, at
-    most :data:`TIMELINE_BLOCK` boundaries past the query at a time.  It
-    is stored as an ``array('d')``, and the RNG is let go once the
-    timeline passes the horizon.  Peers start up with probability
-    ``mean_up / (mean_up + mean_down)`` (the stationary distribution),
-    which gives *time-correlated* unavailability; a peer that starts down
-    gets a zero-length first up interval, so even intervals are up and
-    odd ones down.  A supplier active at ``now`` departs at the end of
-    the up interval containing ``now`` (immediately, if its timeline has
-    it down already — the "down at activation" edge), and returns at the
-    end of the down interval.  Any query time is answered, up to the end
-    of the drawn timeline.
-    """
-
-    name = "onoff"
-    interrupts_sessions = True
-
-    def __init__(
-        self,
-        mean_up_seconds: float,
-        mean_down_seconds: float,
-        seed: int = 0,
-        *,
-        horizon: float,
-    ) -> None:
-        self._mean_up = mean_up_seconds
-        self._mean_down = mean_down_seconds
-        self._horizon = horizon
-        self._seed = seed
-        #: peer id -> boundary times, from 0.0 to past the horizon
-        self._timelines: dict[int, array] = {}
-        #: peer id -> RNG of a timeline that still ends before the horizon
-        self._rngs: dict[int, random.Random] = {}
-
-    def next_transition(self, peer_id: int, now: float) -> tuple[bool, float]:
-        """State at ``now`` plus the time of the next up/down flip.
-
-        Returns ``(is_down_now, boundary)`` where ``boundary > now`` is
-        the end of the interval containing ``now``.
-        """
-        boundaries = self._timelines.get(peer_id)
-        if boundaries is None or boundaries[-1] <= now:
-            boundaries = self._draw(peer_id, boundaries, now)
-        # index of the interval containing ``now`` (its boundary is next)
-        index = bisect.bisect_right(boundaries, now) - 1
-        return index % 2 == 1, boundaries[index + 1]
-
-    def _draw(self, peer_id: int, boundaries: array | None, now: float) -> array:
-        """Extend the peer's timeline past ``now``, then toward the horizon."""
-        if boundaries is None:
-            rng = random.Random(f"churn:{self._seed}:{peer_id}")
-            availability = self._mean_up / (self._mean_up + self._mean_down)
-            drawn = [0.0] if rng.random() < availability else [0.0, 0.0]
-        else:
-            rng = self._rngs.pop(peer_id, None)
-            if rng is None:
-                raise SimulationError(
-                    f"onoff query at {now} lies past the timeline of peer "
-                    f"{peer_id}, drawn to {boundaries[-1]}"
-                )
-            drawn = boundaries.tolist()
-        means = (self._mean_up, self._mean_down)
-        last = drawn[-1]
-        ahead = 0  # boundaries drawn past ``now``
-        while last <= now or (last <= self._horizon and ahead < TIMELINE_BLOCK):
-            last += rng.expovariate(1.0 / means[(len(drawn) - 1) % 2])
-            drawn.append(last)
-            ahead += last > now
-        if last <= self._horizon:
-            self._rngs[peer_id] = rng
-        boundaries = self._timelines[peer_id] = array("d", drawn)
-        return boundaries
-
-    def next_departure(self, peer_id: int, now: float) -> float | None:
-        down, boundary = self.next_transition(peer_id, now)
-        return now if down else boundary
-
-    def next_return(self, peer_id: int, now: float) -> float | None:
-        down, boundary = self.next_transition(peer_id, now)
-        return boundary if down else now
-
-
 class _DrawnTimeline:
     """Each peer's departure and return times, drawn at its first query.
 
-    The shared half of :class:`SessionDurationLifecycle` and
-    :class:`DiurnalLifecycle`, which differ only in :meth:`_up`, the
-    online-period draw.  A peer's first :meth:`next_departure` draws its
-    answers from its private RNG, in the order the engine asks for them:
-    each is the previous answer plus one draw, an online period for a
-    departure and an exponential downtime for a return, up to the first
-    answer past the horizon.  They are stored as an ``array('d')``
-    after the activation time, and later queries read them in turn.  At
-    most :data:`TIMELINE_BLOCK` answers are drawn at a time, so only a
-    peer whose timeline is longer than that keeps its RNG, to draw the
-    next block when the engine reaches the end.  A query out of the
-    engine's order raises :class:`~repro.errors.SimulationError`.
+    The shared half of :class:`OnOffLifecycle`,
+    :class:`SessionDurationLifecycle` and :class:`DiurnalLifecycle`,
+    which differ in :meth:`_rng`, the peer's private RNG, :meth:`_up`,
+    the online-period draw, and :meth:`_open`, the answers a peer starts
+    from.  A peer's first :meth:`next_departure` draws its answers from
+    its private RNG, in the order the engine asks for them: after the
+    opening ones, each is the previous answer plus one draw, an online
+    period for a departure and an exponential downtime for a return, up
+    to the first answer past the horizon.  They are stored as an
+    ``array('d')`` after the activation time, and later queries read
+    them in turn.  At most :data:`TIMELINE_BLOCK` answers are drawn
+    past the opening ones at a time, so only a peer whose timeline is
+    longer than that keeps its RNG, to draw the next block when the
+    engine reaches the end.  A query out of the engine's order raises
+    :class:`~repro.errors.SimulationError`.
     """
 
     name: ClassVar[str]
@@ -327,25 +243,35 @@ class _DrawnTimeline:
         #: peer id -> RNG of a timeline that still ends before the horizon
         self._rngs: dict[int, random.Random] = {}
 
+    def _rng(self, peer_id: int) -> random.Random:
+        """The peer's private RNG."""
+        return random.Random(f"lifecycle:{self.name}:{self._seed}:{peer_id}")
+
     def _up(self, rng: random.Random, now: float) -> float:
         """One online period of a peer that comes up at ``now``."""
         raise NotImplementedError
 
-    def _draw(self, peer_id: int, rng: random.Random, now: float) -> array:
-        """Draw the block of answers that follows ``now``."""
-        rate_down = 1.0 / self._mean_down
-        answers = [now]
-        for _ in range(TIMELINE_BLOCK // 2):
-            now += self._up(rng, now)
-            answers.append(now)
-            if now > self._horizon:
-                break
-            now += rng.expovariate(rate_down)
-            answers.append(now)
-            if now > self._horizon:
-                break
-        else:
-            self._rngs[peer_id] = rng
+    def _open(self, rng: random.Random, now: float) -> list[float]:
+        """The activation time ``now``, then any answers that precede the
+        first online period; the last one is a return or ``now``."""
+        return [now]
+
+    def _draw(self, peer_id: int, rng: random.Random, answers: list[float]) -> array:
+        """Store ``answers`` and the block of answers that follows them."""
+        now = answers[-1]
+        if now <= self._horizon:
+            rate_down = 1.0 / self._mean_down
+            for _ in range(TIMELINE_BLOCK // 2):
+                now += self._up(rng, now)
+                answers.append(now)
+                if now > self._horizon:
+                    break
+                now += rng.expovariate(rate_down)
+                answers.append(now)
+                if now > self._horizon:
+                    break
+            else:
+                self._rngs[peer_id] = rng
         timeline = self._timelines[peer_id] = array("d", answers)
         self._cursors[peer_id] = 0
         return timeline
@@ -368,19 +294,69 @@ class _DrawnTimeline:
                     f"{self.name} lifecycle asked about peer {peer_id} at "
                     f"{now}, after its last answer, which lies past the horizon"
                 )
-            timeline = self._draw(peer_id, rng, now)
+            timeline = self._draw(peer_id, rng, [now])
             index = 1
         self._cursors[peer_id] = index
         return timeline[index]
 
     def next_departure(self, peer_id: int, now: float) -> float | None:
         if peer_id not in self._cursors:
-            rng = random.Random(f"lifecycle:{self.name}:{self._seed}:{peer_id}")
-            self._draw(peer_id, rng, now)
+            rng = self._rng(peer_id)
+            self._draw(peer_id, rng, self._open(rng, now))
         return self._answer(peer_id, now, 0)
 
     def next_return(self, peer_id: int, now: float) -> float | None:
         return self._answer(peer_id, now, 1)
+
+
+class OnOffLifecycle(_DrawnTimeline):
+    """Alternating exponential up/down periods, deterministic per peer.
+
+    Each peer has a stationary timeline of up and down intervals from
+    time 0, drawn from a private RNG seeded by ``(seed, peer_id)``: it
+    starts up with probability ``mean_up / (mean_up + mean_down)``, which
+    gives *time-correlated* unavailability, and the interval lengths are
+    exponential.  A peer's first query walks that timeline from time 0
+    to its activation, keeping none of it, and stores the answers from
+    there on: a supplier departs at the end of the up interval it was
+    activated in (at once, if its timeline has it down already — the
+    "down at activation" edge), returns at the end of the next down
+    interval, and so on through the horizon.
+    """
+
+    name = "onoff"
+
+    def __init__(
+        self,
+        mean_up_seconds: float,
+        mean_down_seconds: float,
+        seed: int = 0,
+        *,
+        horizon: float,
+    ) -> None:
+        super().__init__(mean_down_seconds, horizon, seed)
+        self._mean_up = mean_up_seconds
+
+    def _rng(self, peer_id: int) -> random.Random:
+        return random.Random(f"churn:{self._seed}:{peer_id}")
+
+    def _up(self, rng: random.Random, now: float) -> float:
+        return rng.expovariate(1.0 / self._mean_up)
+
+    def _open(self, rng: random.Random, now: float) -> list[float]:
+        """Walk the timeline from time 0 to the interval holding ``now``."""
+        rates = (1.0 / self._mean_up, 1.0 / self._mean_down)
+        availability = self._mean_up / (self._mean_up + self._mean_down)
+        down = rng.random() >= availability
+        end = rng.expovariate(rates[down])
+        while end <= now:
+            down = not down
+            end += rng.expovariate(rates[down])
+        if down:
+            return [now, now, end]
+        if end > self._horizon:
+            return [now, end]
+        return [now, end, end + rng.expovariate(rates[1])]
 
 
 class SessionDurationLifecycle(_DrawnTimeline):

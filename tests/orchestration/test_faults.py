@@ -2,10 +2,10 @@
 
 These tests exercise the crash-safety contract with *real* worker
 subprocesses (see :mod:`tests.orchestration.faults`): a killed worker's
-claims expire and a resumed run completes the grid without recomputing
-finished specs, producing a result set bit-identical (up to wall time)
-to the serial oracle; concurrent workers over one store execute every
-spec exactly once.
+claims expire and a later shard worker completes the grid without
+recomputing finished specs, producing a result set bit-identical (up to
+wall time) to the serial oracle; concurrent workers over one store
+execute every spec exactly once.
 """
 
 import time
@@ -13,7 +13,7 @@ import time
 import pytest
 
 import repro.orchestration.batch as batch
-from repro.orchestration.shard import store_status
+from repro.orchestration.shard import shard_run, store_status
 from repro.orchestration.store import ResultStore
 from repro.orchestration.study import Study
 
@@ -81,7 +81,8 @@ class TestCrashRecovery:
             return original(config)
 
         monkeypatch.setattr(batch, "run_simulation", counting)
-        resumed = tiny_study().run(store=store, resume=True, owner="medic")
+        shard_run(tiny_study(), store, owner="medic")
+        resumed = tiny_study().collect(store)
         assert [r.fingerprint() for r in resumed] == oracle_fingerprints
         # Only the orphaned specs were recomputed, never the cached one.
         assert len(executed) == SEEDS - 1
@@ -120,7 +121,8 @@ class TestCrashRecovery:
             return original(config)
 
         monkeypatch.setattr(batch, "run_simulation", counting)
-        resumed = tiny_study().run(store=store, resume=True, owner="medic")
+        shard_run(tiny_study(), store, owner="medic")
+        resumed = tiny_study().collect(store)
         assert [r.fingerprint() for r in resumed] == oracle_fingerprints
         # Specs the victim completed (logged => stored) were not rerun.
         spec_hash_by_config = {

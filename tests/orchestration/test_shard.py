@@ -311,15 +311,13 @@ class TestShardMergeCollect:
         assert "1.4.0" in message and record.version in message
         assert "determinism violation" not in message
 
-    def test_collect_raises_on_gaps_unless_allowed(self, tmp_path):
+    def test_collect_raises_on_gaps(self, tmp_path):
         store = ResultStore(tmp_path / "partial")
         shard_run(
             small_study(), store, owner="w", slice_index=0, slice_count=2
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="missing 2 of 4"):
             small_study().collect(store)
-        partial = small_study().collect(store, allow_missing=True)
-        assert len(partial) == 2
 
     def test_status_counts_all_states(self, tmp_path):
         clock = FakeClock()
@@ -343,10 +341,6 @@ class TestShardMergeCollect:
         assert status.pending == 2  # the orphan plus the never-touched spec
         assert status.total_specs == 4
         assert "1 done" in status.summary()
-
-    def test_resume_requires_a_store(self):
-        with pytest.raises(ConfigurationError):
-            small_study().run(resume=True)
 
 
 class TestBatchFailureLabeling:

@@ -178,24 +178,6 @@ class TestCacheSemantics:
         assert calls == ["ndac"]
         assert len(store) == 2
 
-    def test_no_cache_bypasses_reads_but_still_writes(self, store):
-        study = Study.from_config(small_config())
-        study.run(store=store)
-        calls = []
-        original = batch.run_simulation
-
-        def counting(config):
-            calls.append(config.master_seed)
-            return original(config)
-
-        batch.run_simulation = counting
-        try:
-            result_set = study.run(store=store, cache=False)
-        finally:
-            batch.run_simulation = original
-        assert calls == [21]
-        assert result_set[0].result is not None
-
     def test_cached_record_rebinds_to_new_study_axes(self, store):
         Study.from_config(small_config()).run(store=store)
         result_set = (

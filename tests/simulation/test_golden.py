@@ -7,9 +7,10 @@
   ``flash_departure`` at 0.02 under every other admission policy, since
   each policy drives the supplier state differently;
 * ``flash_departure`` under each recovery mode;
-* ``unstable_suppliers_100k`` under the ``onoff`` model, without rejoin
-  and under ``abandon`` recovery, paths of the lifecycle models no other
-  pin reaches;
+* ``unstable_suppliers_100k`` under the ``onoff`` model, without rejoin,
+  under both, and under ``abandon`` recovery, and ``flash_departure``
+  under the ``onoff`` model, paths of the lifecycle models no other pin
+  reaches;
 * ``unstable_suppliers_100k`` and ``diurnal_churn_week`` under
   ``dac-linear-elevation``;
 * ``flash_departure`` subscribed to each single metrics probe, because
@@ -32,7 +33,10 @@ Every pin was captured on an object-per-peer implementation of the same
 model (since retired), except the five ``unstable_suppliers_100k`` and
 ``diurnal_churn_week`` variants, which were captured through
 ``run_simulation`` while the lifecycle models still drew each answer
-lazily at query time.  At 0.02 every scenario but ``sparse_seeds``
+lazily at query time, and the two ``onoff`` pins of ``flash_departure``
+and of ``unstable_suppliers_100k`` without rejoin, which were captured
+on the array engine while ``onoff`` still answered a query at any time
+from a boundary list kept from time 0.  At 0.02 every scenario but ``sparse_seeds``
 admits peers, so those pins cover the request path, not only arrivals;
 at 0.004 and 0.008 a scenario has one seed supplier, and only
 ``megacity_1m`` admits anyone.  A mismatch means a change moved the

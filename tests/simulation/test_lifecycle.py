@@ -200,23 +200,8 @@ class TestDrawnTimelinesMatchLazyDraws:
         model = model_pair(kind, HOUR, 600.0, horizon, seed=17)[0]
         assert engine_walk(model, 0, 0.0, horizon) == answers[: last + 2]
 
-    def test_onoff_answers_any_query_time_up_to_the_horizon(self):
-        horizon = 144 * HOUR
-        model, reference = model_pair("onoff", 6 * HOUR, 2700.0, horizon, seed=17)
-        times = random.Random("onoff query times")
-        for peer in range(300):
-            for _ in range(10):
-                now = times.uniform(0.0, horizon)
-                assert model.next_transition(peer, now) == (
-                    reference.next_transition(peer, now)
-                )
-                assert model.next_departure(peer, now) == (
-                    reference.next_departure(peer, now)
-                )
-                assert model.next_return(peer, now) == reference.next_return(peer, now)
 
-
-@pytest.fixture(params=["sessions", "diurnal"])
+@pytest.fixture(params=["sessions", "diurnal", "onoff"])
 def drawn_model(request):
     """A model that answers only in the engine's query order."""
     return model_pair(request.param, 600.0, 60.0, 10 * HOUR, seed=3)[0]
@@ -251,14 +236,6 @@ class TestQueryOrder:
         ask = model.next_return if len(answers) % 2 else model.next_departure
         with pytest.raises(SimulationError):
             ask(1, answers[-1])
-
-    def test_onoff_query_past_the_drawn_timeline_raises(self):
-        model = OnOffLifecycle(600.0, 60.0, seed=3, horizon=10 * HOUR)
-        model.next_transition(1, 0.0)
-        end = model._timelines[1][-1]
-        assert end > 10 * HOUR
-        with pytest.raises(SimulationError):
-            model.next_departure(1, end)
 
 
 def reachable_rngs(root) -> int:
@@ -330,24 +307,28 @@ class TestOnOffLifecycle:
     def test_departure_reads_the_churn_timeline(self):
         """The model departs exactly where its on/off timeline flips."""
         model = OnOffLifecycle(1000.0, 500.0, seed=7, horizon=HOUR)
-        timeline = OnOffLifecycle(1000.0, 500.0, seed=7, horizon=HOUR)
+        timeline = LazyOnOff(1000.0, 500.0, seed=7)
         for peer in range(20):
-            down, boundary = timeline.next_transition(peer, 0.0)
-            departure = model.next_departure(peer, 0.0)
+            down, boundary = timeline.next_transition(peer, 600.0)
+            departure = model.next_departure(peer, 600.0)
             if down:
-                assert departure == 0.0  # down at activation: leave now
+                assert departure == 600.0  # down at activation: leave now
             else:
                 assert departure == boundary
 
     def test_down_at_activation_departs_immediately(self):
         model = OnOffLifecycle(100.0, 1000.0, seed=3, horizon=HOUR)
-        timeline = OnOffLifecycle(100.0, 1000.0, seed=3, horizon=HOUR)
-        down_peers = [p for p in range(200) if timeline.next_transition(p, 0.0)[0]]
-        assert down_peers, "seed 3 should start some peers down"
+        timeline = LazyOnOff(100.0, 1000.0, seed=3)
+        activation = 1800.0
+        down_peers = [
+            p for p in range(200) if timeline.next_transition(p, activation)[0]
+        ]
+        assert down_peers, "seed 3 should have some peers down at activation"
         peer = down_peers[0]
-        assert model.next_departure(peer, 0.0) == 0.0
+        assert model.next_departure(peer, activation) == activation
         # ... and returns at the end of the down interval
-        assert model.next_return(peer, 0.0) > 0.0
+        back = model.next_return(peer, activation)
+        assert back == timeline.next_transition(peer, activation)[1] > activation
 
     def test_deterministic_per_peer(self):
         a = OnOffLifecycle(800.0, 200.0, seed=11, horizon=HOUR)
@@ -358,96 +339,94 @@ class TestOnOffLifecycle:
         assert times_a == list(reversed(times_b))
 
 
-def is_down(model: OnOffLifecycle, peer: int, now: float) -> bool:
-    """Whether the peer's on/off timeline has it down at ``now``."""
-    return model.next_transition(peer, now)[0]
+def down_at_activation(model: OnOffLifecycle, peer: int, now: float) -> bool:
+    """Whether the peer, activated at ``now``, departs at once."""
+    return model.next_departure(peer, now) == now
 
 
 class TestOnOffTimeline:
     """The per-peer timeline behind :class:`OnOffLifecycle`."""
 
     def test_state_is_time_consistent(self):
-        model = OnOffLifecycle(
-            mean_up_seconds=100.0, mean_down_seconds=50.0, seed=1, horizon=HOUR
-        )
-        # Same (peer, time) query always answers the same.
-        assert model.next_transition(7, 123.0) == model.next_transition(7, 123.0)
+        """Activations anywhere in one interval read the same flip: the
+        timeline belongs to the peer, not to the query time."""
+        reference = LazyOnOff(100.0, 50.0, seed=1)
+        for peer in range(20):
+            start_down, flip = reference.next_transition(peer, 0.0)
+            answers = set()
+            for now in (0.0, flip / 3, flip / 2):
+                model = OnOffLifecycle(100.0, 50.0, seed=1, horizon=HOUR)
+                departure = model.next_departure(peer, now)
+                assert (departure == now) == start_down
+                answers.add(model.next_return(peer, now) if start_down else departure)
+            assert answers == {flip}
 
     def test_state_is_correlated_in_time(self):
-        model = OnOffLifecycle(
-            mean_up_seconds=1000.0, mean_down_seconds=1000.0, seed=2, horizon=10.0
-        )
         flips = 0
         for peer in range(50):
-            previous = is_down(model, peer, 0.0)
-            for t in (1.0, 2.0, 3.0):
-                current = is_down(model, peer, t)
-                flips += current != previous
-                previous = current
+            states = [
+                down_at_activation(
+                    OnOffLifecycle(1000.0, 1000.0, seed=2, horizon=10.0), peer, t
+                )
+                for t in (0.0, 1.0, 2.0, 3.0)
+            ]
+            flips += sum(a != b for a, b in zip(states, states[1:]))
         # With 1000 s mean durations, 1 s steps almost never flip.
         assert flips <= 3
 
     def test_long_run_availability_near_stationary(self):
-        model = OnOffLifecycle(
-            mean_up_seconds=300.0, mean_down_seconds=100.0, seed=5, horizon=5000.0
-        )
-        downs = 0
-        samples = 0
+        horizon = 5000.0
+        down_seconds = 0.0
         for peer in range(200):
-            for t in range(0, 5000, 250):
-                downs += is_down(model, peer, float(t))
-                samples += 1
+            model = OnOffLifecycle(
+                mean_up_seconds=300.0, mean_down_seconds=100.0, seed=5,
+                horizon=horizon,
+            )
+            answers = engine_walk(model, peer, 0.0, horizon)
+            for departure, back in zip(answers[::2], answers[1::2]):
+                down_seconds += min(back, horizon) - departure
         # stationary down fraction = 100 / 400 = 0.25
-        assert downs / samples == pytest.approx(0.25, abs=0.06)
+        assert down_seconds / (200 * horizon) == pytest.approx(0.25, abs=0.06)
 
     def test_down_at_time_zero(self):
         """Peers drawn down by the stationary coin are down from t=0."""
         model = OnOffLifecycle(
             mean_up_seconds=100.0, mean_down_seconds=300.0, seed=8, horizon=HOUR
         )
-        down_at_zero = [p for p in range(100) if is_down(model, p, 0.0)]
+        down_at_zero = [p for p in range(100) if down_at_activation(model, p, 0.0)]
         # stationary down fraction is 300/400 = 0.75; some peer starts down
         assert down_at_zero
         peer = down_at_zero[0]
-        down, boundary = model.next_transition(peer, 0.0)
-        assert down
+        boundary = model.next_return(peer, 0.0)
         assert boundary > 0.0
         # ... and the peer is still down just before that first boundary
-        assert is_down(model, peer, boundary - 1e-9)
+        later = OnOffLifecycle(100.0, 300.0, seed=8, horizon=HOUR)
+        assert down_at_activation(later, peer, boundary - 1e-9)
+        assert later.next_return(peer, boundary - 1e-9) == boundary
 
     def test_timeline_is_drawn_through_the_horizon_for_the_queried_peer_only(self):
-        """A first query near the horizon draws one peer's timeline past
-        the horizon, and only its own; a query past that raises."""
+        """A first query near the horizon walks one peer's timeline from
+        time 0 and stores it from the activation past the horizon, and
+        only its own; a query past that raises."""
         horizon = 1e5  # ~2,000 mean intervals past t=0
         model = OnOffLifecycle(
             mean_up_seconds=50.0, mean_down_seconds=50.0, seed=8, horizon=horizon
         )
         near = horizon - 1000.0
-        down, boundary = model.next_transition(3, near)
-        assert isinstance(down, bool)
-        assert boundary > near
-        boundaries = model._timelines[3]
-        # the timeline covers the horizon with finite, ordered steps
-        assert boundaries[-1] > horizon
-        assert all(a <= b for a, b in zip(boundaries, boundaries[1:]))
+        answers = engine_walk(model, 3, near, horizon)
+        assert answers[0] >= near
+        timeline = model._timelines[3]
+        # the timeline starts at the activation and covers the horizon
+        # with finite, ordered steps
+        assert timeline[0] == near
+        assert timeline[-1] == answers[-1] > horizon
+        assert all(a <= b for a, b in zip(timeline, timeline[1:]))
         # only the queried peer paid for it, and it kept no RNG
         assert set(model._timelines) == {3}
         assert not model._rngs
-        # a later query up to the horizon reuses the timeline verbatim
-        length_before = len(boundaries)
-        model.next_transition(3, horizon)
-        assert len(model._timelines[3]) == length_before
+        ask = model.next_return if len(answers) % 2 else model.next_departure
         with pytest.raises(SimulationError):
-            model.next_transition(3, boundaries[-1])
-
-    def test_queries_are_monotone_safe_in_any_order(self):
-        """Asking about the past after the future answers consistently."""
-        forward = OnOffLifecycle(50.0, 50.0, seed=12, horizon=1e5)
-        backward = OnOffLifecycle(50.0, 50.0, seed=12, horizon=1e5)
-        times = [0.0, 123.0, 5000.0, 40.0, 99999.0, 1.0]
-        answers_forward = [forward.next_transition(5, t) for t in times]
-        answers_backward = [backward.next_transition(5, t) for t in reversed(times)]
-        assert answers_forward == list(reversed(answers_backward))
+            ask(3, answers[-1])
 
 
 class TestSessionDurationLifecycle:

@@ -297,11 +297,6 @@ class TestStudyCommand:
         payload = json.loads((tmp_path / "cmp.json").read_text())
         assert payload["count"] == 2
 
-    def test_study_resume_requires_cache_dir(self, capsys):
-        code = main(["study", "--scale", "0.004", "--resume"])
-        assert code == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
     def test_study_seeds_with_cache_dir(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         argv = ["study", "--scale", "0.004", "--pattern", "1",
@@ -451,9 +446,35 @@ class TestStudySharding:
         assert main(["study", "shard", *self.GRID, "--store", store,
                      "--slice", "0/2"]) == 0
         capsys.readouterr()
-        assert main(["study", *self.GRID, "--cache-dir", store,
-                     "--resume"]) == 0
+        # A plain cached run serves that half and runs only the rest.
+        assert main(["study", *self.GRID, "--cache-dir", store]) == 0
         out = capsys.readouterr().out
         assert "study: 2 runs" in out
+        sources = [line.split()[-1] for line in out.splitlines()
+                   if line.split()[-1:] in (["cache"], ["run"])]
+        assert sorted(sources) == ["cache", "run"]
         assert main(["study", "status", *self.GRID, "--store", store]) == 0
         assert "0 pending" in capsys.readouterr().out
+
+    def test_merge_refuses_missing_sources_and_creates_nothing(
+        self, capsys, tmp_path
+    ):
+        real = tmp_path / "real"
+        real.mkdir()
+        into = tmp_path / "dest"
+        missing = [tmp_path / "nosuch1", tmp_path / "nosuch2"]
+        code = main(["study", "merge", "--into", str(into), str(real),
+                     *map(str, missing)])
+        assert code == 2
+        assert str(missing[0]) in capsys.readouterr().err
+        assert not into.exists()
+        assert not any(path.exists() for path in missing)
+
+    def test_status_refuses_a_missing_store_and_creates_nothing(
+        self, capsys, tmp_path
+    ):
+        typo = tmp_path / "typo"
+        code = main(["study", "status", "--store", str(typo)])
+        assert code == 2
+        assert str(typo) in capsys.readouterr().err
+        assert not typo.exists()
