@@ -55,13 +55,12 @@ Commands
 ``patterns``
     Show the four arrival patterns as ASCII histograms.
 ``lint``
-    detlint — the AST-based determinism & invariant analyzer
+    detlint — the AST-based determinism analyzer
     (:mod:`repro.devtools.staticcheck`): checks the RNG-injection
-    discipline, the wall-clock ban, unordered-iteration hazards,
-    hot-path ``__slots__`` and the public-export surface.  ``--rules``
-    selects a subset (space-separated), ``--list-rules`` names them and
-    ``--format json`` prints the findings as JSON.  Exits 0 when clean,
-    1 on findings and 2 on a usage error.
+    discipline, the wall-clock ban and unordered-iteration hazards.
+    ``--rules`` selects a subset (space-separated), ``--list-rules``
+    names them and ``--format json`` prints the findings as JSON.
+    Exits 0 when clean, 1 on findings and 2 on a usage error.
 
 Simulation commands pick their workload with ``--scenario NAME`` (see
 ``scenarios``; the paper's setup when it is not given), set its
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pat_p.add_argument("--window-hours", type=float, default=72.0)
 
     lint_p = sub.add_parser(
-        "lint", help="detlint: determinism & invariant static analysis"
+        "lint", help="detlint: determinism static analysis"
     )
     lint_p.add_argument("paths", nargs="*", default=None, metavar="PATH",
                         help="files or directories to lint, relative to "

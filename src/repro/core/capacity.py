@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.core.model import ClassLadder
 from repro.errors import CapacityError
 
-__all__ = ["CapacityLedger", "max_capacity_sessions", "capacity_of_classes"]
+__all__ = ["CapacityLedger", "max_capacity_sessions"]
 
 
 @dataclass
@@ -71,28 +71,6 @@ class CapacityLedger:
     def num_suppliers(self) -> int:
         """Total number of peers currently in the supplier population."""
         return sum(self.per_class_count.values())
-
-    def snapshot(self) -> dict[str, float]:
-        """Plain-dict snapshot for metrics collectors."""
-        return {
-            "total_units": self.total_units,
-            "sessions": self.sessions,
-            "sessions_fractional": self.sessions_fractional,
-            "num_suppliers": self.num_suppliers,
-        }
-
-
-def capacity_of_classes(
-    class_counts: Mapping[int, int], ladder: ClassLadder
-) -> float:
-    """Fractional capacity of a population given per-class counts."""
-    total = 0
-    for peer_class, count in class_counts.items():
-        ladder.validate_class(peer_class)
-        if count < 0:
-            raise CapacityError(f"negative count for class {peer_class}")
-        total += count * ladder.offer_units(peer_class)
-    return total / ladder.full_rate_units
 
 
 def max_capacity_sessions(

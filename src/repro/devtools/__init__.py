@@ -6,7 +6,7 @@ part of the simulation itself: the shared :class:`~repro.devtools.reporting.Find
 backends of the ``scripts/check_*.py`` CI shims
 (:mod:`~repro.devtools.docscheck`, :mod:`~repro.devtools.studycheck`),
 and the :mod:`~repro.devtools.staticcheck` package — ``detlint``, the
-AST-based determinism and invariant analyzer run by ``python -m repro lint``.
+AST-based determinism analyzer run by ``python -m repro lint``.
 
 Nothing here is imported by the simulation packages; the devtools layer
 depends on them (it parses and cross-checks their sources), never the

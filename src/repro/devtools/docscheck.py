@@ -252,21 +252,19 @@ def _module_relpath(module_name: str, module: object) -> str:
 
 
 def check_api_docstrings() -> list[Finding]:
-    """Every export in ``repro.__all__`` and every module has a docstring."""
+    """Every export in ``repro.__all__`` and every module has a docstring.
+
+    A name in ``__all__`` that ``repro`` does not bind is skipped here:
+    ``tests/test_api_surface.py`` owns the export surface.
+    """
     findings: list[Finding] = []
     init_path = "src/repro/__init__.py"
     import repro
 
     for name in repro.__all__:
         obj = getattr(repro, name, None)
-        if obj is None:
-            findings.append(Finding(
-                file=init_path, line=0, rule="doc-docstring",
-                message=f"repro.__all__ exports missing symbol {name!r}",
-            ))
-            continue
         if not (inspect.isclass(obj) or callable(obj)):
-            continue  # data exports (version string, name tuples)
+            continue  # unbound names and data exports (version, name tuples)
         if not inspect.getdoc(obj):
             findings.append(Finding(
                 file=init_path, line=0, rule="doc-docstring",

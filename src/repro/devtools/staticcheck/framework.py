@@ -5,10 +5,8 @@ provides the machinery every rule shares:
 
 * :class:`ModuleSource` — a parsed Python file (text, AST, suppression
   table) handed to per-module checkers;
-* the :class:`Checker` / :class:`ProjectChecker` protocols — per-module
-  AST rules versus whole-repository cross-checks (a project rule reads
-  several files at once, e.g. comparing ``repro.__all__`` with the
-  imports that back it);
+* the :class:`Checker` protocol — a rule that inspects one parsed
+  module at a time;
 * :class:`RuleScope` — per-path rule configuration as include/exclude
   repository-relative prefixes, so e.g. wall-clock reads are banned in
   ``src/repro/simulation`` but fine in ``benchmarks``;
@@ -32,7 +30,6 @@ __all__ = [
     "Checker",
     "DEFAULT_PATHS",
     "ModuleSource",
-    "ProjectChecker",
     "RuleScope",
     "load_module",
     "parse_suppressions",
@@ -104,23 +101,6 @@ class Checker(Protocol):
         ...  # pragma: no cover - protocol
 
 
-@runtime_checkable
-class ProjectChecker(Protocol):
-    """A whole-repository rule cross-checking several files at once.
-
-    ``anchors`` names the repository-relative files the rule reads; the
-    rule runs when at least one anchor falls under the selected paths.
-    """
-
-    rule: str
-    description: str
-    anchors: tuple[str, ...]
-
-    def check_project(self, root: Path) -> Iterable[Finding]:
-        """Findings for the tree rooted at ``root``."""
-        ...  # pragma: no cover - protocol
-
-
 def parse_suppressions(text: str) -> dict[int, frozenset[str] | None]:
     """The per-line suppression table of a source file.
 
@@ -189,40 +169,16 @@ def iter_python_files(root: Path, paths: Sequence[str]) -> list[Path]:
     return ordered
 
 
-def _covered(relpath: str, paths: Sequence[str]) -> bool:
-    """True when ``relpath`` lies under one of the selected paths."""
-    for selector in paths:
-        prefix = selector.rstrip("/")
-        if relpath == prefix or relpath.startswith(prefix + "/"):
-            return True
-    return False
-
-
-def _suppression_table_for(
-    root: Path, relpath: str, cache: dict[str, dict[int, frozenset[str] | None]]
-) -> dict[int, frozenset[str] | None]:
-    """Suppressions of an arbitrary finding target, loaded lazily."""
-    if relpath not in cache:
-        target = root / relpath
-        try:
-            text = target.read_text(encoding="utf-8")
-        except OSError:
-            text = ""
-        cache[relpath] = parse_suppressions(text)
-    return cache[relpath]
-
-
 def run_detlint(
     root: Path,
     paths: Sequence[str] | None = None,
-    checkers: Sequence[Checker | ProjectChecker] | None = None,
+    checkers: Sequence[Checker] | None = None,
 ) -> list[Finding]:
     """Run every applicable checker over the selected paths.
 
     ``paths`` are repository-relative files or directories (default:
-    :data:`DEFAULT_PATHS`).  Per-module checkers see the files their
-    :class:`RuleScope` admits; project checkers run when one of their
-    anchor files is covered.  Inline suppressions are filtered out
+    :data:`DEFAULT_PATHS`).  Each checker sees the files its
+    :class:`RuleScope` admits.  Inline suppressions are filtered out
     before the sorted findings return.
     """
     from repro.devtools.staticcheck.rules import all_checkers
@@ -230,33 +186,17 @@ def run_detlint(
     root = root.resolve()
     paths = list(paths) if paths else list(DEFAULT_PATHS)
     active = list(checkers) if checkers is not None else all_checkers()
-    module_checkers = [c for c in active if hasattr(c, "check_module")]
-    project_checkers = [c for c in active if hasattr(c, "check_project")]
 
     findings: list[Finding] = []
-    suppression_cache: dict[str, dict[int, frozenset[str] | None]] = {}
     for path in iter_python_files(root, paths):
         loaded = load_module(root, path)
         if isinstance(loaded, Finding):
             findings.append(loaded)
             continue
-        suppression_cache[loaded.relpath] = loaded.suppressions
-        for checker in module_checkers:
+        for checker in active:
             if not checker.scope.applies(loaded.relpath):
                 continue
             for finding in checker.check_module(loaded):
                 if not loaded.suppressed(finding.line, finding.rule):
                     findings.append(finding)
-
-    for checker in project_checkers:
-        if not any(_covered(anchor, paths) for anchor in checker.anchors):
-            continue
-        for finding in checker.check_project(root):
-            table = _suppression_table_for(root, finding.file, suppression_cache)
-            rules = table.get(finding.line, ())
-            if finding.line in table and (
-                rules is None or finding.rule in rules
-            ):
-                continue
-            findings.append(finding)
     return sorted(findings)

@@ -14,50 +14,31 @@ contracts the golden/regression suites only *sample* dynamically:
   listing feeds hash-order (or filesystem-order) into whatever consumes
   the loop; anywhere that order can reach event scheduling or hashing it
   must be ``sorted()`` first.
-* :class:`SlotsHotpath` — the classes on the PR-4 hot-path registry are
-  allocated/touched millions of times per run and must declare
-  ``__slots__``.
-* :class:`ExportSync` — ``repro.__all__`` and the imports that back it
-  stay in lock-step, and ``repro._version.__version__`` is the string
-  literal that ``pyproject.toml`` reads as the package version.
 
 Every rule is a plain object satisfying the
-:class:`~repro.devtools.staticcheck.framework.Checker` or
-:class:`~repro.devtools.staticcheck.framework.ProjectChecker` protocol,
-parameterized so the test suite can point it at fixture trees.
+:class:`~repro.devtools.staticcheck.framework.Checker` protocol, with a
+:class:`~repro.devtools.staticcheck.framework.RuleScope` the test suite
+can point at fixture paths.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.devtools.reporting import Finding
 from repro.devtools.staticcheck.framework import (
     Checker,
     ModuleSource,
-    ProjectChecker,
     RuleScope,
 )
 
 __all__ = [
-    "ExportSync",
-    "HOT_PATH_REGISTRY",
     "NoGlobalRng",
     "NoUnorderedIteration",
     "NoWallclock",
-    "SlotsHotpath",
     "all_checkers",
 ]
-
-#: classes on the engine's hot path: touched per event at population
-#: scale, so attribute storage must be slotted.
-#: file (repo-relative) -> class names that must declare ``__slots__``.
-HOT_PATH_REGISTRY: dict[str, tuple[str, ...]] = {
-    "src/repro/simulation/arraystate.py": ("PeerArrays", "SessionTable"),
-    "src/repro/simulation/arrayengine.py": ("ArrayEngine",),
-}
 
 
 def _attribute_chain(node: ast.expr) -> tuple[str, ...] | None:
@@ -337,232 +318,12 @@ class NoUnorderedIteration:
         return None
 
 
-class SlotsHotpath:
-    """Hot-path classes must declare ``__slots__``."""
-
-    rule = "slots-hotpath"
-    description = (
-        "classes on the hot-path registry must declare __slots__ "
-        "(directly or via @dataclass(slots=True))"
-    )
-
-    def __init__(self, registry: dict[str, tuple[str, ...]] | None = None) -> None:
-        self.registry = dict(registry) if registry is not None else HOT_PATH_REGISTRY
-        self.anchors = tuple(self.registry)
-
-    def check_project(self, root: Path) -> Iterable[Finding]:
-        findings: list[Finding] = []
-        for relpath, class_names in sorted(self.registry.items()):
-            path = root / relpath
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (OSError, SyntaxError, ValueError):
-                findings.append(Finding(
-                    file=relpath, line=0, rule=self.rule,
-                    message="hot-path registry file cannot be parsed",
-                ))
-                continue
-            defined = {
-                node.name: node
-                for node in ast.walk(tree)
-                if isinstance(node, ast.ClassDef)
-            }
-            for name in class_names:
-                node = defined.get(name)
-                if node is None:
-                    findings.append(Finding(
-                        file=relpath, line=1, rule=self.rule,
-                        message=(
-                            f"hot-path registry names class {name} but the "
-                            "file defines no such class (stale registry?)"
-                        ),
-                    ))
-                elif not self._declares_slots(node):
-                    findings.append(Finding(
-                        file=relpath, line=node.lineno, rule=self.rule,
-                        message=(
-                            f"hot-path class {name} does not declare "
-                            "__slots__ (per-event allocations must stay "
-                            "compact; see the hot-path registry)"
-                        ),
-                    ))
-        return findings
-
-    @staticmethod
-    def _declares_slots(node: ast.ClassDef) -> bool:
-        for statement in node.body:
-            targets: list[ast.expr] = []
-            if isinstance(statement, ast.Assign):
-                targets = statement.targets
-            elif isinstance(statement, ast.AnnAssign):
-                targets = [statement.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "__slots__":
-                    return True
-        for decorator in node.decorator_list:
-            if isinstance(decorator, ast.Call):
-                chain = _attribute_chain(decorator.func)
-                if chain and chain[-1] == "dataclass":
-                    for keyword in decorator.keywords:
-                        if keyword.arg == "slots" and (
-                            isinstance(keyword.value, ast.Constant)
-                            and keyword.value.value is True
-                        ):
-                            return True
-        return False
-
-
-class ExportSync:
-    """``__all__`` matches its imports; ``_version`` holds a version literal."""
-
-    rule = "export-sync"
-    description = (
-        "repro.__all__ must match the names bound in __init__ and export "
-        "__version__ from repro._version, which must assign it a string "
-        "literal"
-    )
-
-    def __init__(
-        self,
-        init_path: str = "src/repro/__init__.py",
-        version_path: str = "src/repro/_version.py",
-        version_module: str = "repro._version",
-    ) -> None:
-        self.init_path = init_path
-        self.version_path = version_path
-        self.version_module = version_module
-        self.anchors = (init_path, version_path)
-
-    def check_project(self, root: Path) -> Iterable[Finding]:
-        findings: list[Finding] = []
-        try:
-            tree = ast.parse((root / self.init_path).read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, ValueError) as exc:
-            findings.append(Finding(
-                file=self.init_path, line=0, rule=self.rule,
-                message=f"cannot parse package __init__: {exc}",
-            ))
-            return findings
-        bound: dict[str, int] = {}
-        version_source: str | None = None
-        exported: list[tuple[str, int]] | None = None
-        all_line = 1
-        for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    bound.setdefault(name, node.lineno)
-                    if name == "__version__" and isinstance(node, ast.ImportFrom):
-                        version_source = node.module
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.ClassDef)):
-                bound.setdefault(node.name, node.lineno)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        if target.id == "__all__":
-                            all_line = node.lineno
-                            exported = self._literal_names(node, findings)
-                        else:
-                            bound.setdefault(target.id, node.lineno)
-        if exported is None:
-            findings.append(Finding(
-                file=self.init_path, line=1, rule=self.rule,
-                message="__all__ is missing or not a literal list of strings",
-            ))
-            return findings
-        seen: set[str] = set()
-        for name, line in exported:
-            if name in seen:
-                findings.append(Finding(
-                    file=self.init_path, line=line, rule=self.rule,
-                    message=f"__all__ lists {name!r} twice",
-                ))
-            seen.add(name)
-            if name not in bound:
-                findings.append(Finding(
-                    file=self.init_path, line=line, rule=self.rule,
-                    message=f"__all__ exports {name!r} but __init__ never "
-                            "binds it",
-                ))
-        for name, line in sorted(bound.items()):
-            if name.startswith("_"):
-                continue
-            if name not in seen:
-                findings.append(Finding(
-                    file=self.init_path, line=line, rule=self.rule,
-                    message=(
-                        f"{name!r} is bound in __init__ but missing from "
-                        "__all__; export it or make it private"
-                    ),
-                ))
-        if "__version__" not in seen:
-            findings.append(Finding(
-                file=self.init_path, line=all_line, rule=self.rule,
-                message="__all__ must export __version__",
-            ))
-        elif version_source != self.version_module:
-            findings.append(Finding(
-                file=self.init_path, line=bound.get("__version__", 1),
-                rule=self.rule,
-                message=(
-                    f"__version__ must be imported from {self.version_module} "
-                    f"(found {version_source!r})"
-                ),
-            ))
-        findings.extend(self._check_version_literal(root))
-        return findings
-
-    @staticmethod
-    def _literal_names(
-        node: ast.Assign, findings: list[Finding]
-    ) -> list[tuple[str, int]]:
-        names: list[tuple[str, int]] = []
-        if isinstance(node.value, (ast.List, ast.Tuple)):
-            for element in node.value.elts:
-                if isinstance(element, ast.Constant) and isinstance(
-                    element.value, str
-                ):
-                    names.append((element.value, element.lineno))
-        return names
-
-    def _check_version_literal(self, root: Path) -> list[Finding]:
-        """A ``__version__`` string literal, which pyproject.toml reads."""
-        try:
-            tree = ast.parse(
-                (root / self.version_path).read_text(encoding="utf-8")
-            )
-        except (OSError, SyntaxError, ValueError) as exc:
-            return [Finding(
-                file=self.version_path, line=0, rule=self.rule,
-                message=f"cannot parse version module: {exc}",
-            )]
-        for node in tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "__version__"
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, str)
-                    ):
-                        return []
-        return [Finding(
-            file=self.version_path, line=1, rule=self.rule,
-            message="__version__ string literal not found",
-        )]
-
-
-def all_checkers(
-    rules: Sequence[str] | None = None,
-) -> list[Checker | ProjectChecker]:
+def all_checkers(rules: Sequence[str] | None = None) -> list[Checker]:
     """Every default rule instance, optionally filtered to ``rules``."""
-    checkers: list[Checker | ProjectChecker] = [
+    checkers: list[Checker] = [
         NoGlobalRng(),
         NoWallclock(),
         NoUnorderedIteration(),
-        SlotsHotpath(),
-        ExportSync(),
     ]
     if rules is None:
         return checkers

@@ -119,7 +119,9 @@ class Claim:
 class ClaimRegistry:
     """Atomic, lease-based spec claims in a directory of claim files.
 
-    One JSON file per spec hash under ``root``.  Acquisition writes a
+    One JSON file per spec hash under ``root``, which the first claim
+    write creates: reads treat a missing ``root`` as "no claims", so a
+    census leaves the store as it found it.  Acquisition writes a
     private temp file and links it into place — ``os.link`` fails with
     ``FileExistsError`` when the name is taken, so exactly one contender
     wins.  Reclaiming an expired lease first renames the stale file
@@ -143,7 +145,6 @@ class ClaimRegistry:
         self.owner = owner if owner is not None else default_owner()
         self.lease_seconds = lease_seconds
         self.clock = clock
-        self.root.mkdir(parents=True, exist_ok=True)
 
     @classmethod
     def for_store(
@@ -303,6 +304,7 @@ class ClaimRegistry:
     # ------------------------------------------------------------------
     def _create(self, path: Path, spec_hash: str) -> bool:
         """Link a fresh claim into place; False when the name is taken."""
+        self.root.mkdir(parents=True, exist_ok=True)
         now = self.clock()
         tmp = path.with_name(f".{path.stem}.{self.owner}.tmp")
         tmp.write_text(
@@ -335,6 +337,7 @@ class ClaimRegistry:
 
     def _write(self, path: Path, claim: Claim) -> None:
         """Atomically replace a claim file (temp + rename, like the store)."""
+        self.root.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.stem}.{self.owner}.rewrite")
         tmp.write_text(
             json.dumps(claim.to_dict(), sort_keys=True), encoding="utf-8"

@@ -469,18 +469,6 @@ class Study:
     # ------------------------------------------------------------------
     # grid axes
     # ------------------------------------------------------------------
-    def scenarios(self, *names: str) -> "Study":
-        """Add more scenarios to a scenario-based study."""
-        if self._scenario_names is None:
-            raise ConfigurationError(
-                "scenarios() needs a scenario-based study; this one was "
-                "built from a raw config"
-            )
-        combined = self._scenario_names + list(names)
-        _reject_duplicates("scenario", combined)
-        self._scenario_names = combined
-        return self
-
     def protocols(self, *names: str) -> "Study":
         """Sweep the admission protocol axis."""
         return self.sweep("protocol", names)

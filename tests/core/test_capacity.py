@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.capacity import CapacityLedger, capacity_of_classes, max_capacity_sessions
+from repro.core.capacity import CapacityLedger, max_capacity_sessions
 from repro.errors import CapacityError
 
 
@@ -51,20 +51,13 @@ class TestLedger:
         with pytest.raises(CapacityError):
             CapacityLedger(ladder).remove_supplier(1)
 
-    def test_snapshot_fields(self, ladder):
-        ledger = CapacityLedger(ladder)
-        for _ in range(4):
-            ledger.add_supplier(2)
-        snap = ledger.snapshot()
-        assert snap["sessions"] == 1
-        assert snap["num_suppliers"] == 4
-        assert snap["sessions_fractional"] == 1.0
-
     def test_sixteen_class4_peers_make_one_session(self, ladder):
         ledger = CapacityLedger(ladder)
         for _ in range(16):
             ledger.add_supplier(4)
         assert ledger.sessions == 1
+        assert ledger.sessions_fractional == 1.0
+        assert ledger.num_suppliers == 16
 
 
 class TestPopulationCapacity:
@@ -74,14 +67,9 @@ class TestPopulationCapacity:
         counts = {1: 5100, 2: 5000, 3: 20000, 4: 20000}
         assert max_capacity_sessions(counts, ladder) == 7550
 
-    def test_fractional_capacity(self, ladder):
-        assert capacity_of_classes({1: 1, 2: 1}, ladder) == 0.75
-
     def test_negative_count_rejected(self, ladder):
         with pytest.raises(CapacityError):
             max_capacity_sessions({1: -1}, ladder)
-        with pytest.raises(CapacityError):
-            capacity_of_classes({1: -1}, ladder)
 
     def test_max_capacity_floors(self, ladder):
         assert max_capacity_sessions({1: 3}, ladder) == 1  # 1.5 -> 1

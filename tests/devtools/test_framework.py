@@ -120,16 +120,15 @@ class TestRunDetlint:
 
 
 class TestRuleSelection:
-    def test_all_checkers_covers_the_five_rules(self):
+    def test_all_checkers_covers_the_three_rules(self):
         names = {c.rule for c in all_checkers()}
         assert names == {
             "no-global-rng", "no-wallclock", "no-unordered-iteration",
-            "slots-hotpath", "export-sync",
         }
 
     def test_filtering_preserves_request_order(self):
-        selected = all_checkers(["no-wallclock", "export-sync"])
-        assert [c.rule for c in selected] == ["no-wallclock", "export-sync"]
+        selected = all_checkers(["no-wallclock", "no-global-rng"])
+        assert [c.rule for c in selected] == ["no-wallclock", "no-global-rng"]
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ValueError, match="unknown detlint rule"):

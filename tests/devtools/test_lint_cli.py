@@ -64,10 +64,9 @@ class TestReproLintCommand:
     def test_list_rules(self, capsys):
         assert repro_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("no-global-rng", "no-wallclock", "no-unordered-iteration",
-                     "slots-hotpath", "export-sync"):
+        for rule in ("no-global-rng", "no-wallclock", "no-unordered-iteration"):
             assert f"{rule}:" in out
-        assert len(out.splitlines()) == 5
+        assert len(out.splitlines()) == 3
 
     def test_json_format(self, tmp_path, capsys):
         write_tree(tmp_path, BAD_TREE)

@@ -1,9 +1,7 @@
 """Every detlint rule: at least one flagging and one passing fixture.
 
-Module rules get parsed source snippets; project rules get miniature
-fixture trees under ``tmp_path`` built to the same shape as the real
-repository (the rules are parameterized over their anchor paths exactly
-so this suite can exercise them without touching the live tree).
+Each rule gets parsed source snippets; its default scope is checked
+against repository-relative paths.
 """
 
 import ast
@@ -13,14 +11,10 @@ import pytest
 
 from repro.devtools.staticcheck.framework import ModuleSource, parse_suppressions
 from repro.devtools.staticcheck.rules import (
-    ExportSync,
     NoGlobalRng,
     NoUnorderedIteration,
     NoWallclock,
-    SlotsHotpath,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 def module(text: str, relpath: str = "src/repro/simulation/demo.py"):
@@ -131,137 +125,6 @@ class TestNoUnorderedIteration:
         # float addition is order-sensitive; ``sum`` is deliberately not
         # on the order-insensitive exemption list
         assert self.check("t = sum(x for x in set(values))\n")
-
-
-def write_tree(root: Path, files: dict[str, str]) -> None:
-    for relpath, text in files.items():
-        target = root / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
-
-
-SLOTTED = (
-    "class Fast:\n"
-    "    __slots__ = ('a', 'b')\n"
-)
-UNSLOTTED = (
-    "class Fast:\n"
-    "    def __init__(self):\n"
-    "        self.a = 1\n"
-)
-DATACLASS_SLOTS = (
-    "from dataclasses import dataclass\n"
-    "@dataclass(slots=True)\n"
-    "class Fast:\n"
-    "    a: int\n"
-)
-
-
-class TestSlotsHotpath:
-    def run(self, tmp_path, source, classes=("Fast",)):
-        write_tree(tmp_path, {"src/hot.py": source})
-        checker = SlotsHotpath(registry={"src/hot.py": classes})
-        return list(checker.check_project(tmp_path))
-
-    def test_unslotted_hotpath_class_is_flagged(self, tmp_path):
-        findings = self.run(tmp_path, UNSLOTTED)
-        assert [f.rule for f in findings] == ["slots-hotpath"]
-        assert "Fast" in findings[0].message
-
-    def test_slots_declaration_passes(self, tmp_path):
-        assert self.run(tmp_path, SLOTTED) == []
-
-    def test_dataclass_slots_true_passes(self, tmp_path):
-        assert self.run(tmp_path, DATACLASS_SLOTS) == []
-
-    def test_stale_registry_entry_is_flagged(self, tmp_path):
-        findings = self.run(tmp_path, SLOTTED, classes=("Fast", "Gone"))
-        assert any("stale registry" in f.message for f in findings)
-
-    def test_live_registry_is_clean(self):
-        assert list(SlotsHotpath().check_project(REPO_ROOT)) == []
-
-
-INIT_FIXTURE = (
-    '"""pkg"""\n'
-    "from pkg._version import __version__\n"
-    "from pkg.mod import thing\n"
-    "__all__ = ['__version__', 'thing']\n"
-)
-VERSION_FIXTURE = '"""version"""\n__version__ = "1.0.0"\n'
-
-
-class TestExportSync:
-    def run(self, tmp_path, files):
-        write_tree(tmp_path, files)
-        checker = ExportSync(
-            init_path="src/pkg/__init__.py",
-            version_path="src/pkg/_version.py",
-            version_module="pkg._version",
-        )
-        return list(checker.check_project(tmp_path))
-
-    def fixture(self, **overrides):
-        files = {
-            "src/pkg/__init__.py": INIT_FIXTURE,
-            "src/pkg/_version.py": VERSION_FIXTURE,
-        }
-        files.update(overrides)
-        return files
-
-    def test_consistent_fixture_passes(self, tmp_path):
-        assert self.run(tmp_path, self.fixture()) == []
-
-    def test_unbound_export_is_flagged(self, tmp_path):
-        init = INIT_FIXTURE.replace(
-            "__all__ = ['__version__', 'thing']",
-            "__all__ = ['__version__', 'thing', 'ghost']",
-        )
-        findings = self.run(
-            tmp_path, self.fixture(**{"src/pkg/__init__.py": init})
-        )
-        assert any("'ghost'" in f.message for f in findings)
-
-    def test_bound_but_unexported_name_is_flagged(self, tmp_path):
-        init = INIT_FIXTURE.replace(
-            "__all__ = ['__version__', 'thing']",
-            "__all__ = ['__version__']",
-        )
-        findings = self.run(
-            tmp_path, self.fixture(**{"src/pkg/__init__.py": init})
-        )
-        assert any("missing from" in f.message for f in findings)
-
-    def test_non_literal_version_is_flagged(self, tmp_path):
-        # pyproject.toml reads the version from this literal
-        version = '"""version"""\n__version__ = ".".join(["1", "0"])\n'
-        findings = self.run(
-            tmp_path, self.fixture(**{"src/pkg/_version.py": version})
-        )
-        assert any("string literal" in f.message for f in findings)
-
-    def test_wrong_version_source_is_flagged(self, tmp_path):
-        init = INIT_FIXTURE.replace(
-            "from pkg._version import __version__",
-            "from pkg.legacy import __version__",
-        )
-        findings = self.run(
-            tmp_path, self.fixture(**{"src/pkg/__init__.py": init})
-        )
-        assert any("pkg._version" in f.message for f in findings)
-
-    def test_duplicate_export_is_flagged(self, tmp_path):
-        init = INIT_FIXTURE.replace(
-            "__all__ = ['__version__', 'thing']",
-            "__all__ = ['__version__', 'thing', 'thing']",
-        )
-        findings = self.run(
-            tmp_path, self.fixture(**{"src/pkg/__init__.py": init})
-        )
-        assert any("twice" in f.message for f in findings)
-
-    def test_live_export_surface_is_in_sync(self):
-        assert list(ExportSync().check_project(REPO_ROOT)) == []
 
 
 @pytest.mark.parametrize("checker_cls", [NoGlobalRng, NoWallclock,

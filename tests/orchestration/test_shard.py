@@ -342,6 +342,12 @@ class TestShardMergeCollect:
         assert status.total_specs == 4
         assert "1 done" in status.summary()
 
+    def test_status_writes_nothing_into_the_store(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        before = sorted(store.root.rglob("*"))
+        assert store_status(store, small_study()).pending == 4
+        assert sorted(store.root.rglob("*")) == before
+
 
 class TestBatchFailureLabeling:
     def test_serial_failure_names_the_config(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Array-engine seams: lazy imports and session slots.
+"""Array-engine seams: lazy imports, slotted hot-path classes, session slots.
 
 The engine's behaviour on whole runs is pinned by
 ``tests/simulation/test_golden.py``, and its arrival times by
@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.arrivals import LOCKSTEP_MIN_ARRIVALS
-from repro.simulation.arraystate import SessionTable
+from repro.simulation.arraystate import PeerArrays, SessionTable
 
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -106,6 +107,18 @@ def test_process_pool_loads_only_for_parallel_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize(
+    "cls", [ArrayEngine, PeerArrays, SessionTable], ids=lambda cls: cls.__name__
+)
+def test_hot_path_classes_declare_slots(cls):
+    """Classes touched on every event declare ``__slots__``.
+
+    ``@dataclass(slots=True)`` satisfies this too: it puts ``__slots__``
+    in the class namespace.
+    """
+    assert "__slots__" in vars(cls)
 
 
 class TestSessionTable:

@@ -470,6 +470,13 @@ class TestStudySharding:
         assert not into.exists()
         assert not any(path.exists() for path in missing)
 
+    def test_status_writes_nothing_into_the_store(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        assert main(["study", "status", *self.GRID, "--store", str(store)]) == 0
+        assert "2 pending of 2 specs" in capsys.readouterr().out
+        assert list(store.iterdir()) == []
+
     def test_status_refuses_a_missing_store_and_creates_nothing(
         self, capsys, tmp_path
     ):
