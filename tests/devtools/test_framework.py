@@ -102,6 +102,17 @@ class TestRunDetlint:
         checker = NoWallclock(scope=RuleScope(include=("src/",)))
         assert run_detlint(tmp_path, paths=["src"], checkers=[checker]) == []
 
+    def test_suppressing_another_rule_keeps_the_finding(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "mod.py").write_text(
+            "import time\n"
+            "t = time.perf_counter()  # detlint: ignore[no-global-rng]\n"
+        )
+        checker = NoWallclock(scope=RuleScope(include=("src/",)))
+        findings = run_detlint(tmp_path, paths=["src"], checkers=[checker])
+        assert [(f.line, f.rule) for f in findings] == [(2, "no-wallclock")]
+
     def test_out_of_scope_modules_are_not_checked(self, tmp_path):
         bench = tmp_path / "benchmarks"
         bench.mkdir()

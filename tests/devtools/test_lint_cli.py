@@ -9,6 +9,8 @@ rule fails the tier-1 suite, not just CI's lint job.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main as repro_main
 from repro.devtools.staticcheck.framework import DEFAULT_PATHS, run_detlint
 
@@ -59,6 +61,13 @@ class TestReproLintCommand:
 
     def test_unknown_rule_is_a_usage_error(self, capsys):
         assert repro_main(["lint", "--rules", "no-such-rule"]) == 2
+        assert "unknown detlint rule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", ["slots-hotpath", "export-sync"])
+    def test_removed_rules_are_unknown(self, rule, capsys):
+        # their contracts are runtime tests now; selecting them must not
+        # pass silently as a clean run of nothing
+        assert repro_main(["lint", "--rules", rule]) == 2
         assert "unknown detlint rule" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):

@@ -157,6 +157,35 @@ class TestClaimStateMachine:
         with pytest.raises(ClaimError):
             ClaimRegistry(tmp_path, owner="x", lease_seconds=0.0)
 
+    @pytest.mark.parametrize(
+        "read, expected",
+        [
+            (lambda registry: registry.get(HASH), None),
+            (lambda registry: registry.holder(HASH), None),
+            (lambda registry: registry.spec_hashes(), []),
+            (lambda registry: registry.release(HASH), None),
+        ],
+        ids=["get", "holder", "spec_hashes", "release"],
+    )
+    def test_reads_on_a_missing_root_create_nothing(
+        self, registry_pair, read, expected
+    ):
+        alice, _, _ = registry_pair
+        assert read(alice) == expected
+        assert not alice.root.exists()
+
+    def test_first_claim_creates_the_root(self, registry_pair):
+        alice, bob, _ = registry_pair
+        assert not alice.root.exists()
+        assert alice.try_claim(HASH)
+        assert bob.spec_hashes() == [HASH]
+
+    def test_completing_an_unclaimed_spec_creates_the_root(self, registry_pair):
+        alice, bob, _ = registry_pair
+        assert not alice.root.exists()
+        assert alice.complete(HASH)
+        assert bob.get(HASH).state == "completed"
+
 
 class TestSlices:
     def test_slices_partition_the_spec_list(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.experiments import EXPERIMENTS
 from repro.cli import _build_study, _make_config, build_parser
 from repro.devtools.staticcheck import all_checkers
@@ -185,6 +186,34 @@ class TestCheckerDetectsRot:
         )
 
     def test_api_docstrings_are_complete(self):
+        assert check_docs.check_api_docstrings() == []
+
+    def export(self, monkeypatch, name, obj):
+        """Bind ``obj`` as ``repro.<name>`` and list it in ``__all__``."""
+        monkeypatch.setattr(repro, name, obj, raising=False)
+        monkeypatch.setattr(repro, "__all__", [*repro.__all__, name])
+
+    def test_undocumented_export_detected(self, monkeypatch):
+        self.export(monkeypatch, "undocumented", lambda: None)
+        assert [p.message for p in check_docs.check_api_docstrings()] == [
+            "repro.undocumented has no docstring"
+        ]
+
+    def test_undocumented_method_of_an_export_detected(self, monkeypatch):
+        class Documented:
+            """Has a docstring; its public method has none."""
+
+            def method(self):
+                pass
+
+        self.export(monkeypatch, "Documented", Documented)
+        assert [p.message for p in check_docs.check_api_docstrings()] == [
+            "repro.Documented.method has no docstring"
+        ]
+
+    def test_unbound_export_is_left_to_the_api_surface_tests(self, monkeypatch):
+        # tests/test_api_surface.py::test_all_names_importable reports it
+        monkeypatch.setattr(repro, "__all__", [*repro.__all__, "ghost"])
         assert check_docs.check_api_docstrings() == []
 
 
