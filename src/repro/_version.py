@@ -8,4 +8,4 @@ package mid-initialisation.  ``pyproject.toml`` reads the literal below
 as the distribution's version, so it must stay a plain string.
 """
 
-__version__ = "17.0.0"
+__version__ = "18.0.0"

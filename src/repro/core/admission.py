@@ -102,10 +102,10 @@ class AdmissionVector:
 
         The initial vector always favors the supplier's own class, and
         relax/tighten preserve "``Pa[1..k]`` all-ones for some ``k >= 1``",
-        so at least class 1 is favored at all times.  This is the
-        Figure-7 snapshot's inner loop (every supplier, every 3 simulated
-        hours) and the idle-timer saturation guard, hence the bare
-        backwards scan instead of ``max(self.favored_classes())``.
+        so at least class 1 is favored at all times.  The array engine
+        reads each class's initial ``level`` off it, and it is the
+        idle-timer saturation guard, hence the bare backwards scan
+        instead of ``max(self.favored_classes())``.
         """
         probabilities = self.probabilities
         for index in range(len(probabilities) - 1, -1, -1):

@@ -22,11 +22,13 @@ count, same message statistics, same trace records.
   FIFO order;
 * requester arrivals — the single biggest event block — never touch the
   heap at all: they are a pre-sorted lane merged into dispatch by
-  ``(time, seq)``, and their times come from one
-  :func:`~repro.simulation.arrivals.generate_arrival_times` call — which
-  loads numpy for deterministic patterns 1, 3 and 4 from
+  ``(time, seq)``.  A deterministic lane is the read-only vector
+  :func:`~repro.simulation.arrivals.deterministic_lane` shares between
+  the runs of a process with the same pattern, window and requester
+  count; placing it loads numpy for patterns 1, 3 and 4 from
   :data:`~repro.simulation.arrivals.LOCKSTEP_MIN_ARRIVALS` requesters
-  on, and nothing else in this engine does.
+  on, and nothing else in this engine does.  Poisson arrivals are drawn
+  per run from the ``arrivals`` stream.
 
 ``tests/simulation/test_golden.py`` pins this contract: the fingerprint
 of every builtin scenario under every admission policy, with every
@@ -67,6 +69,7 @@ whole session's suppliers, or a whole probe loop's candidates, at once).
 from __future__ import annotations
 
 import gc
+from collections.abc import Sequence
 from heapq import heappop, heappush
 from math import ceil, log
 
@@ -88,7 +91,11 @@ from repro.network.transport import (
     Transport,
 )
 from repro.protocols.base import AdmissionPolicy, make_policy
-from repro.simulation.arrivals import generate_arrival_times, make_pattern
+from repro.simulation.arrivals import (
+    deterministic_lane,
+    generate_arrival_times,
+    make_pattern,
+)
 from repro.simulation.arraystate import PeerArrays, SessionTable
 from repro.simulation.config import SimulationConfig
 from repro.simulation.lifecycle import (
@@ -210,7 +217,7 @@ class ArrayEngine:
         "_delay_slots_by_classes",
         "_backoff_by_rejections",
         "_num_seeds",
-        "_suppliers_by_class",
+        "_favored_sum",
         "_dir_entries",
         "_lifecycle_enabled",
         "_tracks_sessions",
@@ -311,9 +318,10 @@ class ArrayEngine:
         classes.extend(labels)
         self._num_seeds = num_seeds
         self.peers = PeerArrays(classes)
-        self._suppliers_by_class: dict[int, list[int]] = {
-            c: [] for c in ladder.classes
-        }
+        # Σ|level| over the live (registered, not departed) suppliers of
+        # each class, index = class id: Figure 7 divides it by the
+        # ledger's per-class count
+        self._favored_sum = [0] * (self._num_classes + 1)
 
         # --- lookup substrate ------------------------------------------
         if config.lookup == "chord":
@@ -347,12 +355,17 @@ class ArrayEngine:
             self._register(pid)
 
         requesters = len(classes) - num_seeds
-        times = generate_arrival_times(
-            make_pattern(config.arrival_pattern, config.arrival_window_seconds),
-            requesters,
-            deterministic=config.deterministic_arrivals,
-            rng=self.streams.arrivals,
-        )
+        pattern_id = config.arrival_pattern
+        window = config.arrival_window_seconds
+        if config.deterministic_arrivals:
+            times = deterministic_lane(pattern_id, window, requesters)
+        else:
+            times = generate_arrival_times(
+                make_pattern(pattern_id, window),
+                requesters,
+                deterministic=False,
+                rng=self.streams.arrivals,
+            )
         # arrival i (peer num_seeds + i) carries sequence base + i; the
         # run loop merges this lane against the heap by (time, seq)
         self._arrival_times = times
@@ -425,7 +438,7 @@ class ArrayEngine:
     def _dispatch_all(
         self,
         heap: list[tuple[float, int, int, object]],
-        times: list[float],
+        times: Sequence[float],
         total_arrivals: int,
         base_seq: int,
         num_seeds: int,
@@ -712,7 +725,9 @@ class ArrayEngine:
     def _buffering_delay_slots(self, enlisted: list[int]) -> int:
         """OTS_p2p buffering delay, memoized by supplier-class multiset."""
         classes = self.peers.peer_class
-        key = tuple(sorted(classes[sid] for sid in enlisted))
+        # enlisted in the probe's class order already (the candidates are
+        # stable-sorted by class), so the key is the sorted multiset
+        key = tuple([classes[sid] for sid in enlisted])
         delay = self._delay_slots_by_classes.get(key)
         if delay is None:
             offers = [
@@ -795,14 +810,17 @@ class ArrayEngine:
         did, otherwise keep the vector.
         """
         peers = self.peers
-        level = -peers.level[sid]  # busy -F → magnitude F
+        busy = -peers.level[sid]  # busy -F → magnitude F
+        level = busy
         reminded = peers.reminder_min_class[sid]
         if reminded:
             level = reminded
             peers.step[sid] = 0
-        elif not peers.favored_while_busy[sid] and level < self._num_classes:
-            level = self._elevate(sid, level)
+        elif not peers.favored_while_busy[sid] and busy < self._num_classes:
+            level = self._elevate(sid, busy)
         peers.level[sid] = level
+        if level != busy and not peers.departed[sid]:
+            self._favored_sum[peers.peer_class[sid]] += level - busy
         peers.favored_while_busy[sid] = 0
         peers.reminder_min_class[sid] = 0
         peers.idle_generation[sid] += 1
@@ -839,9 +857,10 @@ class ArrayEngine:
     # the supplier population and its idle-elevation timers
     # ------------------------------------------------------------------
     def _register(self, pid: int) -> None:
+        """Add a supplier whose initial ``level`` its caller just set."""
         peer_class = self.peers.peer_class[pid]
         self.ledger.add_supplier(peer_class)
-        self._suppliers_by_class[peer_class].append(pid)
+        self._favored_sum[peer_class] += self.peers.level[pid]
         self.lookup.register_supplier(self._media_id, pid)
         self._arm_idle_timer(pid)
         if self._lifecycle_enabled:
@@ -882,26 +901,17 @@ class ArrayEngine:
         if level <= 0 or peers.departed[pid]:
             return
         if level < self._num_classes:  # the vector changes
-            level = self._elevate(pid, level)
-            peers.level[pid] = level
+            elevated = self._elevate(pid, level)
+            peers.level[pid] = elevated
+            self._favored_sum[peers.peer_class[pid]] += elevated - level
             if self.trace:
                 self.trace.record(
                     "idle_elevation",
                     self.now,
                     peer=pid,
-                    lowest_favored=level,
+                    lowest_favored=elevated,
                 )
             self._arm_idle_timer(pid)
-
-    def _favored_snapshot(self) -> dict[int, list[int]]:
-        level = self.peers.level
-        departed = self.peers.departed
-        return {
-            peer_class: [
-                abs(level[pid]) for pid in pids if not departed[pid]
-            ]
-            for peer_class, pids in self._suppliers_by_class.items()
-        }
 
     # ------------------------------------------------------------------
     # lifecycle dynamics: departures, returns, busy re-checks
@@ -924,6 +934,7 @@ class ArrayEngine:
             return
         peer_class = peers.peer_class[pid]
         peers.departed[pid] = 1
+        self._favored_sum[peer_class] -= abs(peers.level[pid])
         peers.departures[pid] += 1
         peers.idle_generation[pid] += 1
         self.ledger.remove_supplier(peer_class)
@@ -956,6 +967,7 @@ class ArrayEngine:
             return
         peer_class = peers.peer_class[pid]
         peers.departed[pid] = 0
+        self._favored_sum[peer_class] += abs(peers.level[pid])
         self.ledger.add_supplier(peer_class)
         self.lookup.register_supplier(self._media_id, pid)
         self.metrics.supplier_rejoins[peer_class] += 1
@@ -1140,7 +1152,9 @@ class ArrayEngine:
             self._push(next_time, _SAMPLE_RATES, None)
 
     def _sample_favored(self, _payload: object = None) -> None:
-        self.metrics.sample_favored(self.now, self._favored_snapshot())
+        self.metrics.sample_favored(
+            self.now, self._favored_sum, self.ledger.per_class_count
+        )
         next_time = self.now + FAVORED_SAMPLE_SECONDS
         if next_time <= self._horizon:
             self._push(next_time, _SAMPLE_FAVORED, None)

@@ -35,7 +35,8 @@ estimate (:func:`_seeded_quantiles`), or, on patterns 1, 3 and 4 from
 numpy (:func:`_lockstep_quantiles`, over curves that use only float
 operations numpy and CPython round alike).  Only the lockstep imports
 numpy (about 0.1 s and 11 MiB in a fresh process), so a run on pattern 2,
-or on fewer arrivals, never loads it.
+or on fewer arrivals, never loads it.  The engine reads deterministic
+lanes through :func:`deterministic_lane`, which keeps the last two placed.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
@@ -52,6 +54,7 @@ __all__ = [
     "LOCKSTEP_MIN_ARRIVALS",
     "make_pattern",
     "generate_arrival_times",
+    "deterministic_lane",
 ]
 
 #: From this many arrivals on, patterns 1, 3 and 4 place them by the numpy
@@ -268,6 +271,16 @@ def _constant_pattern(window: float) -> ArrivalPattern:
     """Pattern 1: uniform density ``1/W``."""
     rate = 1.0 / window
 
+    def cumulative(t: float) -> float:
+        # ``min(max(x, 0.0), 1.0)`` bit for bit (-0.0 and NaN pass
+        # through), without the two builtin calls
+        x = t / window
+        if x < 0.0:
+            return 0.0
+        if x > 1.0:
+            return 1.0
+        return x
+
     def curve(np, t):
         return np.minimum(np.maximum(t / window, 0.0), 1.0)
 
@@ -275,7 +288,7 @@ def _constant_pattern(window: float) -> ArrivalPattern:
         pattern_id=1,
         window_seconds=window,
         density=lambda t: rate if 0 <= t < window else 0.0,
-        cumulative=lambda t: min(max(t / window, 0.0), 1.0),
+        cumulative=cumulative,
         peak_density=rate,
         inverse=lambda fraction: fraction * window,
         curve=curve,
@@ -471,6 +484,22 @@ def generate_arrival_times(
         step = len(times) / total_arrivals
         times = [times[int(i * step)] for i in range(total_arrivals)]
     return times
+
+
+@lru_cache(maxsize=2, typed=True)
+def deterministic_lane(
+    pattern_id: int, window_seconds: float, total_arrivals: int
+) -> tuple[float, ...]:
+    """The deterministic arrival times of pattern ``pattern_id``, shared.
+
+    Equal to ``generate_arrival_times(make_pattern(pattern_id,
+    window_seconds), total_arrivals)``, as a tuple that callers only
+    read.  The last two lanes stay cached, keyed by the three values:
+    a grid expands seeds innermost, so consecutive runs of one process
+    mostly share a lane, and two slots keep alternating lanes too.
+    """
+    pattern = make_pattern(pattern_id, window_seconds)
+    return tuple(generate_arrival_times(pattern, total_arrivals))
 
 
 def arrivals_per_bin(

@@ -7,8 +7,7 @@ request, admission and lifecycle event, and series the sampler clocks
 append to.  Its artifacts are subscribed by name
 (``SimulationConfig.probes``), so a study records only the series it
 needs and the engine never even schedules the sampler events of an
-unsubscribed clock (the Figure-7 snapshot walks the whole supplier
-population and is the single most expensive observation):
+unsubscribed clock:
 
 =====================  ==================  ================================
 Paper artifact          Probe name          Output
@@ -27,7 +26,9 @@ Figure 6                ``buffering_delay`` ``buffering_delay_series[class]``
 Figure 7                ``favored``         ``favored_series[class]`` — per
                                             supplier class, 3-hourly mean of
                                             the lowest favored requesting
-                                            class
+                                            class: the engine's running sum
+                                            over live suppliers divided by
+                                            their count
 Figure 9                ``overall_admission`` ``overall_admission_rate_series``
 Table 1                 ``table1``          ``mean_rejections_before_admission``
 (waiting time)          ``waiting``         ``mean_waiting_seconds[class]``
@@ -63,6 +64,8 @@ from repro.core.model import ClassLadder
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Mapping, Sequence
+
     from repro.core.capacity import CapacityLedger
 
 __all__ = [
@@ -279,15 +282,22 @@ class MetricsPipeline:
                 self.continuity_series.append(SeriesPoint(hour, mean))
 
     def sample_favored(
-        self, now_seconds: float, lowest_favored_by_class: dict[int, list[int]]
+        self,
+        now_seconds: float,
+        level_sums: Sequence[int],
+        supplier_counts: Mapping[int, int],
     ) -> None:
-        """Record the Figure-7 snapshot (its clock runs only with ``favored``)."""
+        """Record the Figure-7 snapshot (its clock runs only with ``favored``).
+
+        ``level_sums[c]`` is the sum of the lowest favored class over the
+        ``supplier_counts[c]`` live suppliers of class ``c``; a class with
+        no supplier gets no sample.
+        """
         hour = now_seconds / HOUR
-        for peer_class, values in lowest_favored_by_class.items():
-            if values:
-                self.favored_series[peer_class].append(
-                    SeriesPoint(hour, sum(values) / len(values))
-                )
+        for peer_class, series in self.favored_series.items():
+            count = supplier_counts[peer_class]
+            if count:
+                series.append(SeriesPoint(hour, level_sums[peer_class] / count))
 
     # ------------------------------------------------------------------
     # export

@@ -26,7 +26,9 @@ Invariants checked
       the number of other unpromoted admitted peers must equal the number
       of lost sessions exactly;
 * S2  every supplier has valid admission state;
-* S3  the capacity ledger equals a recount over the supplier population;
+* S3  the capacity ledger equals a recount over the supplier population,
+      and per class so do its supplier count and the engine's running
+      Σ|level| that Figure 7 reads;
 * S4  per-peer bookkeeping is consistent (admitted ⇒ first request;
       waiting time non-negative; buffering delay equals supplier count);
 * S5  admitted peers' buffering delays respect Theorem-1 bounds
@@ -153,16 +155,17 @@ def _audit_state(system: ArrayEngine, report: AuditReport) -> None:
     metrics = system.metrics
 
     admitted_requesters: list = []  # admitted, but not suppliers
-    recount_units = 0
-    recount_suppliers = 0
+    # per class: [live suppliers, Σ|level| over them]
+    recount = {c: [0, 0] for c in ladder.classes}
     for peer in _audited_peers(system):
         report.checks_run += 1
         admitted = peer.admitted_time is not None  # never true of a seed
         if admitted and not peer.is_supplier:
             admitted_requesters.append(peer)
         if peer.is_supplier and not peer.departed:
-            recount_suppliers += 1
-            recount_units += ladder.offer_units(peer.peer_class)
+            live = recount[peer.peer_class]
+            live[0] += 1
+            live[1] += abs(peer.admission or 0)
         if peer.is_supplier and peer.admission is None:
             report.add("S2", f"supplier {peer.peer_id} has no admission state")
         if admitted:
@@ -205,18 +208,25 @@ def _audit_state(system: ArrayEngine, report: AuditReport) -> None:
         )
 
     report.checks_run += 1
+    recount_units = sum(ladder.offer_units(c) * n for c, (n, _) in recount.items())
     if recount_units != system.ledger.total_units:
         report.add(
             "S3",
             f"ledger says {system.ledger.total_units} units, recount says "
             f"{recount_units}",
         )
-    if recount_suppliers != system.ledger.num_suppliers:
-        report.add(
-            "S3",
-            f"ledger says {system.ledger.num_suppliers} suppliers, recount "
-            f"says {recount_suppliers}",
+    for peer_class, (count, level_sum) in recount.items():
+        held = (
+            system.ledger.per_class_count[peer_class],
+            system._favored_sum[peer_class],
         )
+        if held != (count, level_sum):
+            report.add(
+                "S3",
+                f"class {peer_class}: the engine holds {held[0]} live "
+                f"suppliers with level sum {held[1]}, recount says {count} "
+                f"with {level_sum}",
+            )
 
     report.checks_run += 1
     for peer_class in ladder.classes:

@@ -238,6 +238,9 @@ def replay_probe(engine, policy, states, pid, ladder, context):
 
     enlisted, contacted_busy, engine_deficit = outcome
     assert sorted(enlisted) == sorted(r.peer_id for r in selected), context
+    # enlisted in class order, which _buffering_delay_slots keys on unsorted
+    enlisted_classes = [engine.peers.peer_class[sid] for sid in enlisted]
+    assert enlisted_classes == sorted(enlisted_classes), context
     assert engine_deficit == deficit, context
     assert admission_rng.getstate() == engine.streams.admission.getstate(), context
     assert churn_rng.getstate() == engine._churn_rng.getstate(), context

@@ -1,17 +1,22 @@
 """Unit tests for the four arrival patterns (paper Section 5.1)."""
 
 import dataclasses
+import math
 import random
+import struct
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.simulation.arrayengine import ArrayEngine
 from repro.simulation.arrivals import (
     LOCKSTEP_MIN_ARRIVALS,
     arrivals_per_bin,
+    deterministic_lane,
     generate_arrival_times,
     make_pattern,
 )
+from repro.simulation.config import SimulationConfig
 
 HOUR = 3600.0
 WINDOW = 72 * HOUR
@@ -193,6 +198,92 @@ class TestGeneration:
     def test_negative_arrivals_rejected(self, pattern):
         with pytest.raises(ConfigurationError):
             generate_arrival_times(pattern, -1)
+
+
+class TestConstantCumulative:
+    def test_the_comparisons_equal_the_clamp_bit_for_bit(self):
+        # pattern 1's scalar curve compares instead of calling min/max;
+        # the float it returns, signed zero and NaN included, must not move
+        pattern = make_pattern(1, WINDOW)
+        rng = random.Random("pattern-1-cumulative")
+        points = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324]
+        for edge in (WINDOW, -WINDOW, 2 * WINDOW, 0.0):
+            points += [edge, math.nextafter(edge, -math.inf),
+                       math.nextafter(edge, math.inf)]
+        points += [rng.uniform(-WINDOW, 2 * WINDOW) for _ in range(20_000)]
+        points += [rng.uniform(0.0, WINDOW) for _ in range(20_000)]
+        for t in points:
+            clamped = min(max(t / WINDOW, 0.0), 1.0)
+            assert struct.pack("<d", pattern.cumulative(t)) == struct.pack(
+                "<d", clamped
+            ), t
+
+
+def lane_config(**overrides):
+    defaults = dict(
+        seed_suppliers={1: 4},
+        requesting_peers={1: 30, 2: 30, 3: 40},
+        num_classes=3,
+        arrival_pattern=4,
+        track_messages=False,
+    )
+    defaults.update(overrides)
+    return SimulationConfig(**defaults)
+
+
+class TestSharedLane:
+    """The engine's deterministic lane comes from one bounded memo."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        deterministic_lane.cache_clear()
+        yield
+        deterministic_lane.cache_clear()
+
+    @pytest.mark.parametrize("pattern_id", [1, 2, 3, 4])
+    def test_a_lane_is_the_placement_to_the_bit(self, pattern_id):
+        for n in (0, 1, 250, LOCKSTEP_MIN_ARRIVALS):
+            lane = deterministic_lane(pattern_id, WINDOW, n)
+            placed = make_pattern(pattern_id, WINDOW).deterministic_times(n)
+            assert isinstance(lane, tuple)
+            assert lane == tuple(placed)
+
+    def test_runs_with_the_same_key_share_one_lane(self):
+        first = ArrayEngine(lane_config(protocol="dac", master_seed=1))
+        second = ArrayEngine(lane_config(protocol="ndac", master_seed=2))
+        assert first._arrival_times is second._arrival_times
+        assert first._arrival_times is deterministic_lane(4, 72 * HOUR, 100)
+        other = ArrayEngine(lane_config(arrival_pattern=2))
+        assert other._arrival_times is not first._arrival_times
+
+    def test_a_run_leaves_the_lane_unchanged(self):
+        engine = ArrayEngine(lane_config())
+        lane = engine._arrival_times
+        before = list(lane)
+        engine.run()
+        assert engine._arrival_index == len(lane)
+        assert deterministic_lane(4, 72 * HOUR, 100) is lane
+        assert list(lane) == before
+
+    def test_poisson_lanes_stay_per_seed(self):
+        lanes = [
+            ArrayEngine(
+                lane_config(deterministic_arrivals=False, master_seed=seed)
+            )._arrival_times
+            for seed in (1, 2)
+        ]
+        assert lanes[0] != lanes[1]
+        assert deterministic_lane.cache_info().currsize == 0
+
+    def test_the_memo_holds_at_most_two_lanes(self):
+        assert deterministic_lane.cache_info().maxsize == 2
+        for pattern_id in (1, 2, 3, 4, 1):
+            deterministic_lane(pattern_id, WINDOW, 50)
+            assert deterministic_lane.cache_info().currsize <= 2
+        # a float and an int window are separate keys
+        deterministic_lane(1, 7200, 50)
+        deterministic_lane(1, 7200.0, 50)
+        assert deterministic_lane.cache_info().misses == 7
 
 
 class TestBinning:

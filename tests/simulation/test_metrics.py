@@ -83,10 +83,13 @@ class TestSampling:
         assert collector.admission_rate_series[1][-1].value == 25.0
 
     def test_favored_sampling_averages_per_class(self, collector):
-        collector.sample_favored(10800.0, {1: [1, 2, 3], 2: [], 3: [4]})
+        # class 1: levels 1, 2 and 3; class 3: one at 4; classes 2 and 4:
+        # no supplier (the sums are indexed by class, index 0 unused)
+        collector.sample_favored(10800.0, [0, 6, 0, 4, 0], {1: 3, 2: 0, 3: 1, 4: 0})
         assert collector.favored_series[1][0].value == 2.0
         assert collector.favored_series[3][0].value == 4.0
         assert collector.favored_series[2] == []  # no suppliers -> no sample
+        assert collector.favored_series[4] == []
 
 
 class TestExport:

@@ -119,6 +119,22 @@ class TestViolationsDetected:
         assert not report.ok
         assert any(v.invariant == "S3" for v in report.violations)
 
+    @pytest.mark.parametrize("column", ["count", "level sum"])
+    def test_per_class_drift_detected(self, finished_system, column):
+        # the ledger's per-class count and the engine's running Σ|level|,
+        # which Figure 7 divides, are recounted class by class
+        system, _trace = finished_system
+        held = (
+            system.ledger.per_class_count
+            if column == "count"
+            else system._favored_sum
+        )
+        held[3] += 1
+        report = audit_system(system)
+        held[3] -= 1
+        assert [v.invariant for v in report.violations] == ["S3"]
+        assert report.violations[0].message.startswith("class 3:")
+
     def test_theorem1_mismatch_detected(self, finished_system):
         system, _trace = finished_system
         delays = system.peers.buffering_delay_slots
