@@ -2,7 +2,7 @@
 """Paired benchmark runs of two revisions of this repository.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload paper_grid \\
-        --pairs 10 --seed 1 --seconds 40
+        --pairs 10 --seed 1
 
 ``PARENT`` and ``CHANGE`` are each a directory holding a checkout (with
 ``perfbench/run.py`` and ``src/``) or a git revision of the repository
@@ -12,13 +12,15 @@ its worktree list stay as they were; the exports are deleted at the end.
 
 For each workload the two sides run ``--pairs`` times, alternating which
 side goes first, each run ``perfbench/run.py --workload W --seed K
---seconds S --trace 0`` of that side in a fresh interpreter.  For every
-end-to-end metric the script prints each side's median and quartiles, as
-calibrated to the reference host and as measured (run.py's "as
-measured" figures), the change's median delta, and the pairs the change
-won on the calibrated figure.  A change is clear of noise on a metric
-when it won most pairs and its median moved by more than the parent's
-interquartile range.
+--trace 0`` of that side in a fresh interpreter, for the run length that
+side's ``run.py`` sets.  For every end-to-end metric of ``BENCHMARK.json``
+the script prints each side's median and quartiles, as calibrated to the
+reference host (run.py's verdict) and as measured (its "as measured"
+figures), the change's median delta and the pairs the change won on the
+calibrated figure, ties counting for neither.  It calls the change a gain
+on a metric only when it won at least nine tenths of the pairs and its
+median moved the better way by more than the parent's interquartile
+range.
 
 Exit status 0 when every run reported ``correct: true``; 1 otherwise.
 """
@@ -38,23 +40,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
 #: the end-to-end metrics of ``perfbench/run.py --trace 0``, and which
 #: direction is better
-METRICS = (
-    ("setup_s", "lower"),
-    ("events_per_s", "higher"),
-    ("run_s", "lower"),
-    ("report_s", "lower"),
-    ("peak_rss_mb", "lower"),
-)
+METRICS = tuple((m["name"], m["better"]) for m in BENCHMARK["end_to_end"])
 SIDES = ("parent", "change")
-#: seconds a run may take beyond its measured seconds (set-up probes,
-#: the last cycle, interpreter start)
+#: seconds a run may take beyond the benchmark's run length (set-up
+#: probes, the last cycle, interpreter start)
 RUN_SLACK_SECONDS = 240
+#: the share of pairs a change must win for a gain
+GAIN_SHARE = 0.9
 
-_LINE = re.compile(
-    r"^(?P<workload>\S+)\s+(?P<metric>\S+)\s+(?P<value>\S+)\s+\S+"
-    r"(?:\s+\(as measured: (?P<measured>\S+)\))?$"
+_MEASURED = re.compile(
+    r"^\S+\s+(?P<metric>\S+)\s.*\(as measured: (?P<measured>\S+)\)$"
 )
 
 
@@ -79,15 +77,14 @@ def parse_run(stdout: str) -> Run:
     except (IndexError, json.JSONDecodeError):
         return Run(correct=False)
     run = Run(correct=bool(verdict.get("correct")))
-    names = {name for name, _ in METRICS}
+    figures = verdict.get("metrics", {})
+    for name, _ in METRICS:
+        if name in figures:
+            run.calibrated[name] = run.measured[name] = figures[name]["value"]
     for line in lines[:-1]:
-        match = _LINE.match(line)
-        if match is None or match["metric"] not in names:
-            continue
-        value = float(match["value"])
-        run.calibrated[match["metric"]] = value
-        measured = match["measured"]
-        run.measured[match["metric"]] = float(measured) if measured else value
+        match = _MEASURED.match(line)
+        if match is not None and match["metric"] in run.calibrated:
+            run.measured[match["metric"]] = float(match["measured"])
     return run
 
 
@@ -127,7 +124,8 @@ def summarize(workload: str, runs: dict[str, list[Run]]) -> str:
         (_, cm, _), _ = columns["change"]
         delta = (cm - pm) / pm * 100 if pm else float("nan")
         improved = cm > pm if better == "higher" else cm < pm
-        clear = improved and abs(cm - pm) > p3 - p1
+        gain = (won >= GAIN_SHARE * pairs and improved
+                and abs(cm - pm) > p3 - p1)
         out.append(f"  {metric} ({better} is better)")
         for side in SIDES:
             (q1, med, q3), (m1, mmed, m3) = columns[side]
@@ -137,7 +135,8 @@ def summarize(workload: str, runs: dict[str, list[Run]]) -> str:
             )
         out.append(
             f"    delta {delta:+.1f}%, change won {won} of {pairs} pairs"
-            + (", median moved past the parent's IQR" if clear else "")
+            + (", a gain: nine tenths of the pairs won and the median "
+               "past the parent's IQR" if gain else "")
         )
     return "\n".join(out)
 
@@ -162,7 +161,6 @@ def run_pairs(
     workload: str,
     pairs: int,
     seed: int,
-    seconds: float,
     runner: Runner,
     log=None,
 ) -> dict[str, list[Run]]:
@@ -170,8 +168,7 @@ def run_pairs(
     when ``i`` is even and with the change when it is odd.  Each run's
     figures are logged as it ends (to standard error by default)."""
     log = log or sys.stderr
-    args = ["--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+    args = ["--workload", workload, "--seed", str(seed), "--trace", "0"]
     runs: dict[str, list[Run]] = {side: [] for side in SIDES}
     for index in range(pairs):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
@@ -214,8 +211,6 @@ def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
                         help="alternating pairs per workload (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=1,
                         help="run.py's workload seed (default: %(default)s)")
-    parser.add_argument("--seconds", type=float, default=40,
-                        help="seconds each run measures (default: %(default)s)")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="where revisions are exported (default: the "
                              "system's temporary directory)")
@@ -238,15 +233,14 @@ def main(argv: list[str] | None = None, runner: Runner | None = None) -> int:
             if not (roots[side] / "perfbench" / "run.py").is_file():
                 parser.error(f"{spec}: no perfbench/run.py there")
         if runner is None:
-            timeout = args.seconds + RUN_SLACK_SECONDS
+            timeout = BENCHMARK["run_seconds"] + RUN_SLACK_SECONDS
 
             def runner(root: Path, run_args: list[str]) -> str:
                 return subprocess_runner(root, run_args, timeout)
 
         correct = True
         for workload in args.workload:
-            runs = run_pairs(roots, workload, args.pairs, args.seed,
-                             args.seconds, runner)
+            runs = run_pairs(roots, workload, args.pairs, args.seed, runner)
             print(summarize(workload, runs), flush=True)
             correct = correct and all(
                 run.correct for side in SIDES for run in runs[side]

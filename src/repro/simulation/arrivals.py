@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -489,17 +490,18 @@ def generate_arrival_times(
 @lru_cache(maxsize=2, typed=True)
 def deterministic_lane(
     pattern_id: int, window_seconds: float, total_arrivals: int
-) -> tuple[float, ...]:
+) -> array:
     """The deterministic arrival times of pattern ``pattern_id``, shared.
 
     Equal to ``generate_arrival_times(make_pattern(pattern_id,
-    window_seconds), total_arrivals)``, as a tuple that callers only
-    read.  The last two lanes stay cached, keyed by the three values:
+    window_seconds), total_arrivals)``, as an ``array('d')`` that callers
+    only read (8 bytes an arrival, against about 32 as a list or tuple of
+    floats).  The last two lanes stay cached, keyed by the three values:
     a grid expands seeds innermost, so consecutive runs of one process
     mostly share a lane, and two slots keep alternating lanes too.
     """
     pattern = make_pattern(pattern_id, window_seconds)
-    return tuple(generate_arrival_times(pattern, total_arrivals))
+    return array("d", generate_arrival_times(pattern, total_arrivals))
 
 
 def arrivals_per_bin(

@@ -18,19 +18,25 @@ def canned(events_per_s, run_s, correct=True, workload="paper_grid"):
     """What ``run.py --workload W --trace 0`` prints, with these figures
     (the as-measured ones twice the calibrated; peak RSS is never scaled,
     so run.py prints no as-measured figure for it)."""
-    lines = [
-        f"{workload:<15} {'setup_s':<38} {0.1:>16.6g} s  (as measured: 0.2)",
-        f"{workload:<15} {'events_per_s':<38} {events_per_s:>16.6g} events/s"
-        f"  (as measured: {events_per_s * 2:.6g})",
-        f"{workload:<15} {'run_s':<38} {run_s:>16.6g} s"
-        f"  (as measured: {run_s * 2:.6g})",
-        f"{workload:<15} {'report_s':<38} {0.001:>16.6g} s"
-        "  (as measured: 0.002)",
-        f"{workload:<15} {'peak_rss_mb':<38} {60.5:>16.6g} MiB",
-        f"{workload:<15} {'failed_ratio':<38} {0:>16.6g} (base: 88 ops)",
-        json.dumps({"correct": correct, "attempted": 88,
-                    "failed": 0 if correct else 1, "metrics": {}}),
-    ]
+    figures = {
+        "setup_s": (0.1, "s"),
+        "events_per_s": (events_per_s, "events/s"),
+        "run_s": (run_s, "s"),
+        "report_s": (0.001, "s"),
+        "peak_rss_mb": (60.5, "MiB"),
+    }
+    lines = []
+    for metric, (value, unit) in figures.items():
+        line = f"{workload:<15} {metric:<38} {value:>16.6g} {unit}"
+        if metric != "peak_rss_mb":
+            line += f"  (as measured: {value * 2:.6g})"
+        lines.append(line)
+    lines.append(f"{workload:<15} {'failed_ratio':<38} {0:>16.6g} (base: 88 ops)")
+    lines.append(json.dumps({
+        "correct": correct, "attempted": 88, "failed": 0 if correct else 1,
+        "metrics": {metric: {"value": value, "unit": unit}
+                    for metric, (value, unit) in figures.items()},
+    }))
     return "\n".join(lines) + "\n"
 
 
@@ -66,6 +72,22 @@ def test_parse_reads_calibrated_and_measured_figures():
     assert set(run.calibrated) == {name for name, _ in bench_pairs.METRICS}
 
 
+def test_the_metrics_are_the_benchmarks_end_to_end_ones():
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    assert bench_pairs.METRICS == tuple(
+        (metric["name"], metric["better"]) for metric in declared["end_to_end"]
+    )
+
+
+def test_calibrated_figures_come_from_the_verdict():
+    text = canned(120_000.0, 0.75).replace(
+        '"run_s": {"value": 0.75', '"run_s": {"value": 0.5'
+    )
+    run = bench_pairs.parse_run(text)
+    assert run.calibrated["run_s"] == 0.5
+    assert run.measured["run_s"] == 1.5
+
+
 @pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n"])
 def test_a_run_without_a_verdict_is_incorrect(stdout):
     assert not bench_pairs.parse_run(stdout).correct
@@ -75,13 +97,14 @@ def test_pairs_alternate_which_side_runs_first(tmp_path):
     roots = {side: make_tree(tmp_path / side) for side in bench_pairs.SIDES}
     outputs = {side: [canned(1e5, 1.0)] * 4 for side in bench_pairs.SIDES}
     runner = FakeRunner(roots, outputs)
-    bench_pairs.run_pairs(roots, "megacity", 4, 3, 40.0, runner, log=io.StringIO())
+    bench_pairs.run_pairs(roots, "megacity", 4, 3, runner, log=io.StringIO())
     assert [side for side, _ in runner.calls] == [
         "parent", "change", "change", "parent",
         "parent", "change", "change", "parent",
     ]
+    # no run length: each side's run.py uses the benchmark's own
     assert runner.calls[0][1] == (
-        "--workload", "megacity", "--seed", "3", "--seconds", "40", "--trace", "0"
+        "--workload", "megacity", "--seed", "3", "--trace", "0"
     )
 
 
@@ -98,14 +121,27 @@ def test_summary_counts_the_pairs_the_change_won(tmp_path):
     assert lines[at + 1].split()[:2] == ["parent", "101.5k"]
     assert "measured" in lines[at + 1] and "203k" in lines[at + 1]
     assert lines[at + 2].split()[:2] == ["change", "120.5k"]
-    assert lines[at + 3] == (
-        "    delta +18.7%, change won 3 of 4 pairs, "
-        "median moved past the parent's IQR"
-    )
+    # past the parent's IQR, but 3 of 4 pairs is short of nine tenths
+    assert lines[at + 3] == "    delta +18.7%, change won 3 of 4 pairs"
     at = lines.index("  run_s (lower is better)")
-    assert "change won 4 of 4 pairs" in lines[at + 3]
+    assert lines[at + 3] == (
+        "    delta -12.5%, change won 4 of 4 pairs, a gain: nine tenths of "
+        "the pairs won and the median past the parent's IQR"
+    )
     at = lines.index("  peak_rss_mb (lower is better)")
     assert lines[at + 3] == "    delta +0.0%, change won 0 of 4 pairs"
+
+
+def test_every_pair_won_is_no_gain_within_the_parents_spread():
+    parent = [canned(1e5, run_s) for run_s in (0.6, 0.8, 1.0, 1.2)]
+    change = [canned(1e5, run_s - 0.01) for run_s in (0.6, 0.8, 1.0, 1.2)]
+    runs = {
+        "parent": [bench_pairs.parse_run(text) for text in parent],
+        "change": [bench_pairs.parse_run(text) for text in change],
+    }
+    lines = bench_pairs.summarize("megacity", runs).splitlines()
+    at = lines.index("  run_s (lower is better)")
+    assert lines[at + 3] == "    delta -1.1%, change won 4 of 4 pairs"
 
 
 def test_main_exits_1_on_an_incorrect_run(tmp_path, capsys):
